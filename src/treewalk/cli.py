@@ -13,15 +13,14 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
+from . import forests, spectral
 from .errors import ConsistencyError, DisconnectedError, GraphError, NotATreeError, TwgParseError
 from .extremal import best_path_assignment, extremal_scan, weight_multiset
-from .forests import alpha_forest, kappa_forest
-from .graphs import WeightedGraph, enumerate_free_trees, parse_twg
+from .graphs import WeightedGraph, enumerate_free_trees, parse_twg, sig12
 from .homorder import connected_graph_corpus, conjecture_scan
 from .simulate import estimate_hitting
-from .spectral import alpha_spectral, kappa_spectral
 from .transfers import build_hasse, hasse_to_dot
 from .walks import hitting_matrix, walk_stats
 
@@ -32,10 +31,18 @@ EXIT_ASSERTION = 4
 
 METHOD_AGREEMENT_RTOL = 1e-6
 
+
+def _exact(g: WeightedGraph) -> tuple[float, float]:
+    s = walk_stats(g)
+    return s.alpha, s.kappa
+
+
+# Each route computes (alpha, kappa) from one factorization. Names are looked
+# up per call, so rebinding a route function elsewhere takes effect here too.
 METHODS = {
-    "exact": lambda g: (walk_stats(g).alpha, walk_stats(g).kappa),
-    "forest": lambda g: (alpha_forest(g), kappa_forest(g)),
-    "spectral": lambda g: (alpha_spectral(g), kappa_spectral(g)),
+    "exact": _exact,
+    "forest": lambda g: forests.stats(g),
+    "spectral": lambda g: spectral.stats(g),
 }
 
 
@@ -52,19 +59,7 @@ class RunReport:
     wall_time_s: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "input_digest": self.input_digest,
-            "n": self.n,
-            "edge_count": self.edge_count,
-            "methods": self.methods,
-            "max_rel_delta": self.max_rel_delta,
-            "wall_time_s": self.wall_time_s,
-        }
-
-
-def _sig12(x: float) -> float:
-    return float(format(x, ".12g"))
+        return asdict(self)
 
 
 def _read_graph(path: str) -> WeightedGraph:
@@ -96,15 +91,13 @@ def cmd_compute(args) -> int:
     t0 = time.perf_counter()
     g = _read_graph(args.input)
     selected = list(METHODS) if args.method == "all" else [args.method]
-    results = {}
-    for name in selected:
-        alpha, kappa = METHODS[name](g)
-        results[name] = {"alpha": _sig12(alpha), "kappa": _sig12(kappa)}
+    raw = {name: METHODS[name](g) for name in selected}
+    results = {name: {"alpha": sig12(a), "kappa": sig12(k)} for name, (a, k) in raw.items()}
     delta = 0.0
-    for stat in ("alpha", "kappa"):
-        vals = [results[name][stat] for name in selected]
-        spread = max(vals) - min(vals)
-        delta = max(delta, spread / max(abs(v) for v in vals))
+    for vals in zip(*raw.values()):
+        top = max(abs(v) for v in vals)
+        if top > 0.0:  # all routes give exactly 0 on one vertex
+            delta = max(delta, (max(vals) - min(vals)) / top)
     report = RunReport(
         command="compute",
         input_digest=_digest(args.input),
@@ -124,7 +117,7 @@ def cmd_compute(args) -> int:
     payload = report.to_json_dict()
     if args.hitting:
         h = hitting_matrix(g)
-        payload["hitting"] = [[_sig12(x) for x in row] for row in h.tolist()]
+        payload["hitting"] = [[sig12(x) for x in row] for row in h.tolist()]
         if not args.json:
             lines.append("hitting matrix:")
             for row in h:

@@ -29,6 +29,7 @@ from .graphs import (
     enumerate_free_trees,
     is_path_graph,
     path_graph,
+    sig12,
     star_graph,
 )
 
@@ -64,15 +65,15 @@ class FamilyReport:
             "weights": list(self.weights),
             "stat": self.stat,
             "family_size": self.family_size,
-            "max_value": _sig12(self.max_value),
-            "min_value": _sig12(self.min_value),
+            "max_value": sig12(self.max_value),
+            "min_value": sig12(self.min_value),
             "argmax_codes": list(self.argmax_codes),
             "argmin_codes": list(self.argmin_codes),
             "argmax_weight_layouts": [
                 [w for _, _, w in t.edges] for t in self.argmax_trees
             ],
             "polarized_layouts": [list(p) for p in self.polarized_layouts],
-            "polarized_value": None if self.polarized_value is None else _sig12(self.polarized_value),
+            "polarized_value": None if self.polarized_value is None else sig12(self.polarized_value),
         }
 
 
@@ -88,17 +89,13 @@ class PathSearchResult:
     def to_json_dict(self) -> dict:
         return {
             "assignment": list(self.assignment),
-            "kappa": _sig12(self.kappa),
-            "objective": _sig12(self.objective),
+            "kappa": sig12(self.kappa),
+            "objective": sig12(self.objective),
             "evaluations": [
-                {"order": list(o), "objective": _sig12(j), "kappa": _sig12(k)}
+                {"order": list(o), "objective": sig12(j), "kappa": sig12(k)}
                 for o, j, k in self.evaluations
             ],
         }
-
-
-def _sig12(x: float) -> float:
-    return float(format(x, ".12g"))
 
 
 def weight_multiset(weights: Sequence[float]) -> tuple[float, ...]:

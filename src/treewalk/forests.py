@@ -9,8 +9,12 @@ average hitting time and Kemeny's constant:
     alpha = vol * sum S(F) w(F) / (n^2 tau)
     kappa = sum V_G(F) w(F) / (vol * tau)
 
-Trees use O(n) closed forms (one cut per edge, w(T\\e) = tau/w(e));
-general graphs fall back to guarded brute-force subset enumeration.
+Trees use O(n) closed forms (one cut per edge, w(T\\e) = tau/w(e)).
+General graphs use the all-minors matrix-tree theorem: the 2-forests
+that separate u and v weigh tau * R(u, v) in total, with R the effective
+resistance, so one Cholesky factor of the reduced Laplacian gives every
+sum. ``two_forest_cuts`` still lists the 2-forests of small graphs one
+by one.
 """
 
 from __future__ import annotations
@@ -23,10 +27,9 @@ import numpy as np
 
 from .errors import ConsistencyError, GraphError
 from .graphs import WeightedGraph
-from .walks import adjacency_matrix
+from .walks import adjacency_matrix, check_error_bound, condition_bound
 
 ENUM_EDGE_MAX = 20
-TAU_AGREEMENT_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -72,42 +75,25 @@ class _UnionFind:
         return True
 
 
-def _spanning_tree_weight_enum(g: WeightedGraph) -> float:
-    n, edges = g.n, g.edges
-    total = 0.0
-    for kept in combinations(edges, n - 1):
-        uf = _UnionFind(n)
-        w = 1.0
-        ok = True
-        for u, v, wt in kept:
-            if not uf.union(u, v):
-                ok = False
-                break
-            w *= wt
-        if ok:
-            total += w
-    return total
+def _reduced_laplacian(g: WeightedGraph) -> np.ndarray:
+    """Laplacian with the row and column of vertex 0 removed."""
+    lap = np.diag(np.array(g.degrees)) - adjacency_matrix(g)
+    return lap[1:, 1:]
+
+
+def _cholesky(m: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.cholesky(m)
+    except np.linalg.LinAlgError as exc:
+        raise ConsistencyError(f"reduced Laplacian is not numerically positive definite: {exc}") from exc
 
 
 def tau(g: WeightedGraph) -> float:
-    """Weighted spanning-tree sum by the reduced-Laplacian determinant.
-
-    When the graph is small enough, the value is re-derived by explicit
-    subset enumeration and the two routes must agree.
-    """
+    """Weighted spanning-tree sum: the determinant of the reduced Laplacian."""
     g.require_connected()
     if g.n == 1:
         return 1.0
-    a = adjacency_matrix(g)
-    lap = np.diag(np.array(g.degrees)) - a
-    det = float(np.linalg.det(lap[1:, 1:]))
-    if len(g.edges) <= ENUM_EDGE_MAX:
-        enum = _spanning_tree_weight_enum(g)
-        if abs(det - enum) > TAU_AGREEMENT_RTOL * max(abs(det), abs(enum)):
-            raise ConsistencyError(
-                f"matrix-tree determinant {det!r} disagrees with enumeration {enum!r}"
-            )
-    return det
+    return float(np.prod(np.diag(_cholesky(_reduced_laplacian(g))))) ** 2
 
 
 def _cut_from_kept(g: WeightedGraph, kept: tuple[tuple[int, int, float], ...]) -> TwoForestCut:
@@ -167,11 +153,12 @@ def two_forest_cuts(g: WeightedGraph) -> Iterator[TwoForestCut]:
             yield _cut_from_kept(g, kept)
 
 
-def _tree_edge_stats(t: WeightedGraph) -> list[tuple[float, int, float]]:
-    """Per edge of a tree: (weight, size product, ambient volume product).
+def _tree_sums(t: WeightedGraph) -> tuple[float, float]:
+    """sum S(T-e) / w(e) and sum V_T(T-e) / w(e) over the edges of a tree.
 
-    One rooted pass: for the cut at the edge above vertex c, the child
-    side has ambient volume 2*(weight inside the subtree) + w(edge).
+    Deleting e leaves a 2-forest of weight tau / w(e). One rooted pass:
+    for the cut at the edge above vertex c, the child side has ambient
+    volume 2*(weight inside the subtree) + w(edge).
     """
     n = t.n
     adj = t.neighbors
@@ -194,45 +181,72 @@ def _tree_edge_stats(t: WeightedGraph) -> list[tuple[float, int, float]]:
         size[p] += size[x]
         inner[p] += inner[x] + parent_w[x]
     vol = t.vol
-    stats = []
+    s_sum = v_sum = 0.0
     for x in order[1:]:
         w = parent_w[x]
         side_vol = 2.0 * inner[x] + w
-        stats.append((w, size[x] * (n - size[x]), side_vol * (vol - side_vol)))
-    return stats
+        s_sum += size[x] * (n - size[x]) / w
+        v_sum += side_vol * (vol - side_vol) / w
+    return s_sum, v_sum
+
+
+def _resistance_sums(g: WeightedGraph) -> tuple[float, float, float]:
+    """tau, sum_{u<v} R(u, v) and sum_{u<v} d(u) d(v) R(u, v) from one Cholesky factor.
+
+    With vertex 0 grounded, G = L0^-1 padded by a zero row and column
+    gives the effective resistance R(u, v) = G[u][u] + G[v][v] - 2 G[u][v].
+    Refused when the conditioning of L0 bounds the relative error above
+    ERROR_BOUND_RTOL.
+    """
+    lap0 = _reduced_laplacian(g)
+    c = _cholesky(lap0)
+    c_inv = np.linalg.inv(c)
+    grounded = np.zeros((g.n, g.n))
+    grounded[1:, 1:] = c_inv.T @ c_inv
+    check_error_bound(condition_bound(lap0, grounded), "2-forest sums")
+    diag = np.diag(grounded)
+    r = diag[:, None] + diag[None, :] - 2.0 * grounded
+    d = np.array(g.degrees)
+    return float(np.prod(np.diag(c))) ** 2, float(r.sum()) / 2.0, float(d @ r @ d) / 2.0
 
 
 def forest_sums(g: WeightedGraph) -> ForestSums:
-    """tau together with the S- and V-weighted 2-forest sums."""
-    t = tau(g)
-    s_sum = 0.0
-    v_sum = 0.0
-    for cut in two_forest_cuts(g):
-        s_sum += cut.s_value * cut.weight
-        v_sum += cut.v_value * cut.weight
-    return ForestSums(tau=t, s_sum=s_sum, v_sum=v_sum)
+    """tau together with the S- and V-weighted 2-forest sums.
+
+    Every pair u < v separated by a 2-forest F adds 1 to S(F) and
+    d(u) d(v) to V_G(F), and those forests weigh tau * R(u, v) in total.
+    """
+    g.require_connected()
+    if g.n == 1:
+        return ForestSums(tau=1.0, s_sum=0.0, v_sum=0.0)
+    t, r_sum, dr_sum = _resistance_sums(g)
+    return ForestSums(tau=t, s_sum=t * r_sum, v_sum=t * dr_sum)
+
+
+def stats(g: WeightedGraph) -> tuple[float, float]:
+    """(alpha, kappa): tree closed forms, else one factorization.
+
+    alpha = vol * sum S(F) w(F) / (n^2 tau) and kappa = sum V_G(F) w(F) /
+    (vol tau). For general graphs tau cancels against the resistance sums,
+    so the route never divides by it (tau overflows on large dense graphs).
+    """
+    g.require_connected()
+    n = g.n
+    if n == 1:
+        return 0.0, 0.0
+    vol = g.vol
+    if g.is_tree():
+        s_sum, v_sum = _tree_sums(g)
+    else:
+        _, s_sum, v_sum = _resistance_sums(g)
+    return (vol / (n * n)) * s_sum, v_sum / vol
 
 
 def alpha_forest(g: WeightedGraph) -> float:
     """Average hitting time from the 2-forest sum."""
-    g.require_connected()
-    if g.n == 1:
-        return 0.0
-    n = g.n
-    vol = g.vol
-    if g.is_tree():
-        return (vol / (n * n)) * sum(s / w for w, s, _ in _tree_edge_stats(g))
-    sums = forest_sums(g)
-    return vol * sums.s_sum / (n * n * sums.tau)
+    return stats(g)[0]
 
 
 def kappa_forest(g: WeightedGraph) -> float:
     """Kemeny's constant from the 2-forest sum."""
-    g.require_connected()
-    if g.n == 1:
-        return 0.0
-    vol = g.vol
-    if g.is_tree():
-        return sum(v / w for w, _, v in _tree_edge_stats(g)) / vol
-    sums = forest_sums(g)
-    return sums.v_sum / (vol * sums.tau)
+    return stats(g)[1]

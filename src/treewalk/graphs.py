@@ -39,6 +39,11 @@ def format_weight(w: float) -> str:
     return format(w, WEIGHT_FORMAT)
 
 
+def sig12(x: float) -> float:
+    """x rounded to the 12 significant digits that reports carry."""
+    return float(format(x, WEIGHT_FORMAT))
+
+
 @dataclass(frozen=True)
 class WeightedGraph:
     """Loopless undirected graph with positive edge weights.

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
 from .errors import GraphError
-from .graphs import WeightedGraph, canonical_form, enumerate_free_trees
+from .graphs import WeightedGraph, canonical_form, enumerate_free_trees, sig12
 from .walks import average_hitting_time
 
 CORPUS_VERTEX_MAX = 6
@@ -51,7 +51,7 @@ class HomDominanceReport:
         return {
             "tree_size": self.tree_size,
             "corpus_size": self.corpus_size,
-            "alphas": [{"code": c, "alpha": float(format(a, ".12g"))} for c, a in self.alphas],
+            "alphas": [{"code": c, "alpha": sig12(a)} for c, a in self.alphas],
             "pairs": [
                 {
                     "a": p.code_a,

@@ -8,7 +8,9 @@ normalized Laplacian D^{-1/2} L D^{-1/2}, the nonzero eigenvalues give
 
 The single zero eigenvalue is excluded by index after sorting, never by
 thresholding, so near-disconnected weighted trees cannot drop a second
-eigenvalue by accident.
+eigenvalue by accident. A near-disconnected graph still loses digits in
+its smallest nonzero eigenvalue; the route refuses such a graph instead
+of returning them.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .errors import ConsistencyError
 from .graphs import WeightedGraph
-from .walks import adjacency_matrix
+from .walks import EPS, adjacency_matrix, check_error_bound
 
 ZERO_EIGENVALUE_ATOL = 1e-9
 RESIDUAL_RTOL = 1e-9
@@ -73,20 +75,30 @@ def laplacian_spectra(g: WeightedGraph) -> SpectrumResult:
     return SpectrumResult(combinatorial=tuple(map(float, comb)), normalized=tuple(map(float, nrm)))
 
 
+def stats(g: WeightedGraph) -> tuple[float, float]:
+    """(alpha, kappa) from one call of laplacian_spectra.
+
+    Refused when eps * lambda_max / lambda_2 (combinatorial) or
+    eps * mu_max / mu_2 (normalized), the relative error to expect in the
+    smallest nonzero eigenvalue, exceeds ERROR_BOUND_RTOL.
+    """
+    g.require_connected()
+    if g.n == 1:
+        return 0.0, 0.0
+    spectrum = laplacian_spectra(g)
+    comb, nrm = spectrum.combinatorial, spectrum.normalized
+    check_error_bound(EPS * comb[-1] / comb[1], "combinatorial spectrum")
+    check_error_bound(EPS * nrm[-1] / nrm[1], "normalized spectrum")
+    alpha = (g.vol / g.n) * sum(1.0 / lam for lam in comb[1:])
+    kappa = sum(1.0 / mu for mu in nrm[1:])
+    return alpha, kappa
+
+
 def alpha_spectral(g: WeightedGraph) -> float:
     """Average hitting time as (vol/n) * sum of reciprocal nonzero eigenvalues."""
-    if g.n == 1:
-        g.require_connected()
-        return 0.0
-    spectrum = laplacian_spectra(g)
-    recip = sum(1.0 / lam for lam in spectrum.combinatorial[1:])
-    return (g.vol / g.n) * recip
+    return stats(g)[0]
 
 
 def kappa_spectral(g: WeightedGraph) -> float:
     """Kemeny's constant as the reciprocal sum over the normalized spectrum."""
-    if g.n == 1:
-        g.require_connected()
-        return 0.0
-    spectrum = laplacian_spectra(g)
-    return sum(1.0 / mu for mu in spectrum.normalized[1:])
+    return stats(g)[1]

@@ -1,0 +1,85 @@
+"""Brute-force reference values for the forest formulas.
+
+Subset enumeration of spanning trees and spanning 2-forests (graphs of
+at most ENUM_EDGE_MAX edges), and the tree edge-cut closed forms with
+both side volumes summed directly by math.fsum. None of it calls the
+routes it checks.
+"""
+
+import math
+from itertools import combinations
+
+ENUM_EDGE_MAX = 20
+
+
+def _components(n, kept):
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v, _ in kept:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return None  # the subset has a cycle
+        parent[ru] = rv
+    blocks = {}
+    for x in range(n):
+        blocks.setdefault(find(x), []).append(x)
+    return list(blocks.values())
+
+
+def spanning_tree_weight(g):
+    """tau(g): sum over acyclic (n-1)-edge subsets of the weight product."""
+    assert len(g.edges) <= ENUM_EDGE_MAX
+    return math.fsum(
+        math.prod(w for _, _, w in kept)
+        for kept in combinations(g.edges, g.n - 1)
+        if _components(g.n, kept) is not None
+    )
+
+
+def _degrees(g):
+    incident = [[] for _ in range(g.n)]
+    for u, v, w in g.edges:
+        incident[u].append(w)
+        incident[v].append(w)
+    return [math.fsum(ws) for ws in incident]
+
+
+def two_forest_sums(g):
+    """(tau, S-weighted sum, V-weighted sum) over every spanning 2-forest."""
+    assert len(g.edges) <= ENUM_EDGE_MAX
+    degrees = _degrees(g)
+    s_terms, v_terms = [], []
+    for kept in combinations(g.edges, g.n - 2):
+        blocks = _components(g.n, kept)
+        if blocks is None:
+            continue
+        b1, b2 = blocks
+        weight = math.prod(w for _, _, w in kept)
+        s_terms.append(len(b1) * len(b2) * weight)
+        v_terms.append(math.fsum(degrees[x] for x in b1) * math.fsum(degrees[x] for x in b2) * weight)
+    return spanning_tree_weight(g), math.fsum(s_terms), math.fsum(v_terms)
+
+
+def enumerated_stats(g):
+    """(alpha, kappa) from the enumerated forest sums."""
+    t, s_sum, v_sum = two_forest_sums(g)
+    vol = math.fsum(_degrees(g))
+    return vol * s_sum / (g.n * g.n * t), v_sum / (vol * t)
+
+
+def tree_stats(g):
+    """(alpha, kappa) of a tree from its edge cuts, both side volumes summed directly."""
+    degrees = _degrees(g)
+    vol = math.fsum(degrees)
+    s_terms, v_terms = [], []
+    for cut in g.edges:
+        b1, b2 = _components(g.n, [e for e in g.edges if e is not cut])
+        s_terms.append(len(b1) * len(b2) / cut[2])
+        v_terms.append(math.fsum(degrees[x] for x in b1) * math.fsum(degrees[x] for x in b2) / cut[2])
+    return vol / (g.n * g.n) * math.fsum(s_terms), math.fsum(v_terms) / vol

@@ -57,6 +57,16 @@ class TestCompute:
     def test_disconnected_exit_3(self, twg):
         assert main(["compute", "--input", twg(DISCONNECTED)]) == 3
 
+    def test_delta_from_unrounded_values(self, twg, capsys, monkeypatch):
+        from treewalk import cli
+
+        # the routes differ in the 14th digit: invisible at 12 significant digits
+        monkeypatch.setitem(cli.METHODS, "forest", lambda g: (16 / 9 * (1 + 3e-14), 1.5))
+        assert main(["compute", "--input", twg(PATH3), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["methods"]["forest"]["alpha"] == payload["methods"]["exact"]["alpha"]
+        assert payload["max_rel_delta"] == pytest.approx(3e-14, rel=0.05, abs=0.0)
+
 
 class TestVerifyExtremal:
     def test_unit_weights_alpha(self, twg, capsys):

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from _enumeration import spanning_tree_weight, two_forest_sums
 from treewalk.errors import DisconnectedError, GraphError
 from treewalk.forests import alpha_forest, forest_sums, kappa_forest, tau, tree_cut, two_forest_cuts
 from treewalk.graphs import (
@@ -155,6 +156,27 @@ class TestScalars:
         assert sums.tau == pytest.approx(1.0, rel=1e-9)
         assert sums.s_sum == pytest.approx(10.0, rel=1e-12)
         assert sums.v_sum == pytest.approx(19.0, rel=1e-12)
+
+
+def _general_graphs():
+    """Every graph with a cycle that the tests above use, up to 20 edges."""
+    graphs = [cycle_graph(n) for n in range(3, 8)] + [complete_graph(5)]
+    rng = random.Random(41)
+    for _ in range(8):
+        graphs.append(random_connected_graph(rng, rng.randint(4, 7), rng.randint(1, 3)))
+    return graphs
+
+
+class TestEnumerationOracle:
+    @pytest.mark.parametrize("g", _general_graphs(), ids=lambda g: f"n{g.n}m{len(g.edges)}")
+    def test_matches_tau_and_forest_sums(self, g):
+        want_tau, want_s, want_v = two_forest_sums(g)
+        assert spanning_tree_weight(g) == want_tau
+        sums = forest_sums(g)
+        assert tau(g) == pytest.approx(want_tau, rel=1e-12)
+        assert sums.tau == pytest.approx(want_tau, rel=1e-12)
+        assert sums.s_sum == pytest.approx(want_s, rel=1e-12)
+        assert sums.v_sum == pytest.approx(want_v, rel=1e-12)
 
 
 def _bfs_distances(t, start):
