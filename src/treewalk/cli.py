@@ -123,9 +123,8 @@ def cmd_compute(args) -> int:
             for row in h:
                 lines.append("  " + " ".join(f"{x:12.6g}" for x in row))
     _emit(args, payload, lines)
-    gate = max(METHOD_AGREEMENT_RTOL, args.tol)
-    if delta > gate:
-        print(f"method disagreement {delta:.3e} exceeds {gate}", file=sys.stderr)
+    if delta > METHOD_AGREEMENT_RTOL:
+        print(f"method disagreement {delta:.3e} exceeds {METHOD_AGREEMENT_RTOL}", file=sys.stderr)
         return EXIT_ASSERTION
     return EXIT_OK
 
@@ -217,13 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-        p.add_argument(
-            "--tol",
-            type=float,
-            default=1e-9,
-            help="relative comparison tolerance; compute fails on method "
-            "disagreement beyond max(1e-6, tol)",
-        )
 
     p = sub.add_parser("compute", help="alpha/kappa for a TWG file")
     p.add_argument("--input", required=True)

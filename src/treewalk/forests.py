@@ -9,27 +9,24 @@ average hitting time and Kemeny's constant:
     alpha = vol * sum S(F) w(F) / (n^2 tau)
     kappa = sum V_G(F) w(F) / (vol * tau)
 
-Trees use O(n) closed forms (one cut per edge, w(T\\e) = tau/w(e)).
-General graphs use the all-minors matrix-tree theorem: the 2-forests
-that separate u and v weigh tau * R(u, v) in total, with R the effective
-resistance, so one Cholesky factor of the reduced Laplacian gives every
-sum. ``two_forest_cuts`` still lists the 2-forests of small graphs one
-by one.
+Trees use O(n) closed forms (one cut per edge, w(T\\e) = tau/w(e)), and
+``two_forest_cuts`` lists a tree's edge cuts. General graphs use the
+all-minors matrix-tree theorem: the 2-forests that separate u and v
+weigh tau * R(u, v) in total, with R the effective resistance, so one
+Cholesky factor of the reduced Laplacian gives every sum without
+listing a single 2-forest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterator
 
 import numpy as np
 
 from .errors import ConsistencyError, GraphError
-from .graphs import WeightedGraph
-from .walks import adjacency_matrix, check_error_bound, condition_bound
-
-ENUM_EDGE_MAX = 20
+from .graphs import WeightedGraph, rooted_order
+from .walks import check_error_bound, condition_bound, laplacian
 
 
 @dataclass(frozen=True)
@@ -56,31 +53,6 @@ class ForestSums:
     v_sum: float
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
-
-
-def _reduced_laplacian(g: WeightedGraph) -> np.ndarray:
-    """Laplacian with the row and column of vertex 0 removed."""
-    lap = np.diag(np.array(g.degrees)) - adjacency_matrix(g)
-    return lap[1:, 1:]
-
-
 def _cholesky(m: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.cholesky(m)
@@ -93,37 +65,7 @@ def tau(g: WeightedGraph) -> float:
     g.require_connected()
     if g.n == 1:
         return 1.0
-    return float(np.prod(np.diag(_cholesky(_reduced_laplacian(g))))) ** 2
-
-
-def _cut_from_kept(g: WeightedGraph, kept: tuple[tuple[int, int, float], ...]) -> TwoForestCut:
-    kept_pairs = tuple((u, v) for u, v, _ in kept)
-    kept_set = set(kept_pairs)
-    deleted = tuple((u, v) for u, v, _ in g.edges if (u, v) not in kept_set)
-    blocks = _blocks_from_kept(g.n, kept_pairs)
-    assert len(blocks) == 2
-    b1, b2 = blocks
-    weight = 1.0
-    for _, _, w in kept:
-        weight *= w
-    return TwoForestCut(
-        kept_edges=kept_pairs,
-        deleted_edges=deleted,
-        blocks=(b1, b2),
-        s_value=len(b1) * len(b2),
-        v_value=g.volume(b1) * g.volume(b2),
-        weight=weight,
-    )
-
-
-def _blocks_from_kept(n: int, kept_pairs: tuple[tuple[int, int], ...]) -> tuple[frozenset[int], ...]:
-    uf = _UnionFind(n)
-    for u, v in kept_pairs:
-        uf.union(u, v)
-    groups: dict[int, list[int]] = {}
-    for x in range(n):
-        groups.setdefault(uf.find(x), []).append(x)
-    return tuple(sorted((frozenset(b) for b in groups.values()), key=min))
+    return float(np.prod(np.diag(_cholesky(laplacian(g)[1:, 1:])))) ** 2
 
 
 def tree_cut(t: WeightedGraph, u: int, v: int) -> TwoForestCut:
@@ -131,26 +73,24 @@ def tree_cut(t: WeightedGraph, u: int, v: int) -> TwoForestCut:
     t.require_tree()
     if not t.has_edge(u, v):
         raise GraphError(f"no edge ({u}, {v})")
-    kept = tuple(e for e in t.edges if {e[0], e[1]} != {u, v})
-    return _cut_from_kept(t, kept)
+    cut = (u, v) if u < v else (v, u)
+    kept = tuple((a, b) for a, b, _ in t.edges if (a, b) != cut)
+    b1, b2 = t.components(removed=(cut,))
+    return TwoForestCut(
+        kept_edges=kept,
+        deleted_edges=(cut,),
+        blocks=(b1, b2),
+        s_value=len(b1) * len(b2),
+        v_value=t.volume(b1) * t.volume(b2),
+        weight=t.subgraph_weight(kept),
+    )
 
 
-def two_forest_cuts(g: WeightedGraph) -> Iterator[TwoForestCut]:
-    """All spanning 2-forests. One per edge for a tree; brute force otherwise."""
-    g.require_connected()
-    if g.n < 2:
-        return
-    if g.is_tree():
-        for u, v, _ in g.edges:
-            yield tree_cut(g, u, v)
-        return
-    if len(g.edges) > ENUM_EDGE_MAX:
-        raise GraphError(f"2-forest enumeration guarded to {ENUM_EDGE_MAX} edges")
-    # acyclic with n-2 edges <=> spanning forest with exactly 2 components
-    for kept in combinations(g.edges, g.n - 2):
-        uf = _UnionFind(g.n)
-        if all(uf.union(u, v) for u, v, _ in kept):
-            yield _cut_from_kept(g, kept)
+def two_forest_cuts(t: WeightedGraph) -> Iterator[TwoForestCut]:
+    """The spanning 2-forests of a tree, one per deleted edge, in edge order."""
+    t.require_tree()
+    for u, v, _ in t.edges:
+        yield tree_cut(t, u, v)
 
 
 def _tree_sums(t: WeightedGraph) -> tuple[float, float]:
@@ -161,19 +101,7 @@ def _tree_sums(t: WeightedGraph) -> tuple[float, float]:
     volume 2*(weight inside the subtree) + w(edge).
     """
     n = t.n
-    adj = t.neighbors
-    parent = [-1] * n
-    parent_w = [0.0] * n
-    order = [0]
-    seen = [False] * n
-    seen[0] = True
-    for x in order:
-        for y, w in adj[x]:
-            if not seen[y]:
-                seen[y] = True
-                parent[y] = x
-                parent_w[y] = w
-                order.append(y)
+    order, parent, parent_w = rooted_order(t)
     size = [1] * n
     inner = [0.0] * n  # total edge weight inside the subtree
     for x in reversed(order[1:]):
@@ -190,15 +118,18 @@ def _tree_sums(t: WeightedGraph) -> tuple[float, float]:
     return s_sum, v_sum
 
 
-def _resistance_sums(g: WeightedGraph) -> tuple[float, float, float]:
-    """tau, sum_{u<v} R(u, v) and sum_{u<v} d(u) d(v) R(u, v) from one Cholesky factor.
+def _resistance_sums(g: WeightedGraph) -> tuple[np.ndarray, float, float]:
+    """The Cholesky factor C of L0, sum_{u<v} R(u, v) and sum_{u<v} d(u) d(v) R(u, v).
+
+    tau = prod(diag C)^2 is left to the caller: it overflows on large
+    dense graphs, where the sums themselves are fine.
 
     With vertex 0 grounded, G = L0^-1 padded by a zero row and column
     gives the effective resistance R(u, v) = G[u][u] + G[v][v] - 2 G[u][v].
     Refused when the conditioning of L0 bounds the relative error above
     ERROR_BOUND_RTOL.
     """
-    lap0 = _reduced_laplacian(g)
+    lap0 = laplacian(g)[1:, 1:]
     c = _cholesky(lap0)
     c_inv = np.linalg.inv(c)
     grounded = np.zeros((g.n, g.n))
@@ -207,7 +138,7 @@ def _resistance_sums(g: WeightedGraph) -> tuple[float, float, float]:
     diag = np.diag(grounded)
     r = diag[:, None] + diag[None, :] - 2.0 * grounded
     d = np.array(g.degrees)
-    return float(np.prod(np.diag(c))) ** 2, float(r.sum()) / 2.0, float(d @ r @ d) / 2.0
+    return c, float(r.sum()) / 2.0, float(d @ r @ d) / 2.0
 
 
 def forest_sums(g: WeightedGraph) -> ForestSums:
@@ -219,7 +150,8 @@ def forest_sums(g: WeightedGraph) -> ForestSums:
     g.require_connected()
     if g.n == 1:
         return ForestSums(tau=1.0, s_sum=0.0, v_sum=0.0)
-    t, r_sum, dr_sum = _resistance_sums(g)
+    c, r_sum, dr_sum = _resistance_sums(g)
+    t = float(np.prod(np.diag(c))) ** 2
     return ForestSums(tau=t, s_sum=t * r_sum, v_sum=t * dr_sum)
 
 

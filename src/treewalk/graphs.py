@@ -230,6 +230,27 @@ def remove_edges_partition(
     return blocks
 
 
+def rooted_order(t: WeightedGraph) -> tuple[list[int], list[int], list[float]]:
+    """Breadth-first order of a tree from vertex 0, with parents and parent-edge weights.
+
+    The root's entries are -1 and 0.0. Reversing the order visits every
+    child before its parent.
+    """
+    parent = [-1] * t.n
+    parent_w = [0.0] * t.n
+    order = [0]
+    seen = [False] * t.n
+    seen[0] = True
+    for x in order:
+        for y, w in t.neighbors[x]:
+            if not seen[y]:
+                seen[y] = True
+                parent[y] = x
+                parent_w[y] = w
+                order.append(y)
+    return order, parent, parent_w
+
+
 # -- builders --------------------------------------------------------------
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
 from .errors import GraphError
-from .graphs import WeightedGraph, canonical_form, enumerate_free_trees, sig12
+from .graphs import WeightedGraph, canonical_form, enumerate_free_trees, rooted_order, sig12
 from .walks import average_hitting_time
 
 CORPUS_VERTEX_MAX = 6
@@ -81,16 +81,7 @@ def hom_count(t: WeightedGraph, g: WeightedGraph) -> int:
     if t.n == 1:
         return g.n
     nbrs = [[v for v, _ in g.neighbors[u]] for u in range(g.n)]
-    order = [0]
-    parent = [-1] * t.n
-    seen = [False] * t.n
-    seen[0] = True
-    for x in order:
-        for y, _ in t.neighbors[x]:
-            if not seen[y]:
-                seen[y] = True
-                parent[y] = x
-                order.append(y)
+    order, parent, _ = rooted_order(t)
     table = [[1] * g.n for _ in range(t.n)]
     for x in reversed(order[1:]):
         child = table[x]
@@ -179,14 +170,12 @@ def corpus_dominates(
     return verdict
 
 
-def conjecture_scan(
-    n: int, corpus: list[WeightedGraph] | None = None, alpha_slack: float = ALPHA_SLACK
-) -> HomDominanceReport:
+def conjecture_scan(n: int, corpus: list[WeightedGraph] | None = None) -> HomDominanceReport:
     """Check all ordered free-tree pairs of size n for dominance vs alpha order.
 
     For every corpus-dominant pair (T, T'), the average hitting time of
-    T' must not fall below that of T; exceptions are collected, not
-    raised.
+    T' must not fall below that of T by more than ALPHA_SLACK; exceptions
+    are collected, not raised.
     """
     if not 1 <= n <= SCAN_TREE_MAX:
         raise GraphError(f"conjecture scan guarded to trees of size {SCAN_TREE_MAX}")
@@ -205,7 +194,7 @@ def conjecture_scan(
                 continue
             verdict, witness = _compare_counts(counts[i], counts[j])
             pairs.append(PairVerdict(codes[i], codes[j], verdict, witness))
-            if verdict == DOMINATES and alphas[j] < alphas[i] - alpha_slack:
+            if verdict == DOMINATES and alphas[j] < alphas[i] - ALPHA_SLACK:
                 violations.append((codes[i], codes[j], alphas[i], alphas[j]))
     return HomDominanceReport(
         tree_size=n,

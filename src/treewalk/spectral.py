@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConsistencyError
 from .graphs import WeightedGraph
-from .walks import EPS, adjacency_matrix, check_error_bound
+from .walks import EPS, check_error_bound, laplacian
 
 ZERO_EIGENVALUE_ATOL = 1e-9
 RESIDUAL_RTOL = 1e-9
@@ -37,10 +37,8 @@ class SpectrumResult:
 
 
 def laplacian_matrices(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
-    a = adjacency_matrix(g)
-    d = np.array(g.degrees)
-    lap = np.diag(d) - a
-    dinv_sqrt = 1.0 / np.sqrt(d)
+    lap = laplacian(g)
+    dinv_sqrt = 1.0 / np.sqrt(np.array(g.degrees))
     norm = dinv_sqrt[:, None] * lap * dinv_sqrt[None, :]
     norm = (norm + norm.T) / 2.0  # kill rounding asymmetry before eigh
     return lap, norm

@@ -10,6 +10,7 @@ modules are checked against it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -46,11 +47,18 @@ def condition_bound(a: np.ndarray, a_inv: np.ndarray) -> float:
 
 
 def adjacency_matrix(g: WeightedGraph) -> np.ndarray:
+    """Symmetric matrix of edge weights, zero off the edges."""
+    e = np.fromiter(chain.from_iterable(g.edges), float, count=3 * len(g.edges))
+    u, v, w = e[0::3].astype(np.intp), e[1::3].astype(np.intp), e[2::3]
     a = np.zeros((g.n, g.n))
-    for u, v, w in g.edges:
-        a[u, v] = w
-        a[v, u] = w
+    a[u, v] = w
+    a[v, u] = w
     return a
+
+
+def laplacian(g: WeightedGraph) -> np.ndarray:
+    """Combinatorial Laplacian D - A."""
+    return np.diag(np.array(g.degrees)) - adjacency_matrix(g)
 
 
 def transition_matrix(g: WeightedGraph) -> np.ndarray:

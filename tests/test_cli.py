@@ -57,6 +57,12 @@ class TestCompute:
     def test_disconnected_exit_3(self, twg):
         assert main(["compute", "--input", twg(DISCONNECTED)]) == 3
 
+    def test_tol_option_removed(self, twg):
+        # compute gates at METHOD_AGREEMENT_RTOL; no option loosens the gate
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "--input", twg(PATH3), "--tol", "1"])
+        assert exc.value.code == 2
+
     def test_delta_from_unrounded_values(self, twg, capsys, monkeypatch):
         from treewalk import cli
 

@@ -18,6 +18,7 @@ from treewalk.graphs import (
     prufer_tree,
     random_weighted_tree,
     remove_edges_partition,
+    rooted_order,
     star_graph,
     tree_centers,
 )
@@ -157,6 +158,23 @@ class TestPartitions:
     def test_rejects_non_tree(self):
         with pytest.raises(NotATreeError):
             remove_edges_partition(cycle_graph(4), [(0, 1)])
+
+
+class TestRootedOrder:
+    def test_weighted_path(self):
+        # edges 0-1 (2.0), 1-2 (1.0), 2-3 (3.0); BFS from vertex 0
+        assert rooted_order(path_graph([2, 1, 3])) == ([0, 1, 2, 3], [-1, 0, 1, 2], [0.0, 2.0, 1.0, 3.0])
+
+    def test_parents_precede_children(self):
+        rng = random.Random(5)
+        for _ in range(20):
+            t = random_weighted_tree(rng, rng.randint(1, 12))
+            order, parent, parent_w = rooted_order(t)
+            assert sorted(order) == list(range(t.n))
+            position = {x: i for i, x in enumerate(order)}
+            for x in order[1:]:
+                assert position[parent[x]] < position[x]
+                assert parent_w[x] == t.weight(x, parent[x])
 
 
 class TestCanonicalForm:

@@ -84,6 +84,11 @@ def test_forest_route_beyond_enumeration_limit(name):
         assert exact == pytest.approx((49 / 8, 49 / 8), rel=1e-12)  # (n-1)^2/n for both
 
 
+def test_forest_route_on_k150_never_forms_tau():
+    # tau(K_150) = 150^148 overflows a double; alpha and kappa do not need it
+    assert forests.stats(complete_graph(150)) == pytest.approx((149**2 / 150, 149**2 / 150), rel=1e-9)
+
+
 def test_compute_all_on_k8_exits_0(tmp_path, capsys):
     path = tmp_path / "k8.twg"
     path.write_text("8\n" + "".join(f"{u} {v} 1\n" for u in range(8) for v in range(u + 1, 8)))

@@ -13,9 +13,11 @@ from treewalk.graphs import (
     star_graph,
 )
 from treewalk.walks import (
+    adjacency_matrix,
     average_hitting_time,
     hitting_matrix,
     kemeny,
+    laplacian,
     stationary,
     transition_matrix,
     walk_stats,
@@ -25,6 +27,26 @@ P3 = path_graph([1, 1])
 P4 = path_graph([1, 1, 1])
 STAR4 = star_graph([1, 1, 1])
 W21 = path_graph([2, 1])
+
+
+class TestLaplacian:
+    def test_weighted_non_tree_is_d_minus_a(self):
+        # triangle 0-1-2 with a pendant vertex 3 on 2
+        g = WeightedGraph(4, ((0, 1, 2.0), (1, 2, 0.5), (2, 0, 3.0), (2, 3, 1.5)))
+        a = np.array(
+            [
+                [0.0, 2.0, 3.0, 0.0],
+                [2.0, 0.0, 0.5, 0.0],
+                [3.0, 0.5, 0.0, 1.5],
+                [0.0, 0.0, 1.5, 0.0],
+            ]
+        )
+        assert np.array_equal(adjacency_matrix(g), a)
+        assert np.array_equal(laplacian(g), np.diag([5.0, 2.5, 5.0, 1.5]) - a)
+
+    def test_no_edges(self):
+        assert adjacency_matrix(WeightedGraph(1, ())).tolist() == [[0.0]]
+        assert laplacian(WeightedGraph(1, ())).tolist() == [[0.0]]
 
 
 class TestTransition:
