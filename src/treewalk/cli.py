@@ -234,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="tree size, 2..8")
     p.add_argument("--mode", choices=["size", "volume"], default="size")
     p.add_argument("--output", help="DOT output path (stdout when omitted)")
-    common(p)
     p.set_defaults(func=cmd_hasse)
 
     p = sub.add_parser("search-path", help="kappa-maximizing path ordering of a weight multiset")

@@ -18,7 +18,9 @@ equivalent triple-sum objective sum_{j<i<k} w_j w_k / w_i.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterator, Sequence
 
 from .errors import ConsistencyError, GraphError
@@ -105,8 +107,8 @@ def weight_multiset(weights: Sequence[float]) -> tuple[float, ...]:
     ws = []
     for w in weights:
         w = float(w)
-        if not w > 0.0:
-            raise GraphError(f"weights must be positive, got {w}")
+        if not (w > 0.0 and math.isfinite(w)):
+            raise GraphError(f"weights must be positive and finite, got {w}")
         ws.append(w)
     return tuple(sorted(ws, reverse=True))
 
@@ -136,33 +138,13 @@ def polarized_paths(weights: Sequence[float]) -> list[tuple[float, ...]]:
     leaves the single middle edge with the smallest weight.
     """
     ws = weight_multiset(weights)
-    m = len(ws)
-    n = m + 1
-    classes: list[list[int]] = []  # edge indices (1-based) per centrality class
-    for c in range(1, (m + 1) // 2 + 1):
-        cls = sorted({c, n - c})
-        classes.append(cls)
-    layouts = [dict[int, float]()]
-    pos = 0
-    for cls in classes:
-        take = ws[pos : pos + len(cls)]
-        pos += len(cls)
-        nxt = []
-        for partial in layouts:
-            orders = [take]
-            if len(cls) == 2 and take[0] != take[1]:
-                orders.append(take[::-1])
-            for order in orders:
-                assigned = dict(partial)
-                assigned.update(zip(cls, order))
-                nxt.append(assigned)
-        layouts = nxt
+    pairs = len(ws) // 2
+    classes = [ws[k : k + 2] for k in range(0, len(ws), 2)]
     unique: dict[str, tuple[float, ...]] = {}
-    for assignment in layouts:
-        order = tuple(assignment[i] for i in range(1, m + 1))
-        code = canonical_form(path_graph(order))
-        if code not in unique:
-            unique[code] = order
+    for orders in product(*(dict.fromkeys((c, c[::-1])) for c in classes)):
+        # edge c takes a class's first weight, edge n - c its second
+        layout = tuple(o[0] for o in orders) + tuple(o[1] for o in reversed(orders[:pairs]))
+        unique.setdefault(canonical_form(path_graph(layout)), layout)
     return [unique[c] for c in sorted(unique)]
 
 
@@ -174,36 +156,23 @@ def star_of(weights: Sequence[float]) -> WeightedGraph:
 def distinct_permutations(items: Sequence[float]) -> Iterator[tuple[float, ...]]:
     """Distinct multiset permutations in lexicographic order.
 
-    Equal weights count as equal only when equal as floats after
-    parsing, so a multiset with r repeats yields len!/r! permutations,
-    not len! of them.
+    Knuth's Algorithm L (TAOCP 4A, 7.2.1.2) on NaN-free items. Equal
+    weights count as equal only when equal as floats after parsing, so a
+    multiset with r repeats yields len!/r! permutations, not len! of them.
     """
-    pool = sorted(items)
-    n = len(pool)
-    values: list[float] = []
-    counts: list[int] = []
-    for x in pool:
-        if values and x == values[-1]:
-            counts[-1] += 1
-        else:
-            values.append(x)
-            counts.append(1)
-    prefix: list[float] = []
-
-    def rec() -> Iterator[tuple[float, ...]]:
-        if len(prefix) == n:
-            yield tuple(prefix)
+    a = sorted(items)
+    while True:
+        yield tuple(a)
+        j = len(a) - 2
+        while j >= 0 and a[j] >= a[j + 1]:
+            j -= 1
+        if j < 0:
             return
-        for k, v in enumerate(values):
-            if counts[k] == 0:
-                continue
-            counts[k] -= 1
-            prefix.append(v)
-            yield from rec()
-            prefix.pop()
-            counts[k] += 1
-
-    return rec()
+        k = len(a) - 1
+        while a[j] >= a[k]:
+            k -= 1
+        a[j], a[k] = a[k], a[j]
+        a[j + 1 :] = reversed(a[j + 1 :])
 
 
 def tree_family(weights: Sequence[float]) -> list[WeightedGraph]:
@@ -240,18 +209,20 @@ def extremal_scan(weights: Sequence[float], stat: str) -> FamilyReport:
     ws = weight_multiset(weights)
     family = tree_family(ws)
     stat_fn = alpha_forest if stat == STAT_ALPHA else kappa_forest
-    codes = [canonical_form(t) for t in family]
     values = [stat_fn(t) for t in family]
 
     max_value = max(values)
     min_value = min(values)
-    argmax = [i for i, v in enumerate(values) if v >= max_value - EXTREME_GROUP_RTOL * abs(max_value)]
-    argmin = [i for i, v in enumerate(values) if v <= min_value + EXTREME_GROUP_RTOL * abs(min_value)]
-    above_min = sorted(v for i, v in enumerate(values) if i not in set(argmin))
-    runner_up = above_min[0] if above_min else min_value
+    max_cut = max_value - EXTREME_GROUP_RTOL * abs(max_value)
+    min_cut = min_value + EXTREME_GROUP_RTOL * abs(min_value)
+    argmax = [i for i, v in enumerate(values) if v >= max_cut]
+    argmin = [i for i, v in enumerate(values) if v <= min_cut]
+    runner_up = min((v for v in values if v > min_cut), default=min_value)
+    # codes only for the reported trees; tree_family already deduplicated
+    argmax_codes = tuple(canonical_form(family[i]) for i in argmax)
+    argmin_codes = tuple(canonical_form(family[i]) for i in argmin)
 
-    star_code = canonical_form(star_of(ws))
-    if [codes[i] for i in argmin] != [star_code] and len(family) > 1:
+    if argmin_codes != (canonical_form(star_of(ws)),) and len(family) > 1:
         raise ConsistencyError(f"{stat} argmin is not uniquely the star for W={ws}")
     if len(family) > 1 and not runner_up - min_value > EXTREME_GROUP_RTOL * abs(min_value):
         raise ConsistencyError(f"{stat} star minimum lacks a strict margin for W={ws}")
@@ -262,7 +233,7 @@ def extremal_scan(weights: Sequence[float], stat: str) -> FamilyReport:
         layouts = polarized_paths(ws)
         pol_layouts = tuple(layouts)
         pol_codes = sorted(canonical_form(path_graph(p)) for p in layouts)
-        if sorted(codes[i] for i in argmax) != pol_codes:
+        if sorted(argmax_codes) != pol_codes:
             raise ConsistencyError(f"alpha argmax set differs from the polarized paths for W={ws}")
         pol_vals = [alpha_forest(path_graph(p)) for p in layouts]
         spread = max(pol_vals) - min(pol_vals)
@@ -280,8 +251,8 @@ def extremal_scan(weights: Sequence[float], stat: str) -> FamilyReport:
         family_size=len(family),
         max_value=max_value,
         min_value=min_value,
-        argmax_codes=tuple(codes[i] for i in argmax),
-        argmin_codes=tuple(codes[i] for i in argmin),
+        argmax_codes=argmax_codes,
+        argmin_codes=argmin_codes,
         argmax_trees=tuple(family[i] for i in argmax),
         argmin_trees=tuple(family[i] for i in argmin),
         runner_up_min=runner_up,

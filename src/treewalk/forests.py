@@ -19,6 +19,8 @@ listing a single 2-forest.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -60,12 +62,20 @@ def _cholesky(m: np.ndarray) -> np.ndarray:
         raise ConsistencyError(f"reduced Laplacian is not numerically positive definite: {exc}") from exc
 
 
+def _tau_from_factor(c: np.ndarray) -> float:
+    """tau = prod(diag C)^2, summed in log space and refused outside the normal float range."""
+    log_tau = 2.0 * float(np.log(np.diag(c)).sum())
+    if not math.log(sys.float_info.min) <= log_tau <= math.log(sys.float_info.max):
+        raise ConsistencyError(f"spanning-tree sum exp({log_tau:.6g}) is outside the normal float range")
+    return math.exp(log_tau)
+
+
 def tau(g: WeightedGraph) -> float:
     """Weighted spanning-tree sum: the determinant of the reduced Laplacian."""
     g.require_connected()
     if g.n == 1:
         return 1.0
-    return float(np.prod(np.diag(_cholesky(laplacian(g)[1:, 1:])))) ** 2
+    return _tau_from_factor(_cholesky(laplacian(g)[1:, 1:]))
 
 
 def tree_cut(t: WeightedGraph, u: int, v: int) -> TwoForestCut:
@@ -121,8 +131,8 @@ def _tree_sums(t: WeightedGraph) -> tuple[float, float]:
 def _resistance_sums(g: WeightedGraph) -> tuple[np.ndarray, float, float]:
     """The Cholesky factor C of L0, sum_{u<v} R(u, v) and sum_{u<v} d(u) d(v) R(u, v).
 
-    tau = prod(diag C)^2 is left to the caller: it overflows on large
-    dense graphs, where the sums themselves are fine.
+    tau is left to the caller: it leaves the float range on large dense
+    graphs, where the sums themselves are fine.
 
     With vertex 0 grounded, G = L0^-1 padded by a zero row and column
     gives the effective resistance R(u, v) = G[u][u] + G[v][v] - 2 G[u][v].
@@ -151,7 +161,7 @@ def forest_sums(g: WeightedGraph) -> ForestSums:
     if g.n == 1:
         return ForestSums(tau=1.0, s_sum=0.0, v_sum=0.0)
     c, r_sum, dr_sum = _resistance_sums(g)
-    t = float(np.prod(np.diag(c))) ** 2
+    t = _tau_from_factor(c)
     return ForestSums(tau=t, s_sum=t * r_sum, v_sum=t * dr_sum)
 
 

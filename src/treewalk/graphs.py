@@ -69,7 +69,7 @@ class WeightedGraph:
                 raise GraphError(f"edge ({u}, {v}) out of range for n={self.n}")
             w = float(w)
             if not (w > 0.0) or not math.isfinite(w):
-                raise GraphError(f"edge ({u}, {v}) has non-positive weight {w}")
+                raise GraphError(f"edge ({u}, {v}) weight must be positive and finite, got {w}")
             key = (u, v) if u < v else (v, u)
             if key in seen:
                 raise GraphError(f"duplicate edge ({key[0]}, {key[1]})")

@@ -14,6 +14,7 @@ diagram this module constructs and renders as DOT.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from graphlib import CycleError, TopologicalSorter
 
 from .errors import ConsistencyError, GraphError
 from .graphs import WeightedGraph, canonical_form, format_weight
@@ -187,30 +188,18 @@ def build_hasse(trees: list[WeightedGraph], mode: str) -> HasseDiagram:
                 succ.add(j)
         successors.append(succ)
 
-    # reachability bottom-up over the move DAG (iterative: chains can be long)
-    reach: list[set[int] | None] = [None] * len(reps)
-    for root in range(len(reps)):
-        if reach[root] is not None:
-            continue
-        stack = [root]
-        while stack:
-            i = stack[-1]
-            pending = [j for j in successors[i] if reach[j] is None]
-            if pending:
-                stack.extend(pending)
-                continue
-            stack.pop()
-            if reach[i] is None:
-                acc = set(successors[i])
-                for j in successors[i]:
-                    acc |= reach[j]
-                reach[i] = acc
-
+    # bottom-up over the move DAG: a move's result is visited before the tree
+    # it came from; i covers the successors that no other successor reaches
+    try:
+        order = list(TopologicalSorter(dict(enumerate(successors))).static_order())
+    except CycleError as exc:
+        raise ConsistencyError(f"{mode} moves lead back to a tree they left: {exc.args[1]}") from exc
+    reach: dict[int, set[int]] = {}
     covers = []
-    for i in range(len(reps)):
-        for j in reach[i]:
-            if not any(k != j and j in reach[k] for k in reach[i]):
-                covers.append((i, j))
+    for i in order:
+        below = set().union(*(reach[j] for j in successors[i]))
+        reach[i] = successors[i] | below
+        covers.extend((i, j) for j in successors[i] - below)
     return HasseDiagram(mode=mode, nodes=nodes, representatives=reps, covers=tuple(sorted(covers)))
 
 

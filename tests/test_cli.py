@@ -124,6 +124,12 @@ class TestHasse:
         assert rc == 0
         assert "covers=0" in capsys.readouterr().err
 
+    def test_json_option_removed(self):
+        # hasse prints DOT only; an accepted --json would be a flag that does nothing
+        with pytest.raises(SystemExit) as exc:
+            main(["hasse", "--n", "4", "--json"])
+        assert exc.value.code == 2
+
     def test_guard_exit_2(self):
         assert main(["hasse", "--n", "11"]) == 2
         assert main(["hasse", "--n", "9"]) == 2

@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import permutations
 
@@ -40,6 +41,13 @@ class TestPolarized:
             assert {layout[1], layout[4]} == {4, 2}
             assert {layout[2], layout[3]} == {2, 1}
         assert len(layouts) == 4  # three splittable classes, halved by reversal
+        # one representative per reversal pair, in canonical-code order
+        assert layouts == [
+            (7.0, 4.0, 2.0, 1.0, 2.0, 5.0),
+            (7.0, 2.0, 1.0, 2.0, 4.0, 5.0),
+            (7.0, 2.0, 2.0, 1.0, 4.0, 5.0),
+            (7.0, 4.0, 1.0, 2.0, 2.0, 5.0),
+        ]
 
     def test_all_unit_weights_single_layout(self):
         assert polarized_paths([1, 1, 1]) == [(1.0, 1.0, 1.0)]
@@ -111,6 +119,11 @@ class TestStarAndFamily:
         with pytest.raises(GraphError):
             tree_family([1.0] * 9)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -1.0, 0.0])
+    def test_weight_multiset_rejects_non_finite_and_non_positive(self, bad):
+        with pytest.raises(GraphError, match="positive and finite"):
+            weight_multiset([bad, 1.0])
+
 
 class TestObjective:
     def test_no_valid_triple(self):
@@ -166,8 +179,8 @@ class TestDistinctPermutations:
         assert len(list(distinct_permutations([1, 1, 1]))) == 1
 
     def test_lexicographic_and_unique(self):
-        perms = list(distinct_permutations([3, 1, 1]))
-        assert perms == sorted(set(perms))
+        for ws in ([3, 1, 1], [2, 2, 1, 1], [10, 8, 1, 1, 0.1], [1, 2, 3], [5], []):
+            assert list(distinct_permutations(ws)) == sorted(set(permutations(ws)))
 
 
 class TestScan:

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from _enumeration import spanning_tree_weight, two_forest_sums
-from treewalk.errors import DisconnectedError, GraphError, NotATreeError
+from treewalk.errors import ConsistencyError, DisconnectedError, GraphError, NotATreeError
 from treewalk.forests import alpha_forest, forest_sums, kappa_forest, tau, tree_cut, two_forest_cuts
 from treewalk.graphs import (
     WeightedGraph,
@@ -52,6 +52,20 @@ class TestTau:
     def test_disconnected_is_error(self):
         with pytest.raises(DisconnectedError):
             tau(WeightedGraph(3, ((0, 1, 1.0),)))
+
+    # tau(K_150) = 150^148 ~ 1e322 overflows; the path's tau = 1e-450 underflows to 0
+    @pytest.mark.parametrize(
+        "g", [complete_graph(150), path_graph([1e-3] * 150)], ids=["K150", "path-1e-3"]
+    )
+    def test_outside_float_range_is_refused(self, g):
+        with pytest.raises(ConsistencyError, match="float range"):
+            tau(g)
+        with pytest.raises(ConsistencyError, match="float range"):
+            forest_sums(g)
+
+    def test_near_the_float_range_edges(self):
+        assert tau(complete_graph(140)) == pytest.approx(140.0**138, rel=1e-11)
+        assert tau(path_graph([1e-3] * 100)) == pytest.approx(1e-300, rel=1e-11)
 
 
 class TestCuts:

@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import permutations
 
@@ -125,6 +126,8 @@ class TestBasics:
             WeightedGraph(2, ((0, 1, -2.0),))
         with pytest.raises(GraphError):
             WeightedGraph(2, ((0, 3, 1.0),))
+        with pytest.raises(GraphError, match="finite"):
+            WeightedGraph(2, ((0, 1, math.inf),))
 
 
 class TestPartitions:

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from treewalk.errors import GraphError
+from treewalk.errors import ConsistencyError, GraphError
 from treewalk.forests import alpha_forest, kappa_forest, tree_cut
 from treewalk.graphs import (
+    canonical_form,
     enumerate_free_trees,
     is_path_graph,
     is_star_graph,
@@ -200,6 +201,44 @@ class TestHasse:
         for i, j in h.covers:
             via = any(j in reach(k) for k in succ[i] if k != j)
             assert not via
+
+    @pytest.mark.parametrize("mode", ["size", "volume"])
+    @pytest.mark.parametrize("family", ["weighted-3,2,1,0.5", "free-8"])
+    def test_covers_close_to_move_reachability(self, family, mode):
+        from treewalk.extremal import tree_family
+
+        trees = tree_family([3, 2, 1, 0.5]) if family.startswith("weighted") else enumerate_free_trees(8)
+        h = build_hasse(trees, mode)
+        index = {code: i for i, code in enumerate(h.nodes)}
+        below = {i: {j for a, j in h.covers if a == i} for i in range(len(h.nodes))}
+        for i, t in enumerate(h.representatives):
+            # nodes reachable by one or more moves, found by applying moves
+            moved, frontier = set(), [t]
+            while frontier:
+                s = frontier.pop()
+                for move in legal_moves(s, mode):
+                    j = index[canonical_form(apply_move(s, move))]
+                    if j not in moved:
+                        moved.add(j)
+                        frontier.append(h.representatives[j])
+            # nodes reachable along one or more covers
+            closure, frontier = set(), [i]
+            while frontier:
+                for j in below[frontier.pop()] - closure:
+                    closure.add(j)
+                    frontier.append(j)
+            assert closure == moved
+
+    def test_move_cycle_is_a_consistency_error(self, monkeypatch):
+        # a move back to a tree it left would contradict strict monotonicity
+        from treewalk import transfers
+
+        trees = enumerate_free_trees(5)  # path, spider, star
+        nxt = {canonical_form(t): trees[(k + 1) % 3] for k, t in enumerate(trees)}
+        monkeypatch.setattr(transfers, "legal_moves", lambda t, mode: [None])
+        monkeypatch.setattr(transfers, "apply_move", lambda t, move: nxt[canonical_form(t)])
+        with pytest.raises(ConsistencyError, match="lead back"):
+            build_hasse(trees, "size")
 
     def test_mixed_multisets_rejected(self):
         with pytest.raises(GraphError):
