@@ -62,12 +62,16 @@ def _cholesky(m: np.ndarray) -> np.ndarray:
         raise ConsistencyError(f"reduced Laplacian is not numerically positive definite: {exc}") from exc
 
 
-def _tau_from_factor(c: np.ndarray) -> float:
-    """tau = prod(diag C)^2, summed in log space and refused outside the normal float range."""
+def _check_float_range(log_value: float, what: str) -> None:
+    if not math.log(sys.float_info.min) <= log_value <= math.log(sys.float_info.max):
+        raise ConsistencyError(f"{what} exp({log_value:.6g}) is outside the normal float range")
+
+
+def _log_tau(c: np.ndarray) -> float:
+    """log tau = 2 sum log diag C, refused outside the normal float range."""
     log_tau = 2.0 * float(np.log(np.diag(c)).sum())
-    if not math.log(sys.float_info.min) <= log_tau <= math.log(sys.float_info.max):
-        raise ConsistencyError(f"spanning-tree sum exp({log_tau:.6g}) is outside the normal float range")
-    return math.exp(log_tau)
+    _check_float_range(log_tau, "spanning-tree sum")
+    return log_tau
 
 
 def tau(g: WeightedGraph) -> float:
@@ -75,7 +79,7 @@ def tau(g: WeightedGraph) -> float:
     g.require_connected()
     if g.n == 1:
         return 1.0
-    return _tau_from_factor(_cholesky(laplacian(g)[1:, 1:]))
+    return math.exp(_log_tau(_cholesky(laplacian(g)[1:, 1:])))
 
 
 def tree_cut(t: WeightedGraph, u: int, v: int) -> TwoForestCut:
@@ -156,12 +160,16 @@ def forest_sums(g: WeightedGraph) -> ForestSums:
 
     Every pair u < v separated by a 2-forest F adds 1 to S(F) and
     d(u) d(v) to V_G(F), and those forests weigh tau * R(u, v) in total.
+    Each product is range-checked in log space like tau itself.
     """
     g.require_connected()
     if g.n == 1:
         return ForestSums(tau=1.0, s_sum=0.0, v_sum=0.0)
     c, r_sum, dr_sum = _resistance_sums(g)
-    t = _tau_from_factor(c)
+    log_tau = _log_tau(c)
+    _check_float_range(log_tau + math.log(r_sum), "S-weighted 2-forest sum")
+    _check_float_range(log_tau + math.log(dr_sum), "V-weighted 2-forest sum")
+    t = math.exp(log_tau)
     return ForestSums(tau=t, s_sum=t * r_sum, v_sum=t * dr_sum)
 
 

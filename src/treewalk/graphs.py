@@ -316,7 +316,7 @@ def parse_twg(text: str) -> WeightedGraph:
         if not 0 <= u < n or not 0 <= v < n:
             raise TwgParseError(f"vertex index out of range in ({u}, {v}), n={n}", lineno)
         if not w > 0.0 or not math.isfinite(w):
-            raise TwgParseError(f"weight must be positive, got {fields[2]}", lineno)
+            raise TwgParseError(f"weight must be positive and finite, got {fields[2]}", lineno)
         key = (u, v) if u < v else (v, u)
         if key in seen:
             raise TwgParseError(f"duplicate edge ({key[0]}, {key[1]})", lineno)

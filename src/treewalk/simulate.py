@@ -3,9 +3,11 @@
 The generator is written out in full (splitmix64 seeding feeding
 xorshift64*) so the exact sample sequence can be reproduced in any
 language from the constants below; platform default generators are
-deliberately avoided. Trials are independent: trial i derives its own
-state as mix64(seed) XOR i, so a parallel split by trial index yields
-the identical estimate.
+deliberately avoided. Trials are independent: trial i seeds its own
+stream with mix64(seed) XOR i, so a parallel split by trial index yields
+the identical estimate. The same independence lets all trials of a block
+advance together on numpy uint64 arrays, whose shifts, xors and wrapping
+multiplies are exactly the 64-bit integer arithmetic written out below.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from math import sqrt
+
+import numpy as np
 
 from .errors import GraphError
 from .graphs import WeightedGraph
@@ -24,6 +28,8 @@ _MIX2 = 0x94D049BB133111EB
 _STAR = 0x2545F4914F6CDD1D
 
 STEP_CAP = 10**9
+LOCKSTEP_BLOCK = 1 << 14  # trials per block; bounds memory for any trial count
+SCALAR_TAIL = 64  # fewer live trials than this finish in the scalar loop
 
 
 def mix64(x: int) -> int:
@@ -41,6 +47,13 @@ class Xorshift64Star:
 
     def __init__(self, seed: int):
         self.state = mix64(seed & _MASK) or _GOLDEN
+
+    @classmethod
+    def from_state(cls, state: int) -> Xorshift64Star:
+        """Resume a stream from a raw non-zero state."""
+        rng = cls.__new__(cls)
+        rng.state = state
+        return rng
 
     def next_u64(self) -> int:
         s = self.state
@@ -72,45 +85,44 @@ def estimate_hitting(
     weight by inverting the per-vertex cumulative weight array. A trial
     exceeding the step cap aborts: on a connected graph the walk hits
     almost surely, so the cap only trips on sampling bugs.
+
+    Trials run in lockstep blocks of LOCKSTEP_BLOCK on uint64 state
+    arrays; the last SCALAR_TAIL live trials of a block finish one by one
+    from their own state. Every trial draws exactly the numbers it would
+    draw alone, so the estimate does not depend on the block layout.
     """
     g.require_connected()
     g._check_vertex(start)
     g._check_vertex(target)
     if trials < 1:
         raise GraphError("trials must be >= 1")
+    if start == target:
+        return WalkEstimate(mean=0.0, stderr=0.0, trials=trials, seed=seed)
 
-    nbrs: list[list[int]] = []
-    cums: list[list[float]] = []
-    for v in range(g.n):
-        vs = [u for u, _ in g.neighbors[v]]
-        acc: list[float] = []
-        running = 0.0
-        for _, w in g.neighbors[v]:
-            running += w
-            acc.append(running)
-        nbrs.append(vs)
-        cums.append(acc)
-
-    base = mix64(seed & _MASK)
+    walk = _Tables(g)
+    base = np.uint64(mix64(seed & _MASK))
     total = 0
     total_sq = 0
-    for trial in range(trials):
-        rng = Xorshift64Star(base ^ trial)
-        next_float = rng.next_float
-        cur = start
+    for lo in range(0, trials, LOCKSTEP_BLOCK):
+        s = _mix64_array(base ^ np.arange(lo, min(lo + LOCKSTEP_BLOCK, trials), dtype=np.uint64))
+        s[s == 0] = _GOLDEN
+        cur = np.full(len(s), start, dtype=np.intp)
         steps = 0
-        while cur != target:
-            cum = cums[cur]
-            x = next_float() * cum[-1]
-            i = bisect_right(cum, x)
-            if i == len(cum):  # float rounding at the top end
-                i -= 1
-            cur = nbrs[cur][i]
+        while len(s) >= SCALAR_TAIL:
             steps += 1
             if steps > STEP_CAP:
-                raise GraphError(f"walk exceeded {STEP_CAP} steps; sampling is broken")
-        total += steps
-        total_sq += steps * steps
+                raise _step_cap_error()
+            cur = walk.step(s, cur)
+            live = cur != target
+            k = len(cur) - int(np.count_nonzero(live))
+            if k:
+                total += steps * k
+                total_sq += steps * steps * k
+                s, cur = s[live], cur[live]
+        for state, v in zip(s.tolist(), cur.tolist()):
+            t = walk.finish(Xorshift64Star.from_state(state), v, target, steps)
+            total += t
+            total_sq += t * t
 
     mean = total / trials
     if trials > 1:
@@ -119,3 +131,72 @@ def estimate_hitting(
     else:
         var = 0.0
     return WalkEstimate(mean=mean, stderr=sqrt(var / trials), trials=trials, seed=seed)
+
+
+def _step_cap_error() -> GraphError:
+    return GraphError(f"walk exceeded {STEP_CAP} steps; sampling is broken")
+
+
+def _mix64_array(x: np.ndarray) -> np.ndarray:
+    """mix64 over a uint64 array; numpy's wrapping arithmetic is the & _MASK."""
+    x = x + np.uint64(_GOLDEN)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(_MIX1)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX2)
+    return x ^ (x >> np.uint64(31))
+
+
+class _Tables:
+    """Running weight sums per vertex, as Python lists and as CSR arrays.
+
+    Row v of the CSR arrays spans flat indices before[v] + 1 .. last[v].
+    The vectorised bisect_right is a binary lift over powers of two below
+    the largest degree; an index past last[v] reads last[v], the row's
+    total, which exceeds x unless x rounded up to it, and then the
+    top-end clamp picks last[v] anyway.
+    """
+
+    def __init__(self, g: WeightedGraph):
+        self.nbrs: list[list[int]] = []
+        self.cums: list[list[float]] = []
+        for v in range(g.n):
+            acc: list[float] = []
+            running = 0.0
+            for _, w in g.neighbors[v]:
+                running += w
+                acc.append(running)
+            self.nbrs.append([u for u, _ in g.neighbors[v]])
+            self.cums.append(acc)
+        deg = np.array([len(row) for row in self.cums], dtype=np.intp)
+        self.flat = np.array([c for row in self.cums for c in row], dtype=np.float64)
+        self.nbr = np.array([u for row in self.nbrs for u in row], dtype=np.intp)
+        self.last = np.cumsum(deg) - 1
+        self.before = self.last - deg
+        self.top = self.flat[self.last]
+        self.lifts = [1 << b for b in reversed(range(int(deg.max()).bit_length()))]
+
+    def step(self, s: np.ndarray, cur: np.ndarray) -> np.ndarray:
+        """Advance every state in s in place and return the next vertices."""
+        s ^= s >> np.uint64(12)
+        s ^= s << np.uint64(25)
+        s ^= s >> np.uint64(27)
+        x = ((s * np.uint64(_STAR)) >> np.uint64(11)).astype(np.float64) * 2.0**-53 * self.top[cur]
+        last = self.last[cur]
+        j = self.before[cur]  # last flat index whose running sum is <= x
+        for lift in self.lifts:
+            np.add(j, lift, out=j, where=self.flat[np.minimum(j + lift, last)] <= x)
+        return self.nbr[np.minimum(j + 1, last)]  # float rounding at the top end
+
+    def finish(self, rng: Xorshift64Star, cur: int, target: int, steps: int) -> int:
+        """Walk one trial on from cur after `steps` steps; return its total."""
+        next_float = rng.next_float
+        while cur != target:
+            cum = self.cums[cur]
+            x = next_float() * cum[-1]
+            i = bisect_right(cum, x)
+            if i == len(cum):  # float rounding at the top end
+                i -= 1
+            cur = self.nbrs[cur][i]
+            steps += 1
+            if steps > STEP_CAP:
+                raise _step_cap_error()
+        return steps

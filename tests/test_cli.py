@@ -54,6 +54,11 @@ class TestCompute:
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["compute", "--input", str(tmp_path / "nope.twg")]) == 2
 
+    @pytest.mark.parametrize("weight", ["inf", "nan"])
+    def test_non_finite_weight_exit_2(self, twg, capsys, weight):
+        assert main(["compute", "--input", twg(f"2\n0 1 {weight}\n")]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_disconnected_exit_3(self, twg):
         assert main(["compute", "--input", twg(DISCONNECTED)]) == 3
 

@@ -63,6 +63,16 @@ class TestTau:
         with pytest.raises(ConsistencyError, match="float range"):
             forest_sums(g)
 
+    def test_sums_outside_float_range_are_refused(self):
+        # on K_n, sum R = n - 1 and sum d_u d_v R = (n - 1)^3: tau(K_143) ~ 8e303
+        # fits, v_sum = tau * 142^3 does not; K_140's v_sum ~ 4e302 still does
+        g = complete_graph(143)
+        assert tau(g) == pytest.approx(143.0**141, rel=1e-11)
+        with pytest.raises(ConsistencyError, match="V-weighted 2-forest sum .* float range"):
+            forest_sums(g)
+        sums = forest_sums(complete_graph(140))
+        assert sums.v_sum == pytest.approx(140.0**138 * 139.0**3, rel=1e-10)
+
     def test_near_the_float_range_edges(self):
         assert tau(complete_graph(140)) == pytest.approx(140.0**138, rel=1e-11)
         assert tau(path_graph([1e-3] * 100)) == pytest.approx(1e-300, rel=1e-11)

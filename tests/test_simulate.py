@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from _scalar_walk import estimate_from_steps, scalar_estimate_hitting, scalar_trial_steps
 
+from treewalk import simulate
 from treewalk.errors import GraphError
-from treewalk.graphs import path_graph, random_weighted_tree, star_graph
+from treewalk.graphs import WeightedGraph, path_graph, random_weighted_tree, star_graph
 from treewalk.simulate import Xorshift64Star, estimate_hitting, mix64
 from treewalk.walks import hitting_matrix
 
@@ -84,3 +86,92 @@ class TestEstimate:
     def test_invalid_trials(self):
         with pytest.raises(GraphError):
             estimate_hitting(path_graph([1]), 0, 1, 0, seed=0)
+
+
+MASK64 = simulate._MASK
+LOCKSTEP_SEEDS = (0, -1, 2**64 - 1, 20260808)
+# one trial; around the scalar tail threshold; at and past one block
+LOCKSTEP_TRIALS = (1, 63, 64, 65, 2**14, 2**14 + 1)
+CHORDED_CYCLE = WeightedGraph(5, ((0, 1, 1.0), (1, 2, 2.5), (2, 3, 0.5), (3, 4, 4.0), (4, 0, 1.5), (1, 3, 0.75)))
+
+
+def _lockstep_corpus():
+    # the heavy spoke keeps walks through the 200-wide center row short
+    star200 = star_graph([1.0] * 199 + [200.0])
+    cases = [
+        ("path3", path_graph([1, 1]), 0, 2),
+        ("path6", path_graph([1] * 5), 0, 5),
+        ("star200", star200, 0, 200),
+        ("star200-leaf", star200, 1, 200),
+        ("chorded-cycle", CHORDED_CYCLE, 2, 4),
+        ("single-vertex", WeightedGraph(1, ()), 0, 0),
+        ("start-is-target", path_graph([1, 1]), 1, 1),
+    ]
+    for s in range(3):
+        g = random_weighted_tree(random.Random(s), 4 + s, low=0.5, high=2.0)
+        cases.append((f"wtree{s}", g, 0, g.n - 1))
+    return [pytest.param(g, start, target, id=name) for name, g, start, target in cases]
+
+
+def _unshift(y, shift):
+    """Invert y = x ^ (x >> shift) (shift > 0) or x ^ (x << -shift) on 64 bits."""
+    x = y
+    for _ in range(64):
+        x = y ^ ((x >> shift) if shift > 0 else ((x << -shift) & MASK64))
+    return x
+
+
+def _unmix64(z):
+    x = _unshift(z, 31) * pow(simulate._MIX2, -1, 2**64) & MASK64
+    x = _unshift(x, 27) * pow(simulate._MIX1, -1, 2**64) & MASK64
+    return (_unshift(x, 30) - simulate._GOLDEN) & MASK64
+
+
+def _seed_with_first_float(u):
+    """A seed whose trial 0 draws the float u (a multiple of 2^-53) first."""
+    out = (int(u * 2**53) << 11) * pow(simulate._STAR, -1, 2**64) & MASK64
+    state = _unshift(_unshift(_unshift(out, 27), -25), 12)
+    seed = _unmix64(_unmix64(state))
+    assert Xorshift64Star(mix64(seed) ^ 0).next_float() == u
+    return seed
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("g, start, target", _lockstep_corpus())
+    def test_matches_scalar_reference(self, g, start, target):
+        for seed in LOCKSTEP_SEEDS:
+            steps = scalar_trial_steps(g, start, target, max(LOCKSTEP_TRIALS), seed)
+            for trials in LOCKSTEP_TRIALS:
+                got = estimate_hitting(g, start, target, trials, seed)
+                want = estimate_from_steps(steps[:trials], seed)
+                assert (got.mean, got.stderr, got.trials, got.seed) == (want.mean, want.stderr, want.trials, want.seed), (
+                    seed, trials)
+                assert type(got.mean) is float
+
+    def test_frozen_path3_estimate(self):
+        # the values the scalar walker gave before the lockstep rewrite
+        frozen = (3.975, 0.01998371130285543, 20_000, 7)
+        for walk in (estimate_hitting, scalar_estimate_hitting):
+            est = walk(path_graph([1, 1]), 0, 2, 20_000, seed=7)
+            assert (est.mean, est.stderr, est.trials, est.seed) == frozen
+
+    @pytest.mark.parametrize("trials", [1, 64])
+    def test_draw_on_a_running_sum_goes_right(self, trials):
+        # x = 0.5 * 2.0 lands exactly on the running sum 1.0 of the middle
+        # vertex's row [1.0, 2.0]: bisect_right picks the second neighbour
+        g, seed = path_graph([1, 1]), _seed_with_first_float(0.5)
+        assert scalar_trial_steps(g, 1, 2, 1, seed) == [1]
+        assert estimate_hitting(g, 1, 2, trials, seed) == scalar_estimate_hitting(g, 1, 2, trials, seed)
+
+    @pytest.mark.parametrize("trials", [10_000, 1])
+    def test_step_cap(self, monkeypatch, trials):
+        # 10,000 trials trip the cap in lockstep, one trial in the scalar tail
+        monkeypatch.setattr(simulate, "STEP_CAP", 3)
+        with pytest.raises(GraphError, match="exceeded 3 steps"):
+            estimate_hitting(path_graph([1] * 5), 0, 5, trials, seed=0)
+
+    def test_block_memory_is_bounded(self, monkeypatch):
+        # a billion trials only ever allocate one block before the cap trips
+        monkeypatch.setattr(simulate, "STEP_CAP", 3)
+        with pytest.raises(GraphError, match="exceeded 3 steps"):
+            estimate_hitting(path_graph([1] * 5), 0, 5, 10**9, seed=0)
