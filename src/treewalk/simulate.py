@@ -8,13 +8,18 @@ stream with mix64(seed) XOR i, so a parallel split by trial index yields
 the identical estimate. The same independence lets all trials of a block
 advance together on numpy uint64 arrays, whose shifts, xors and wrapping
 multiplies are exactly the 64-bit integer arithmetic written out below.
+The xorshift state update is linear over GF(2), so a stream's next
+states can also be computed all at once by applying its powers.
 """
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache
 from math import sqrt
+from operator import length_hint
 
 import numpy as np
 
@@ -29,7 +34,9 @@ _STAR = 0x2545F4914F6CDD1D
 
 STEP_CAP = 10**9
 LOCKSTEP_BLOCK = 1 << 14  # trials per block; bounds memory for any trial count
-SCALAR_TAIL = 64  # fewer live trials than this finish in the scalar loop
+TAIL_TRIALS = 256  # fewer live trials than this finish one at a time
+TAIL_DRAWS = 1 << 13  # bound on the draws one round of the tail generates, over all its trials
+GUIDE_ENTRIES = 1 << 13  # bound on the guide table: vertices times 2^(leading bits)
 
 
 def mix64(x: int) -> int:
@@ -40,6 +47,13 @@ def mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+def _xorshift(x: int) -> int:
+    """One xorshift64 state update."""
+    x ^= x >> 12
+    x ^= (x << 25) & _MASK
+    return x ^ (x >> 27)
+
+
 class Xorshift64Star:
     """xorshift64* stream; state is never zero thanks to the seed mix."""
 
@@ -48,19 +62,8 @@ class Xorshift64Star:
     def __init__(self, seed: int):
         self.state = mix64(seed & _MASK) or _GOLDEN
 
-    @classmethod
-    def from_state(cls, state: int) -> Xorshift64Star:
-        """Resume a stream from a raw non-zero state."""
-        rng = cls.__new__(cls)
-        rng.state = state
-        return rng
-
     def next_u64(self) -> int:
-        s = self.state
-        s ^= s >> 12
-        s = (s ^ (s << 25)) & _MASK
-        s ^= s >> 27
-        self.state = s
+        self.state = s = _xorshift(self.state)
         return (s * _STAR) & _MASK
 
     def next_float(self) -> float:
@@ -87,8 +90,10 @@ def estimate_hitting(
     almost surely, so the cap only trips on sampling bugs.
 
     Trials run in lockstep blocks of LOCKSTEP_BLOCK on uint64 state
-    arrays; the last SCALAR_TAIL live trials of a block finish one by one
-    from their own state. Every trial draws exactly the numbers it would
+    arrays; a guide table indexed by each draw's leading bits settles
+    most steps in one lookup. The last TAIL_TRIALS live trials of a block
+    finish one by one in Python, from their own states, over draws
+    generated in bulk. Every trial draws exactly the numbers it would
     draw alone, so the estimate does not depend on the block layout.
     """
     g.require_connected()
@@ -108,7 +113,7 @@ def estimate_hitting(
         s[s == 0] = _GOLDEN
         cur = np.full(len(s), start, dtype=np.intp)
         steps = 0
-        while len(s) >= SCALAR_TAIL:
+        while len(s) >= TAIL_TRIALS:
             steps += 1
             if steps > STEP_CAP:
                 raise _step_cap_error()
@@ -119,10 +124,9 @@ def estimate_hitting(
                 total += steps * k
                 total_sq += steps * steps * k
                 s, cur = s[live], cur[live]
-        for state, v in zip(s.tolist(), cur.tolist()):
-            t = walk.finish(Xorshift64Star.from_state(state), v, target, steps)
-            total += t
-            total_sq += t * t
+        tail, tail_sq = walk.finish(s, cur, target, steps)
+        total += tail
+        total_sq += tail_sq
 
     mean = total / trials
     if trials > 1:
@@ -135,6 +139,63 @@ def estimate_hitting(
 
 def _step_cap_error() -> GraphError:
     return GraphError(f"walk exceeded {STEP_CAP} steps; sampling is broken")
+
+
+def _advance(s: np.ndarray) -> None:
+    """One xorshift64 state update of every state in s, in place."""
+    s ^= s >> np.uint64(12)
+    s ^= s << np.uint64(25)
+    s ^= s >> np.uint64(27)
+
+
+# offset of each byte of a native uint64, least significant first, in a byte table
+_BYTE_OFFSETS = 256 * (np.arange(8) if sys.byteorder == "little" else np.arange(7, -1, -1))
+
+
+def _apply(table: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A GF(2)-linear map of 64-bit words, given by its byte table, on every element of x.
+
+    Entry 256 * k + v of the table is the image of the word v << 8k; the
+    image of a word is the xor of the images of its eight bytes.
+    """
+    b = np.ascontiguousarray(x).view(np.uint8).reshape(-1, 8).T + _BYTE_OFFSETS[:, None]
+    y = table[b[0]]
+    for row in b[1:]:
+        y ^= table[row]
+    return y.reshape(x.shape)
+
+
+@cache
+def _jump_tables() -> list[np.ndarray]:
+    """Byte tables of the state update raised to the powers 1, 2, 4, ... below TAIL_DRAWS."""
+    cols = np.array([_xorshift(1 << i) for i in range(64)], dtype=np.uint64).reshape(8, 8)
+    tables = []
+    for _ in range((TAIL_DRAWS - 1).bit_length()):
+        table = np.zeros((8, 256), dtype=np.uint64)
+        for k in range(8):
+            table[:, 1 << k : 2 << k] = table[:, : 1 << k] ^ cols[:, k : k + 1]
+        tables.append(table.ravel())
+        cols = _apply(tables[-1], cols)  # the columns of the squared map
+    return tables
+
+
+def _states_ahead(s: np.ndarray, width: int) -> np.ndarray:
+    """Row i holds the next `width` states of stream s[i], in order.
+
+    The first comes from one update; the rest by doubling, applying the
+    update's power 2^j to the first 2^j states of every row at once.
+    """
+    ahead = np.empty((len(s), width), dtype=np.uint64)
+    ahead[:, 0] = s
+    _advance(ahead[:, 0])
+    done = 1
+    for table in _jump_tables():
+        if done >= width:
+            break
+        m = min(done, width - done)
+        ahead[:, done : done + m] = _apply(table, ahead[:, :m])
+        done += m
+    return ahead
 
 
 def _mix64_array(x: np.ndarray) -> np.ndarray:
@@ -153,50 +214,107 @@ class _Tables:
     the largest degree; an index past last[v] reads last[v], the row's
     total, which exceeds x unless x rounded up to it, and then the
     top-end clamp picks last[v] anyway.
+
+    The guide table has an entry per vertex v and value b of a draw's
+    leading `bits` bits: the neighbour that every draw with those bits
+    picks at v, or -1 where they pick different ones. The pick is
+    monotone in the draw, so the draws at both ends of the range decide.
     """
 
     def __init__(self, g: WeightedGraph):
-        self.nbrs: list[list[int]] = []
         self.cums: list[list[float]] = []
+        nbrs: list[list[int]] = []
         for v in range(g.n):
             acc: list[float] = []
             running = 0.0
             for _, w in g.neighbors[v]:
                 running += w
                 acc.append(running)
-            self.nbrs.append([u for u, _ in g.neighbors[v]])
+            nbrs.append([u for u, _ in g.neighbors[v]])
             self.cums.append(acc)
+        # a draw that rounds up to the row total picks the last neighbour
+        self.clamped = [row + row[-1:] for row in nbrs]
+        self.totals = [row[-1] if row else 0.0 for row in self.cums]
         deg = np.array([len(row) for row in self.cums], dtype=np.intp)
         self.flat = np.array([c for row in self.cums for c in row], dtype=np.float64)
-        self.nbr = np.array([u for row in self.nbrs for u in row], dtype=np.intp)
+        self.nbr = np.array([u for row in nbrs for u in row], dtype=np.intp)
         self.last = np.cumsum(deg) - 1
         self.before = self.last - deg
         self.top = self.flat[self.last]
         self.lifts = [1 << b for b in reversed(range(int(deg.max()).bit_length()))]
 
-    def step(self, s: np.ndarray, cur: np.ndarray) -> np.ndarray:
-        """Advance every state in s in place and return the next vertices."""
-        s ^= s >> np.uint64(12)
-        s ^= s << np.uint64(25)
-        s ^= s >> np.uint64(27)
-        x = ((s * np.uint64(_STAR)) >> np.uint64(11)).astype(np.float64) * 2.0**-53 * self.top[cur]
+        self.bits = max(1, (GUIDE_ENTRIES // g.n).bit_length() - 1)
+        self.lead = np.uint64(64 - self.bits)  # shift from a 64-bit output to its leading bits
+        span = 53 - self.bits  # a 53-bit draw's bits below the leading ones
+        v = np.repeat(np.arange(g.n), 1 << self.bits)
+        lo = np.tile(np.arange(1 << self.bits, dtype=np.uint64), g.n) << np.uint64(span)
+        first = self.pick(v, lo)
+        same = first == self.pick(v, lo | np.uint64((1 << span) - 1))
+        self.guide = np.where(same, self.nbr[first], -1)
+        self.hops = self.guide.reshape(g.n, -1).tolist()
+
+    def pick(self, cur: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Flat index of the neighbour that the 53-bit draw r picks at each vertex of cur."""
+        x = r.astype(np.float64) * 2.0**-53 * self.top[cur]
         last = self.last[cur]
         j = self.before[cur]  # last flat index whose running sum is <= x
         for lift in self.lifts:
             np.add(j, lift, out=j, where=self.flat[np.minimum(j + lift, last)] <= x)
-        return self.nbr[np.minimum(j + 1, last)]  # float rounding at the top end
+        return np.minimum(j + 1, last)  # float rounding at the top end
 
-    def finish(self, rng: Xorshift64Star, cur: int, target: int, steps: int) -> int:
-        """Walk one trial on from cur after `steps` steps; return its total."""
-        next_float = rng.next_float
-        while cur != target:
-            cum = self.cums[cur]
-            x = next_float() * cum[-1]
-            i = bisect_right(cum, x)
-            if i == len(cum):  # float rounding at the top end
-                i -= 1
-            cur = self.nbrs[cur][i]
-            steps += 1
-            if steps > STEP_CAP:
+    def step(self, s: np.ndarray, cur: np.ndarray) -> np.ndarray:
+        """Advance every state in s in place and return the next vertices."""
+        _advance(s)
+        out = s * np.uint64(_STAR)
+        nxt = self.guide[(cur << self.bits) + (out >> self.lead).astype(np.intp)]
+        if nxt.min() < 0:
+            lanes = np.flatnonzero(nxt < 0)
+            nxt[lanes] = self.nbr[self.pick(cur[lanes], out[lanes] >> np.uint64(11))]
+        return nxt
+
+    def finish(self, s: np.ndarray, cur: np.ndarray, target: int, steps: int) -> tuple[int, int]:
+        """Walk each trial on from cur after `steps` steps, one at a time.
+
+        Returns the sum and the sum of squares of the trials' totals.
+        Every round draws the next `width` numbers of each live stream in
+        bulk; width doubles while the trials last, and TAIL_DRAWS bounds
+        a round's draws. Each step looks up the draw's leading bits in
+        the guide table and bisects only where they do not settle it. A
+        trial that hits early leaves its surplus draws unused, exactly as
+        if they had never been drawn.
+        """
+        cums, totals, clamped, hops = self.cums, self.totals, self.clamped, self.hops
+        cur = cur.tolist()
+        total = total_sq = 0
+        width = 16
+        while cur:
+            width = min(2 * width, TAIL_DRAWS // len(cur))
+            ahead = _states_ahead(s, width)
+            out = ahead * np.uint64(_STAR)
+            live: list[int] = []
+            live_cur: list[int] = []
+            for i, (row, v) in enumerate(zip((out >> self.lead).tolist(), cur)):
+                draws = iter(row)  # a list iterator knows how many draws it has left
+                for b in draws:
+                    w = hops[v][b]
+                    if w < 0:  # the draw's leading bits do not settle the step
+                        k = width - length_hint(draws) - 1
+                        x = (int(out[i, k]) >> 11) * 2.0**-53 * totals[v]
+                        w = clamped[v][bisect_right(cums[v], x)]
+                    v = w
+                    if v == target:
+                        break
+                else:
+                    live.append(i)
+                    live_cur.append(v)
+                    continue
+                t = steps + width - length_hint(draws)
+                if t > STEP_CAP:
+                    raise _step_cap_error()
+                total += t
+                total_sq += t * t
+            steps += width
+            if live and steps >= STEP_CAP:
                 raise _step_cap_error()
-        return steps
+            s, cur = ahead[live, -1], live_cur
+        return total, total_sq

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from _scalar_walk import estimate_from_steps, scalar_estimate_hitting, scalar_trial_steps
 
@@ -90,8 +91,9 @@ class TestEstimate:
 
 MASK64 = simulate._MASK
 LOCKSTEP_SEEDS = (0, -1, 2**64 - 1, 20260808)
-# one trial; around the scalar tail threshold; at and past one block
-LOCKSTEP_TRIALS = (1, 63, 64, 65, 2**14, 2**14 + 1)
+TAIL = simulate.TAIL_TRIALS
+# one trial; a tail-only count; around the tail threshold; at and past one block
+LOCKSTEP_TRIALS = (1, 64, TAIL - 1, TAIL, TAIL + 1, 2**14, 2**14 + 1)
 CHORDED_CYCLE = WeightedGraph(5, ((0, 1, 1.0), (1, 2, 2.5), (2, 3, 0.5), (3, 4, 4.0), (4, 0, 1.5), (1, 3, 0.75)))
 
 
@@ -155,7 +157,7 @@ class TestLockstep:
             est = walk(path_graph([1, 1]), 0, 2, 20_000, seed=7)
             assert (est.mean, est.stderr, est.trials, est.seed) == frozen
 
-    @pytest.mark.parametrize("trials", [1, 64])
+    @pytest.mark.parametrize("trials", [1, TAIL])
     def test_draw_on_a_running_sum_goes_right(self, trials):
         # x = 0.5 * 2.0 lands exactly on the running sum 1.0 of the middle
         # vertex's row [1.0, 2.0]: bisect_right picks the second neighbour
@@ -165,7 +167,7 @@ class TestLockstep:
 
     @pytest.mark.parametrize("trials", [10_000, 1])
     def test_step_cap(self, monkeypatch, trials):
-        # 10,000 trials trip the cap in lockstep, one trial in the scalar tail
+        # 10,000 trials trip the cap in lockstep, one trial in the tail
         monkeypatch.setattr(simulate, "STEP_CAP", 3)
         with pytest.raises(GraphError, match="exceeded 3 steps"):
             estimate_hitting(path_graph([1] * 5), 0, 5, trials, seed=0)
@@ -175,3 +177,64 @@ class TestLockstep:
         monkeypatch.setattr(simulate, "STEP_CAP", 3)
         with pytest.raises(GraphError, match="exceeded 3 steps"):
             estimate_hitting(path_graph([1] * 5), 0, 5, 10**9, seed=0)
+
+
+class TestTail:
+    @pytest.mark.parametrize("width", [1, 2, 3, 100, simulate.TAIL_DRAWS])
+    def test_states_ahead_follow_each_stream(self, width):
+        states = [mix64(i) for i in range(3)]
+        ahead = simulate._states_ahead(np.array(states, dtype=np.uint64), width)
+        for state, row in zip(states, ahead.tolist()):
+            want = []
+            for _ in range(width):
+                state = simulate._xorshift(state)
+                want.append(state)
+            assert row == want
+
+    def test_jump_tables_are_powers_of_the_update(self):
+        words = [mix64(i) for i in range(50)]
+        for j, table in enumerate(simulate._jump_tables()):
+            got = simulate._apply(table, np.array(words, dtype=np.uint64)).tolist()
+            want = []
+            for w in words:
+                for _ in range(2**j):
+                    w = simulate._xorshift(w)
+                want.append(w)
+            assert got == want, j
+
+    @pytest.mark.parametrize("g", [random_weighted_tree(random.Random(8), 30), star_graph([1.0] * 200)])
+    def test_guide_entries_hold_for_every_draw_they_cover(self, g):
+        walk = simulate._Tables(g)
+        span = 53 - walk.bits
+        rng = random.Random(3)
+        for v in range(g.n):
+            for lead in range(1 << walk.bits):
+                lo = lead << span
+                draws = [lo, lo + (1 << span) - 1] + [lo + rng.randrange(1 << span) for _ in range(8)]
+                picked = walk.nbr[walk.pick(np.full(len(draws), v), np.array(draws, dtype=np.uint64))]
+                entry = walk.guide[(v << walk.bits) + lead]
+                if entry >= 0:
+                    assert (picked == entry).all(), (v, lead)
+                else:  # only where the two ends of the range differ
+                    assert picked[0] != picked[1], (v, lead)
+
+    @pytest.mark.parametrize("trials", [1, 300, 1000])
+    def test_heavy_tail_matches_scalar_reference(self, trials):
+        # from the next-to-end vertex of a 30-vertex path, about half the
+        # walks hit at once and the rest wander for up to thousands of steps:
+        # the tail runs many rounds, widening each one; the uneven weights
+        # leave guide entries that the draw's leading bits do not settle
+        g = path_graph([1.0, 1.3] * 14 + [1.0])
+        for seed in (0, 5):
+            got = estimate_hitting(g, 1, 0, trials, seed)
+            assert got == scalar_estimate_hitting(g, 1, 0, trials, seed), seed
+
+    @pytest.mark.parametrize("trials", [300, 1000])
+    def test_step_cap_is_exact_in_the_tail(self, monkeypatch, trials):
+        g = path_graph([1.0, 1.3] * 14 + [1.0])
+        longest = max(scalar_trial_steps(g, 1, 0, trials, seed=3))
+        monkeypatch.setattr(simulate, "STEP_CAP", longest)
+        assert estimate_hitting(g, 1, 0, trials, seed=3) == scalar_estimate_hitting(g, 1, 0, trials, seed=3)
+        monkeypatch.setattr(simulate, "STEP_CAP", longest - 1)
+        with pytest.raises(GraphError, match=f"exceeded {longest - 1} steps"):
+            estimate_hitting(g, 1, 0, trials, seed=3)
