@@ -36,7 +36,7 @@ STEP_CAP = 10**9
 LOCKSTEP_BLOCK = 1 << 14  # trials per block; bounds memory for any trial count
 TAIL_TRIALS = 256  # fewer live trials than this finish one at a time
 TAIL_DRAWS = 1 << 13  # bound on the draws one round of the tail generates, over all its trials
-GUIDE_ENTRIES = 1 << 13  # bound on the guide table: vertices times 2^(leading bits)
+GUIDE_ENTRIES = 1 << 13  # guide table size bound, vertices times 2^(leading bits >= 1)
 
 
 def mix64(x: int) -> int:
