@@ -33,7 +33,6 @@ from .graphs import (
     cycle_graph,
     complete_graph,
     enumerate_free_trees,
-    enumerate_labeled_trees,
     format_twg,
     parse_twg,
     path_graph,

@@ -11,9 +11,13 @@ edge weights equal W. Known extremes inside the family:
   and minimized uniquely by the star.
 
 ``extremal_scan`` verifies those statements exhaustively for a given W
-and raises ConsistencyError on any violation. ``best_path_assignment``
-solves the path-ordering optimization for Kemeny's constant via the
-equivalent triple-sum objective sum_{j<i<k} w_j w_k / w_i.
+and raises ConsistencyError on any violation. The scans work on arrays,
+one tree shape at a time: integer AHU keys deduplicate the weight
+permutations, column-wise closed forms give every value, and only the
+extreme trees become WeightedGraphs with canonical codes.
+``best_path_assignment`` solves the path-ordering optimization for
+Kemeny's constant via the equivalent triple-sum objective
+sum_{j<i<k} w_j w_k / w_i.
 """
 
 from __future__ import annotations
@@ -21,18 +25,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import ConsistencyError, GraphError
-from .forests import alpha_forest, kappa_forest
+from .forests import alpha_forest
 from .graphs import (
     WeightedGraph,
     canonical_form,
     enumerate_free_trees,
+    format_weight,
     is_path_graph,
     path_graph,
+    rooted_order,
     sig12,
     star_graph,
+    tree_centers,
 )
 
 FAMILY_WEIGHT_MAX = 8
@@ -175,26 +184,132 @@ def distinct_permutations(items: Sequence[float]) -> Iterator[tuple[float, ...]]
         a[j + 1 :] = reversed(a[j + 1 :])
 
 
-def tree_family(weights: Sequence[float]) -> list[WeightedGraph]:
-    """One representative per isomorphism class of trees with weights W.
+def _shape_keys(shape: WeightedGraph, ids: np.ndarray) -> np.ndarray:
+    """Per row of edge-weight labels on one tree shape, an integer that is
+    equal for two rows iff their weighted trees are isomorphic.
 
-    Every tree shape on |W|+1 vertices is crossed with every distinct
-    permutation of W on its edges, then deduplicated by canonical form.
+    ``ids`` holds one row per weight assignment, one column per edge of
+    ``shape`` in edge order. AHU relabelling (Aho, Hopcroft & Ullman
+    1974): the shape is rooted at its centre, or at both ends of its
+    central edge, and each level, deepest first, labels every vertex of
+    every row at once by the class of (label of the edge above, sorted
+    labels of its children).
     """
-    ws = weight_multiset(weights)
+    rows = len(ids)
+    centres = tree_centers(shape)
+    edge = {(u, v): i for i, (u, v, _) in enumerate(shape.edges)}
+    up_edge = {c: edge[centres] if len(centres) == 2 else -1 for c in centres}
+    children: dict[int, list[int]] = {}
+    levels = [list(centres)]
+    while levels[-1]:
+        nxt = []
+        for x in levels[-1]:
+            children[x] = [y for y, _ in shape.neighbors[x] if y not in up_edge]
+            for y in children[x]:
+                up_edge[y] = edge[min(x, y), max(x, y)]
+            nxt.extend(children[x])
+        levels.append(nxt)
+    label = np.empty((shape.n, rows), dtype=np.int64)
+    for level in reversed(levels[:-1]):
+        width = 1 + max(len(children[x]) for x in level)
+        table = np.full((len(level), rows, width), -1, dtype=np.int64)
+        for j, x in enumerate(level):
+            if up_edge[x] >= 0:
+                table[j, :, 0] = ids[:, up_edge[x]]
+            if children[x]:
+                table[j, :, width - len(children[x]):] = np.sort(label[children[x]].T, axis=1)
+        label[level] = _classes(table.reshape(-1, width)).reshape(len(level), rows)
+    if len(centres) == 1:
+        return label[centres[0]]
+    return _classes(np.sort(label[list(centres)].T, axis=1))
+
+
+def _classes(table: np.ndarray) -> np.ndarray:
+    """Dense class number of every row of a 2-D integer table, equal rows equal."""
+    order = np.lexsort(table.T)
+    ranked = table[order]
+    new = np.ones(len(table), dtype=np.int64)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    classes = np.empty(len(table), dtype=np.int64)
+    classes[order] = np.cumsum(new) - 1
+    return classes
+
+
+def _shape_stats(shape: WeightedGraph, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha, kappa) for every row of edge weights on one tree shape.
+
+    ``w`` holds one row per weight assignment, one column per edge of
+    ``shape`` in edge order. This is ``forests.stats`` on a tree, column
+    by column in ``forests._tree_sums``' operation order (degrees in
+    edge order, the volume summed vertex by vertex, the rooted pass from
+    vertex 0), so every value is bit-identical to the scalar route.
+    """
+    n = shape.n
+    cols = w.T
+    edge = {(u, v): i for i, (u, v, _) in enumerate(shape.edges)}
+    degree = np.zeros((n, len(w)))
+    for i, (u, v, _) in enumerate(shape.edges):
+        degree[u] += cols[i]
+        degree[v] += cols[i]
+    vol = degree[0]
+    for x in range(1, n):
+        vol = vol + degree[x]
+    order, parent, _ = rooted_order(shape)
+    parent_w = {x: cols[edge[min(x, parent[x]), max(x, parent[x])]] for x in order[1:]}
+    size = [1] * n
+    inner = np.zeros((n, len(w)))
+    for x in reversed(order[1:]):
+        p = parent[x]
+        size[p] += size[x]
+        inner[p] += inner[x] + parent_w[x]
+    s_sum = np.zeros(len(w))
+    v_sum = np.zeros(len(w))
+    for x in order[1:]:
+        side_vol = 2.0 * inner[x] + parent_w[x]
+        s_sum += size[x] * (n - size[x]) / parent_w[x]
+        v_sum += side_vol * (vol - side_vol) / parent_w[x]
+    return (vol / (n * n)) * s_sum, v_sum / vol
+
+
+def _family_rows(ws: tuple[float, ...]) -> Iterator[tuple[WeightedGraph, np.ndarray]]:
+    """Per tree shape, the edge weights of one row per isomorphism class.
+
+    Every shape on |W|+1 vertices is crossed with every distinct
+    permutation of W on its edges; each class keeps its first row in
+    the lexicographic order of the permutations. Weights equal to 12
+    significant digits share one label, as in ``canonical_form``.
+    """
     if len(ws) > FAMILY_WEIGHT_MAX:
         raise GraphError(f"family enumeration guarded to {FAMILY_WEIGHT_MAX} weights")
-    n = len(ws) + 1
-    perms = list(distinct_permutations(ws))
-    reps: dict[str, WeightedGraph] = {}
-    for shape in enumerate_free_trees(n):
-        pairs = [(u, v) for u, v, _ in shape.edges]
-        for perm in perms:
-            t = WeightedGraph(n, tuple((u, v, w) for (u, v), w in zip(pairs, perm)))
-            code = canonical_form(t)
-            if code not in reps:
-                reps[code] = t
-    return [reps[c] for c in sorted(reps)]
+    values = sorted(set(ws))
+    rank = {w: i for i, w in enumerate(values)}
+    perms = np.array(list(distinct_permutations([rank[w] for w in ws])))
+    names: dict[str, int] = {}
+    labels = np.array([names.setdefault(format_weight(w), len(names)) for w in values])[perms]
+    weights = np.array(values)[perms]
+    for shape in enumerate_free_trees(len(ws) + 1):
+        _, first = np.unique(_shape_keys(shape, labels), return_index=True)
+        yield shape, weights[np.sort(first)]
+
+
+def _weighted(shape: WeightedGraph, row: Sequence[float]) -> WeightedGraph:
+    return WeightedGraph(shape.n, tuple((u, v, w) for (u, v, _), w in zip(shape.edges, row)))
+
+
+def _by_code(trees: Iterable[WeightedGraph]) -> tuple[tuple[str, ...], tuple[WeightedGraph, ...]]:
+    """Trees sorted by canonical code, with their codes."""
+    coded = {canonical_form(t): t for t in trees}
+    codes = tuple(sorted(coded))
+    return codes, tuple(coded[c] for c in codes)
+
+
+def tree_family(weights: Sequence[float]) -> list[WeightedGraph]:
+    """One representative per isomorphism class of trees with weights W, by canonical code."""
+    ws = weight_multiset(weights)
+    _, trees = _by_code(
+        _weighted(shape, row) for shape, rows in _family_rows(ws) for row in rows.tolist()
+    )
+    return list(trees)
 
 
 def extremal_scan(weights: Sequence[float], stat: str) -> FamilyReport:
@@ -203,28 +318,38 @@ def extremal_scan(weights: Sequence[float], stat: str) -> FamilyReport:
     alpha: the argmax set must be exactly the polarized paths, sharing
     one value; the argmin must be uniquely the star, with margin.
     kappa: every argmax tree must be a path; argmin uniquely the star.
+    Only the extreme trees are built and coded.
     """
     if stat not in (STAT_ALPHA, STAT_KAPPA):
         raise GraphError(f"unknown statistic {stat!r}")
     ws = weight_multiset(weights)
-    family = tree_family(ws)
-    stat_fn = alpha_forest if stat == STAT_ALPHA else kappa_forest
-    values = [stat_fn(t) for t in family]
+    which = 0 if stat == STAT_ALPHA else 1
+    shapes: list[WeightedGraph] = []
+    rows, parts = [], []
+    for shape, reps in _family_rows(ws):
+        shapes += [shape] * len(reps)
+        rows.append(reps)
+        parts.append(_shape_stats(shape, reps)[which])
+    weight_rows = np.concatenate(rows)
+    values = np.concatenate(parts)
 
-    max_value = max(values)
-    min_value = min(values)
+    def trees(mask: np.ndarray) -> Iterator[WeightedGraph]:
+        for i in np.flatnonzero(mask).tolist():
+            yield _weighted(shapes[i], weight_rows[i].tolist())
+
+    family_size = len(values)
+    max_value = float(values.max())
+    min_value = float(values.min())
     max_cut = max_value - EXTREME_GROUP_RTOL * abs(max_value)
     min_cut = min_value + EXTREME_GROUP_RTOL * abs(min_value)
-    argmax = [i for i, v in enumerate(values) if v >= max_cut]
-    argmin = [i for i, v in enumerate(values) if v <= min_cut]
-    runner_up = min((v for v in values if v > min_cut), default=min_value)
-    # codes only for the reported trees; tree_family already deduplicated
-    argmax_codes = tuple(canonical_form(family[i]) for i in argmax)
-    argmin_codes = tuple(canonical_form(family[i]) for i in argmin)
+    above = values[values > min_cut]
+    runner_up = float(above.min()) if above.size else min_value
+    argmax_codes, argmax_trees = _by_code(trees(values >= max_cut))
+    argmin_codes, argmin_trees = _by_code(trees(values <= min_cut))
 
-    if argmin_codes != (canonical_form(star_of(ws)),) and len(family) > 1:
+    if argmin_codes != (canonical_form(star_of(ws)),) and family_size > 1:
         raise ConsistencyError(f"{stat} argmin is not uniquely the star for W={ws}")
-    if len(family) > 1 and not runner_up - min_value > EXTREME_GROUP_RTOL * abs(min_value):
+    if family_size > 1 and not runner_up - min_value > EXTREME_GROUP_RTOL * abs(min_value):
         raise ConsistencyError(f"{stat} star minimum lacks a strict margin for W={ws}")
 
     pol_layouts: tuple[tuple[float, ...], ...] = ()
@@ -241,20 +366,20 @@ def extremal_scan(weights: Sequence[float], stat: str) -> FamilyReport:
             raise ConsistencyError(f"polarized paths do not share one alpha for W={ws}")
         pol_value = max_value
     else:
-        for i in argmax:
-            if not is_path_graph(family[i]):
+        for t in argmax_trees:
+            if not is_path_graph(t):
                 raise ConsistencyError(f"kappa argmax contains a non-path for W={ws}")
 
     return FamilyReport(
         weights=ws,
         stat=stat,
-        family_size=len(family),
+        family_size=family_size,
         max_value=max_value,
         min_value=min_value,
         argmax_codes=argmax_codes,
         argmin_codes=argmin_codes,
-        argmax_trees=tuple(family[i] for i in argmax),
-        argmin_trees=tuple(family[i] for i in argmin),
+        argmax_trees=argmax_trees,
+        argmin_trees=argmin_trees,
         runner_up_min=runner_up,
         polarized_layouts=pol_layouts,
         polarized_value=pol_value,
@@ -292,11 +417,9 @@ def best_path_assignment(weights: Sequence[float]) -> PathSearchResult:
     ws = weight_multiset(weights)
     if len(ws) > PATH_SEARCH_MAX:
         raise GraphError(f"path search guarded to {PATH_SEARCH_MAX} weights")
-    evaluations = []
-    for order in distinct_permutations(ws):
-        evaluations.append(
-            (order, path_kappa_objective(order), kappa_forest(path_graph(order)))
-        )
+    orders = list(distinct_permutations(ws))
+    kappas = _shape_stats(path_graph([1.0] * len(ws)), np.array(orders))[1].tolist()
+    evaluations = [(order, path_kappa_objective(order), k) for order, k in zip(orders, kappas)]
     _check_rankings_agree(evaluations)
     best = max(evaluations, key=lambda e: (e[2], e[0]))
     return PathSearchResult(

@@ -21,14 +21,12 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DisconnectedError, GraphError, NotATreeError, TwgParseError
 
 WEIGHT_FORMAT = ".12g"
 
-LABELED_TREE_MAX = 9   # n^(n-2) blows up past this
 FREE_TREE_MAX = 10
 
 # non-isomorphic trees on 1..10 vertices
@@ -98,8 +96,15 @@ class WeightedGraph:
 
     @property
     def vol(self) -> float:
-        """Volume of the whole graph: sum of all weighted degrees."""
-        return sum(self.degrees)
+        """Volume of the whole graph: sum of all weighted degrees.
+
+        Added one by one in vertex order on every Python version (3.12's
+        ``sum`` compensates), which the array scans in ``extremal`` repeat.
+        """
+        total = 0.0
+        for d in self.degrees:
+            total += d
+        return total
 
     @cached_property
     def _weight_index(self) -> dict[tuple[int, int], float]:
@@ -207,27 +212,6 @@ def is_path_graph(g: WeightedGraph) -> bool:
         return len(g.edges) == 0
     seq = g.degree_sequence()
     return g.is_tree() and seq.count(1) == 2 and all(d <= 2 for d in seq)
-
-
-def is_star_graph(g: WeightedGraph) -> bool:
-    if g.n <= 2:
-        return g.is_tree()
-    seq = g.degree_sequence()
-    return g.is_tree() and seq[0] == g.n - 1
-
-
-def remove_edges_partition(
-    t: WeightedGraph, edge_pairs: Iterable[tuple[int, int]]
-) -> tuple[frozenset[int], ...]:
-    """Vertex partition of a tree after deleting the given edges.
-
-    Deleting k edges from a tree leaves exactly k+1 components.
-    """
-    t.require_tree()
-    pairs = list(edge_pairs)
-    blocks = t.components(removed=pairs)
-    assert len(blocks) == len(pairs) + 1
-    return blocks
 
 
 def rooted_order(t: WeightedGraph) -> tuple[list[int], list[int], list[float]]:
@@ -412,17 +396,6 @@ def prufer_tree(seq: Sequence[int], n: int | None = None) -> WeightedGraph:
     v = heapq.heappop(leaves)
     edges.append((u, v, 1.0))
     return WeightedGraph(n, tuple(edges))
-
-
-def enumerate_labeled_trees(n: int) -> Iterator[WeightedGraph]:
-    """All n^(n-2) labeled trees on n vertices, unit weights, via Pruefer."""
-    if not 1 <= n <= LABELED_TREE_MAX:
-        raise GraphError(f"labeled enumeration supports 1 <= n <= {LABELED_TREE_MAX}")
-    if n <= 2:
-        yield prufer_tree((), n)
-        return
-    for seq in product(range(n), repeat=n - 2):
-        yield prufer_tree(seq, n)
 
 
 def _rooted_level_sequences(n: int) -> Iterator[tuple[int, ...]]:

@@ -130,7 +130,8 @@ def apply_move(t: WeightedGraph, move: TransferMove) -> WeightedGraph:
     w2 = t.weight(v2, v3)
     edges = tuple(e for e in t.edges if {e[0], e[1]} != {v2, v3}) + ((v1, v3, w2),)
     out = WeightedGraph(t.n, edges)
-    assert out.is_tree()
+    if not out.is_tree():
+        raise ConsistencyError(f"move {move} did not leave a tree")
     return out
 
 

@@ -1,15 +1,47 @@
-"""Brute-force reference values for the forest formulas.
+"""Brute-force reference values and test-only tree helpers.
 
 Subset enumeration of spanning trees and spanning 2-forests (graphs of
 at most ENUM_EDGE_MAX edges), and the tree edge-cut closed forms with
 both side volumes summed directly by math.fsum. None of it calls the
-routes it checks.
+routes it checks. Also every labeled tree by Pruefer decoding, the
+star predicate and the partition a set of edge cuts leaves, which only
+the tests use.
 """
 
 import math
-from itertools import combinations
+from itertools import combinations, product
+
+from treewalk.errors import GraphError
+from treewalk.graphs import prufer_tree
 
 ENUM_EDGE_MAX = 20
+LABELED_TREE_MAX = 9  # n^(n-2) blows up past this
+
+
+def enumerate_labeled_trees(n):
+    """All n^(n-2) labeled trees on n vertices, unit weights, via Pruefer."""
+    if not 1 <= n <= LABELED_TREE_MAX:
+        raise GraphError(f"labeled enumeration supports 1 <= n <= {LABELED_TREE_MAX}")
+    if n <= 2:
+        yield prufer_tree((), n)
+        return
+    for seq in product(range(n), repeat=n - 2):
+        yield prufer_tree(seq, n)
+
+
+def is_star_graph(g):
+    if g.n <= 2:
+        return g.is_tree()
+    return g.is_tree() and g.degree_sequence()[0] == g.n - 1
+
+
+def remove_edges_partition(t, edge_pairs):
+    """Vertex partition of a tree after deleting the given edges: k cuts leave k+1 blocks."""
+    t.require_tree()
+    pairs = list(edge_pairs)
+    blocks = t.components(removed=pairs)
+    assert len(blocks) == len(pairs) + 1
+    return blocks
 
 
 def _components(n, kept):

@@ -1,0 +1,46 @@
+"""Per-row reference for the extremal family scans.
+
+Every free tree shape on |W|+1 vertices crossed with every distinct
+permutation of W, one WeightedGraph per row, deduplicated by
+canonical_form, with one scalar forests.stats per representative. The
+array scans in treewalk.extremal must give the same families, values
+and extremes.
+"""
+
+from treewalk.extremal import EXTREME_GROUP_RTOL, STAT_ALPHA, distinct_permutations, weight_multiset
+from treewalk.forests import stats
+from treewalk.graphs import WeightedGraph, canonical_form, enumerate_free_trees
+
+
+def family(weights):
+    """One representative per class, the first row met, sorted by canonical code."""
+    ws = weight_multiset(weights)
+    n = len(ws) + 1
+    perms = list(distinct_permutations(ws))
+    reps = {}
+    for shape in enumerate_free_trees(n):
+        pairs = [(u, v) for u, v, _ in shape.edges]
+        for perm in perms:
+            t = WeightedGraph(n, tuple((u, v, w) for (u, v), w in zip(pairs, perm)))
+            reps.setdefault(canonical_form(t), t)
+    return [reps[c] for c in sorted(reps)]
+
+
+def scan(trees, stat):
+    """The FamilyReport fields an extremal scan derives from a family, before its theorem checks."""
+    values = [stats(t)[0 if stat == STAT_ALPHA else 1] for t in trees]
+    max_value, min_value = max(values), min(values)
+    max_cut = max_value - EXTREME_GROUP_RTOL * abs(max_value)
+    min_cut = min_value + EXTREME_GROUP_RTOL * abs(min_value)
+    argmax = [t for t, v in zip(trees, values) if v >= max_cut]
+    argmin = [t for t, v in zip(trees, values) if v <= min_cut]
+    return {
+        "family_size": len(trees),
+        "max_value": max_value,
+        "min_value": min_value,
+        "runner_up_min": min((v for v in values if v > min_cut), default=min_value),
+        "argmax_codes": tuple(canonical_form(t) for t in argmax),
+        "argmin_codes": tuple(canonical_form(t) for t in argmin),
+        "argmax_trees": tuple(argmax),
+        "argmin_trees": tuple(argmin),
+    }

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from _enumeration import is_star_graph
 from _separators import find_separator, separator_library
 from treewalk.extremal import (
     best_path_assignment,
@@ -22,7 +23,6 @@ from treewalk.graphs import (
     canonical_form,
     enumerate_free_trees,
     is_path_graph,
-    is_star_graph,
     path_graph,
     random_weighted_tree,
     star_graph,

@@ -1,11 +1,18 @@
 import math
 import random
+import time
 from itertools import permutations
 
 import pytest
 
-from treewalk.errors import GraphError
+import _family_oracle as oracle
+from _enumeration import enumerate_labeled_trees, is_star_graph
+from treewalk.errors import ConsistencyError, GraphError
 from treewalk.extremal import (
+    EXTREME_GROUP_RTOL,
+    _family_rows,
+    _shape_stats,
+    _weighted,
     best_path_assignment,
     centrality,
     distinct_permutations,
@@ -17,12 +24,10 @@ from treewalk.extremal import (
     tree_family,
     weight_multiset,
 )
-from treewalk.forests import alpha_forest, kappa_forest
+from treewalk.forests import alpha_forest, kappa_forest, stats
 from treewalk.graphs import (
     canonical_form,
-    enumerate_labeled_trees,
     is_path_graph,
-    is_star_graph,
     path_graph,
 )
 from treewalk.walks import average_hitting_time, kemeny
@@ -255,6 +260,59 @@ class TestBestPath:
     def test_guard(self):
         with pytest.raises(GraphError):
             best_path_assignment([1.0] * 11)
+
+
+def _seeded_cases():
+    rng = random.Random(2024)
+    cases = [[10 ** rng.uniform(-1, 1) for _ in range(m)] for m in range(1, 7)]
+    for pattern in ((3, 2, 2), (2, 2, 1, 1), (2, 1, 1), (4, 1), (5,)):
+        base = [10 ** rng.uniform(-1, 1) for _ in pattern]
+        cases.append([w for w, k in zip(base, pattern) for _ in range(k)])
+    cases += [[1.0, 1.0000000000001, 2, 3], [1.0, 1.00000000000001, 1.0, 2.0, 2.00000000000001]]
+    cases += [[10 ** rng.uniform(-6, 6) for _ in range(m)] for m in (3, 4, 5, 6, 6)]
+    return cases
+
+
+SCAN_CASES = _seeded_cases()
+
+
+class TestArrayScan:
+    """The per-shape array scans against the per-row oracle in _family_oracle."""
+
+    @pytest.mark.parametrize("ws", SCAN_CASES, ids=lambda ws: f"m{len(ws)}-{ws[0]:.3g}")
+    def test_matches_per_row_oracle(self, ws):
+        family = oracle.family(ws)
+        assert tree_family(ws) == family
+        star = canonical_form(star_of(ws))
+        for stat in ("alpha", "kappa"):
+            want = oracle.scan(family, stat)
+            try:
+                report = extremal_scan(ws, stat)
+            except ConsistencyError:
+                # refused only where the oracle's extremes break the star check too
+                margin = want["runner_up_min"] - want["min_value"]
+                assert want["argmin_codes"] != (star,) or not margin > EXTREME_GROUP_RTOL * abs(want["min_value"])
+                continue
+            assert {k: getattr(report, k) for k in want} == want
+
+    @pytest.mark.parametrize("ws", SCAN_CASES, ids=lambda ws: f"m{len(ws)}-{ws[0]:.3g}")
+    def test_shape_stats_bit_equal_to_scalar_route(self, ws):
+        for shape, rows in _family_rows(weight_multiset(ws)):
+            alphas, kappas = _shape_stats(shape, rows)
+            for row, a, k in zip(rows.tolist(), alphas.tolist(), kappas.tolist()):
+                assert (a, k) == stats(_weighted(shape, row))
+
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_distinct_weights_count_n_to_the_n_minus_3(self, m):
+        n = m + 1
+        assert extremal_scan(range(1, m + 1), "alpha").family_size == n ** (n - 3)
+
+    def test_eight_distinct_weights_in_seconds(self):
+        start = time.perf_counter()
+        report = extremal_scan([9, 8, 7, 6, 5, 4, 3, 2], "alpha")
+        elapsed = time.perf_counter() - start
+        assert report.family_size == 9**6 == 531_441
+        assert elapsed < 20.0
 
 
 def _path_weights_in_order(t):

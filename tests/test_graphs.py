@@ -4,6 +4,7 @@ from itertools import permutations
 
 import pytest
 
+from _enumeration import enumerate_labeled_trees, remove_edges_partition
 from treewalk.errors import GraphError, NotATreeError, TwgParseError
 from treewalk.graphs import (
     FREE_TREE_COUNTS,
@@ -12,13 +13,11 @@ from treewalk.graphs import (
     complete_graph,
     cycle_graph,
     enumerate_free_trees,
-    enumerate_labeled_trees,
     format_twg,
     parse_twg,
     path_graph,
     prufer_tree,
     random_weighted_tree,
-    remove_edges_partition,
     rooted_order,
     star_graph,
     tree_centers,

@@ -2,13 +2,13 @@ import random
 
 import pytest
 
+from _enumeration import is_star_graph
 from treewalk.errors import ConsistencyError, GraphError
 from treewalk.forests import alpha_forest, kappa_forest, tree_cut
 from treewalk.graphs import (
     canonical_form,
     enumerate_free_trees,
     is_path_graph,
-    is_star_graph,
     path_graph,
     random_weighted_tree,
     star_graph,
@@ -63,6 +63,15 @@ class TestMoves:
         moved = apply_move(P4, legal)
         with pytest.raises(GraphError):
             apply_move(moved, legal)
+
+    def test_non_tree_result_refused(self, monkeypatch):
+        from treewalk import transfers
+
+        # drop the moved edge, so the result is a disconnected forest
+        real = transfers.WeightedGraph
+        monkeypatch.setattr(transfers, "WeightedGraph", lambda n, edges: real(n, edges[:-1]))
+        with pytest.raises(ConsistencyError, match="did not leave a tree"):
+            apply_move(P4, legal_moves(P4, "size")[0])
 
     def test_mode_validation(self):
         with pytest.raises(GraphError):
