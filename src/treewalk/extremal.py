@@ -13,8 +13,8 @@ edge weights equal W. Known extremes inside the family:
 ``extremal_scan`` verifies those statements exhaustively for a given W
 and raises ConsistencyError on any violation. The scans work on arrays,
 one tree shape at a time: integer AHU keys deduplicate the weight
-permutations, column-wise closed forms give every value, and only the
-extreme trees become WeightedGraphs with canonical codes.
+permutations, ``tree_stats`` on weight columns gives every value, and
+only the extreme trees become WeightedGraphs with canonical codes.
 ``best_path_assignment`` solves the path-ordering optimization for
 Kemeny's constant via the equivalent triple-sum objective
 sum_{j<i<k} w_j w_k / w_i.
@@ -23,6 +23,7 @@ sum_{j<i<k} w_j w_k / w_i.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator, Sequence
@@ -30,7 +31,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import ConsistencyError, GraphError
-from .forests import alpha_forest
+from .forests import alpha_forest, tree_stats
 from .graphs import (
     WeightedGraph,
     canonical_form,
@@ -38,7 +39,6 @@ from .graphs import (
     format_weight,
     is_path_graph,
     path_graph,
-    rooted_order,
     sig12,
     star_graph,
     tree_centers,
@@ -51,7 +51,6 @@ STAT_ALPHA = "alpha"
 STAT_KAPPA = "kappa"
 
 EXTREME_GROUP_RTOL = 1e-10
-RANK_TIE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -235,42 +234,6 @@ def _classes(table: np.ndarray) -> np.ndarray:
     return classes
 
 
-def _shape_stats(shape: WeightedGraph, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(alpha, kappa) for every row of edge weights on one tree shape.
-
-    ``w`` holds one row per weight assignment, one column per edge of
-    ``shape`` in edge order. This is ``forests.stats`` on a tree, column
-    by column in ``forests._tree_sums``' operation order (degrees in
-    edge order, the volume summed vertex by vertex, the rooted pass from
-    vertex 0), so every value is bit-identical to the scalar route.
-    """
-    n = shape.n
-    cols = w.T
-    edge = {(u, v): i for i, (u, v, _) in enumerate(shape.edges)}
-    degree = np.zeros((n, len(w)))
-    for i, (u, v, _) in enumerate(shape.edges):
-        degree[u] += cols[i]
-        degree[v] += cols[i]
-    vol = degree[0]
-    for x in range(1, n):
-        vol = vol + degree[x]
-    order, parent, _ = rooted_order(shape)
-    parent_w = {x: cols[edge[min(x, parent[x]), max(x, parent[x])]] for x in order[1:]}
-    size = [1] * n
-    inner = np.zeros((n, len(w)))
-    for x in reversed(order[1:]):
-        p = parent[x]
-        size[p] += size[x]
-        inner[p] += inner[x] + parent_w[x]
-    s_sum = np.zeros(len(w))
-    v_sum = np.zeros(len(w))
-    for x in order[1:]:
-        side_vol = 2.0 * inner[x] + parent_w[x]
-        s_sum += size[x] * (n - size[x]) / parent_w[x]
-        v_sum += side_vol * (vol - side_vol) / parent_w[x]
-    return (vol / (n * n)) * s_sum, v_sum / vol
-
-
 def _family_rows(ws: tuple[float, ...]) -> Iterator[tuple[WeightedGraph, np.ndarray]]:
     """Per tree shape, the edge weights of one row per isomorphism class.
 
@@ -329,7 +292,7 @@ def extremal_scan(weights: Sequence[float], stat: str) -> FamilyReport:
     for shape, reps in _family_rows(ws):
         shapes += [shape] * len(reps)
         rows.append(reps)
-        parts.append(_shape_stats(shape, reps)[which])
+        parts.append(tree_stats(shape, reps.T)[which])
     weight_rows = np.concatenate(rows)
     values = np.concatenate(parts)
 
@@ -418,7 +381,7 @@ def best_path_assignment(weights: Sequence[float]) -> PathSearchResult:
     if len(ws) > PATH_SEARCH_MAX:
         raise GraphError(f"path search guarded to {PATH_SEARCH_MAX} weights")
     orders = list(distinct_permutations(ws))
-    kappas = _shape_stats(path_graph([1.0] * len(ws)), np.array(orders))[1].tolist()
+    kappas = tree_stats(path_graph([1.0] * len(ws)), np.array(orders).T)[1].tolist()
     evaluations = [(order, path_kappa_objective(order), k) for order, k in zip(orders, kappas)]
     _check_rankings_agree(evaluations)
     best = max(evaluations, key=lambda e: (e[2], e[0]))
@@ -431,10 +394,18 @@ def best_path_assignment(weights: Sequence[float]) -> PathSearchResult:
 
 
 def _check_rankings_agree(evaluations: list[tuple[tuple[float, ...], float, float]]) -> None:
+    """Both rankings must agree up to rounding: on a path of total weight T,
+    kappa = (2m - 1)/2 + 2J/T exactly. Each of J's m terms is at most
+    T^2 / min(w), so J's rounding error stays below 16 m eps T^2 / min(w),
+    and kappa's below 2/T times that.
+    """
+    order = evaluations[0][0]
+    total = sum(order)
+    j_tol = 16 * len(order) * sys.float_info.epsilon * total * total / min(order)
+    tols = (j_tol, 2.0 / total * j_tol)
     def check(sorted_evals, other, name):
         for (_, *a), (_, *b) in zip(sorted_evals, sorted_evals[1:]):
-            hi, lo = a[other], b[other]
-            if lo - hi > RANK_TIE_RTOL * max(abs(hi), abs(lo)):
+            if b[other] - a[other] > tols[other]:
                 raise ConsistencyError(f"kappa and objective rankings disagree ({name})")
 
     check(sorted(evaluations, key=lambda e: -e[1]), 1, "sorted by objective")

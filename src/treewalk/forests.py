@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -107,29 +107,40 @@ def two_forest_cuts(t: WeightedGraph) -> Iterator[TwoForestCut]:
         yield tree_cut(t, u, v)
 
 
-def _tree_sums(t: WeightedGraph) -> tuple[float, float]:
-    """sum S(T-e) / w(e) and sum V_T(T-e) / w(e) over the edges of a tree.
+def tree_stats(shape: WeightedGraph, weights: Sequence[float] | np.ndarray) -> tuple:
+    """(alpha, kappa) of a tree on two or more vertices from its O(n) closed form.
 
-    Deleting e leaves a 2-forest of weight tau / w(e). One rooted pass:
-    for the cut at the edge above vertex c, the child side has ambient
+    ``weights`` holds one weight per edge of ``shape``, in edge order:
+    floats for one tree, or numpy arrays with each edge's weight in many
+    trees of this shape, which give arrays of alpha and kappa. Every
+    update builds a new value (``a = a + b``), so the same statements do
+    both, bit for bit alike. Deleting edge e leaves a 2-forest of weight
+    tau / w(e); for the cut above vertex c, the child side has ambient
     volume 2*(weight inside the subtree) + w(edge).
     """
-    n = t.n
-    order, parent, parent_w = rooted_order(t)
+    n = shape.n
+    order, parent = rooted_order(shape)
+    degree = [0.0] * n
+    up = [0.0] * n  # weight of the edge above each vertex
+    for (u, v, _), w in zip(shape.edges, weights):
+        degree[u] = degree[u] + w
+        degree[v] = degree[v] + w
+        up[v if parent[v] == u else u] = w
+    vol = 0.0
+    for d in degree:
+        vol = vol + d
     size = [1] * n
     inner = [0.0] * n  # total edge weight inside the subtree
     for x in reversed(order[1:]):
         p = parent[x]
         size[p] += size[x]
-        inner[p] += inner[x] + parent_w[x]
-    vol = t.vol
+        inner[p] = inner[p] + (inner[x] + up[x])
     s_sum = v_sum = 0.0
     for x in order[1:]:
-        w = parent_w[x]
-        side_vol = 2.0 * inner[x] + w
-        s_sum += size[x] * (n - size[x]) / w
-        v_sum += side_vol * (vol - side_vol) / w
-    return s_sum, v_sum
+        side_vol = 2.0 * inner[x] + up[x]
+        s_sum = s_sum + size[x] * (n - size[x]) / up[x]
+        v_sum = v_sum + side_vol * (vol - side_vol) / up[x]
+    return (vol / (n * n)) * s_sum, v_sum / vol
 
 
 def _resistance_sums(g: WeightedGraph) -> tuple[np.ndarray, float, float]:
@@ -184,11 +195,10 @@ def stats(g: WeightedGraph) -> tuple[float, float]:
     n = g.n
     if n == 1:
         return 0.0, 0.0
-    vol = g.vol
     if g.is_tree():
-        s_sum, v_sum = _tree_sums(g)
-    else:
-        _, s_sum, v_sum = _resistance_sums(g)
+        return tree_stats(g, [w for _, _, w in g.edges])
+    vol = g.vol
+    _, s_sum, v_sum = _resistance_sums(g)
     return (vol / (n * n)) * s_sum, v_sum / vol
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -42,6 +43,29 @@ def sig12(x: float) -> float:
     return float(format(x, WEIGHT_FORMAT))
 
 
+def _checked_edge(n: int, u, v, w, seen: set[tuple[int, int]]) -> tuple[int, int, float]:
+    """One edge of a graph on n vertices, validated and normalized to (min, max, float).
+
+    ``seen`` holds the vertex pairs accepted so far; this one joins it.
+    """
+    try:
+        u, v = operator.index(u), operator.index(v)
+    except TypeError:
+        raise GraphError(f"vertex indices must be integers, got ({u!r}, {v!r})") from None
+    if u == v:
+        raise GraphError(f"loop at vertex {u}")
+    if not (0 <= u < n and 0 <= v < n):
+        raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
+    w = float(w)
+    if not (w > 0.0) or not math.isfinite(w):
+        raise GraphError(f"edge ({u}, {v}) weight must be positive and finite, got {w}")
+    key = (u, v) if u < v else (v, u)
+    if key in seen:
+        raise GraphError(f"duplicate edge ({key[0]}, {key[1]})")
+    seen.add(key)
+    return key[0], key[1], w
+
+
 @dataclass(frozen=True)
 class WeightedGraph:
     """Loopless undirected graph with positive edge weights.
@@ -58,21 +82,7 @@ class WeightedGraph:
         if self.n < 1:
             raise GraphError(f"vertex count must be positive, got {self.n}")
         seen: set[tuple[int, int]] = set()
-        normalized = []
-        for edge in self.edges:
-            u, v, w = edge
-            if u == v:
-                raise GraphError(f"loop at vertex {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise GraphError(f"edge ({u}, {v}) out of range for n={self.n}")
-            w = float(w)
-            if not (w > 0.0) or not math.isfinite(w):
-                raise GraphError(f"edge ({u}, {v}) weight must be positive and finite, got {w}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise GraphError(f"duplicate edge ({key[0]}, {key[1]})")
-            seen.add(key)
-            normalized.append((key[0], key[1], w))
+        normalized = [_checked_edge(self.n, u, v, w, seen) for u, v, w in self.edges]
         object.__setattr__(self, "edges", tuple(sorted(normalized)))
 
     # -- basic accessors -------------------------------------------------
@@ -98,8 +108,8 @@ class WeightedGraph:
     def vol(self) -> float:
         """Volume of the whole graph: sum of all weighted degrees.
 
-        Added one by one in vertex order on every Python version (3.12's
-        ``sum`` compensates), which the array scans in ``extremal`` repeat.
+        Added one by one in vertex order, so every Python version gives
+        the same bits (3.12's ``sum`` compensates).
         """
         total = 0.0
         for d in self.degrees:
@@ -214,25 +224,23 @@ def is_path_graph(g: WeightedGraph) -> bool:
     return g.is_tree() and seq.count(1) == 2 and all(d <= 2 for d in seq)
 
 
-def rooted_order(t: WeightedGraph) -> tuple[list[int], list[int], list[float]]:
-    """Breadth-first order of a tree from vertex 0, with parents and parent-edge weights.
+def rooted_order(t: WeightedGraph) -> tuple[list[int], list[int]]:
+    """Breadth-first order of a tree from vertex 0, with parents.
 
-    The root's entries are -1 and 0.0. Reversing the order visits every
-    child before its parent.
+    The root's parent is -1. Reversing the order visits every child
+    before its parent.
     """
     parent = [-1] * t.n
-    parent_w = [0.0] * t.n
     order = [0]
     seen = [False] * t.n
     seen[0] = True
     for x in order:
-        for y, w in t.neighbors[x]:
+        for y, _ in t.neighbors[x]:
             if not seen[y]:
                 seen[y] = True
                 parent[y] = x
-                parent_w[y] = w
                 order.append(y)
-    return order, parent, parent_w
+    return order, parent
 
 
 # -- builders --------------------------------------------------------------
@@ -295,17 +303,10 @@ def parse_twg(text: str) -> WeightedGraph:
             w = float(fields[2])
         except ValueError:
             raise TwgParseError(f"invalid weight {fields[2]!r}", lineno) from None
-        if u == v:
-            raise TwgParseError(f"loop at vertex {u}", lineno)
-        if not 0 <= u < n or not 0 <= v < n:
-            raise TwgParseError(f"vertex index out of range in ({u}, {v}), n={n}", lineno)
-        if not w > 0.0 or not math.isfinite(w):
-            raise TwgParseError(f"weight must be positive and finite, got {fields[2]}", lineno)
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise TwgParseError(f"duplicate edge ({key[0]}, {key[1]})", lineno)
-        seen.add(key)
-        edges.append((u, v, w))
+        try:
+            edges.append(_checked_edge(n, u, v, w, seen))
+        except GraphError as exc:
+            raise TwgParseError(str(exc), lineno) from None
     if n is None:
         raise TwgParseError("empty input, expected vertex count", 1)
     return WeightedGraph(n, tuple(edges))
@@ -342,17 +343,6 @@ def tree_centers(t: WeightedGraph) -> tuple[int, ...]:
     return tuple(sorted(layer))
 
 
-def _rooted_code(t: WeightedGraph, root: int) -> str:
-    adj = t.neighbors
-
-    def code(v: int, parent: int, w_in: float | None) -> str:
-        kids = sorted(code(u, v, w) for u, w in adj[v] if u != parent)
-        label = "" if w_in is None else format_weight(w_in)
-        return "(" + label + "|" + "".join(kids) + ")"
-
-    return code(root, -1, None)
-
-
 def canonical_form(t: WeightedGraph) -> str:
     """Canonical code of a weighted tree.
 
@@ -360,8 +350,34 @@ def canonical_form(t: WeightedGraph) -> str:
     isomorphism between them. The tree is rooted at its center; when the
     center is an edge, both rootings are encoded and the lexicographic
     minimum taken. Weights enter the code with 12 significant digits.
+    Codes are built bottom-up over a breadth-first search from the
+    center(s), so a deep tree needs no deep stack.
     """
-    return min(_rooted_code(t, c) for c in tree_centers(t))
+    centres = tree_centers(t)
+    parent = [-1] * t.n
+    label = [""] * t.n
+    if len(centres) == 2:  # each centre hangs below the other
+        a, b = centres
+        parent[a], parent[b] = b, a
+    order = list(centres)
+    for x in order:
+        for y, w in t.neighbors[x]:
+            if y != parent[x]:
+                parent[y], label[y] = x, format_weight(w)
+                order.append(y)
+    kids: list[list[str]] = [[] for _ in range(t.n)]
+
+    def code(x: int, above: str) -> str:
+        return "(" + above + "|" + "".join(sorted(kids[x])) + ")"
+
+    for x in reversed(order[len(centres):]):
+        kids[parent[x]].append(code(x, label[x]))
+        kids[x] = []  # frees the subtree's codes: a path keeps O(n) text alive, not O(n^2)
+    if len(centres) == 1:
+        return code(centres[0], "")
+    centre_edge = format_weight(t.weight(a, b))
+    kids[a], kids[b] = kids[a] + [code(b, centre_edge)], kids[b] + [code(a, centre_edge)]
+    return min(code(a, ""), code(b, ""))
 
 
 # -- enumeration -------------------------------------------------------------

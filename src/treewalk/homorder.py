@@ -81,7 +81,7 @@ def hom_count(t: WeightedGraph, g: WeightedGraph) -> int:
     if t.n == 1:
         return g.n
     nbrs = [[v for v, _ in g.neighbors[u]] for u in range(g.n)]
-    order, parent, _ = rooted_order(t)
+    order, parent = rooted_order(t)
     table = [[1] * g.n for _ in range(t.n)]
     for x in reversed(order[1:]):
         child = table[x]

@@ -4,15 +4,15 @@ Subset enumeration of spanning trees and spanning 2-forests (graphs of
 at most ENUM_EDGE_MAX edges), and the tree edge-cut closed forms with
 both side volumes summed directly by math.fsum. None of it calls the
 routes it checks. Also every labeled tree by Pruefer decoding, the
-star predicate and the partition a set of edge cuts leaves, which only
-the tests use.
+star predicate, the partition a set of edge cuts leaves and the
+recursive canonical coder, which only the tests use.
 """
 
 import math
 from itertools import combinations, product
 
 from treewalk.errors import GraphError
-from treewalk.graphs import prufer_tree
+from treewalk.graphs import format_weight, prufer_tree, tree_centers
 
 ENUM_EDGE_MAX = 20
 LABELED_TREE_MAX = 9  # n^(n-2) blows up past this
@@ -33,6 +33,18 @@ def is_star_graph(g):
     if g.n <= 2:
         return g.is_tree()
     return g.is_tree() and g.degree_sequence()[0] == g.n - 1
+
+
+def recursive_canonical_form(t):
+    """canonical_form by recursion from each centre: the reference for the bottom-up coder."""
+    adj = t.neighbors
+
+    def code(v, parent, w_in):
+        kids = sorted(code(u, v, w) for u, w in adj[v] if u != parent)
+        label = "" if w_in is None else format_weight(w_in)
+        return "(" + label + "|" + "".join(kids) + ")"
+
+    return min(code(c, -1, None) for c in tree_centers(t))
 
 
 def remove_edges_partition(t, edge_pairs):

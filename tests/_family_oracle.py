@@ -4,12 +4,13 @@ Every free tree shape on |W|+1 vertices crossed with every distinct
 permutation of W, one WeightedGraph per row, deduplicated by
 canonical_form, with one scalar forests.stats per representative. The
 array scans in treewalk.extremal must give the same families, values
-and extremes.
+and extremes. Also the scalar tree closed form that forests.stats ran
+before forests.tree_stats, which must match it bit for bit.
 """
 
 from treewalk.extremal import EXTREME_GROUP_RTOL, STAT_ALPHA, distinct_permutations, weight_multiset
 from treewalk.forests import stats
-from treewalk.graphs import WeightedGraph, canonical_form, enumerate_free_trees
+from treewalk.graphs import WeightedGraph, canonical_form, enumerate_free_trees, rooted_order
 
 
 def family(weights):
@@ -44,3 +45,26 @@ def scan(trees, stat):
         "argmax_trees": tuple(argmax),
         "argmin_trees": tuple(argmin),
     }
+
+
+def tree_sums(t):
+    """(alpha, kappa) of a tree: one rooted pass with in-place scalar updates."""
+    n = t.n
+    order, parent = rooted_order(t)
+    parent_w = [0.0] * n
+    for x in order[1:]:
+        parent_w[x] = t.weight(x, parent[x])
+    size = [1] * n
+    inner = [0.0] * n  # total edge weight inside the subtree
+    for x in reversed(order[1:]):
+        p = parent[x]
+        size[p] += size[x]
+        inner[p] += inner[x] + parent_w[x]
+    vol = t.vol
+    s_sum = v_sum = 0.0
+    for x in order[1:]:
+        w = parent_w[x]
+        side_vol = 2.0 * inner[x] + w
+        s_sum += size[x] * (n - size[x]) / w
+        v_sum += side_vol * (vol - side_vol) / w
+    return (vol / (n * n)) * s_sum, v_sum / vol

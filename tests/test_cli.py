@@ -153,6 +153,10 @@ class TestSearchPath:
         assert rc == 0
         assert "best kappa" in capsys.readouterr().out
 
+    def test_two_weights_rounding_residue_is_a_tie(self, capsys):
+        # J is 0.0 for one order and 2.5e-13 for the other: both are zero up to rounding
+        assert main(["search-path", "--weights", "311.2426324104925,30.51802137911969"]) == 0
+
     def test_three_weights(self, capsys):
         rc = main(["search-path", "--weights", "3,2,1", "--json"])
         assert rc == 0

@@ -10,8 +10,8 @@ from _enumeration import enumerate_labeled_trees, is_star_graph
 from treewalk.errors import ConsistencyError, GraphError
 from treewalk.extremal import (
     EXTREME_GROUP_RTOL,
+    _check_rankings_agree,
     _family_rows,
-    _shape_stats,
     _weighted,
     best_path_assignment,
     centrality,
@@ -24,7 +24,7 @@ from treewalk.extremal import (
     tree_family,
     weight_multiset,
 )
-from treewalk.forests import alpha_forest, kappa_forest, stats
+from treewalk.forests import alpha_forest, kappa_forest, stats, tree_stats
 from treewalk.graphs import (
     canonical_form,
     is_path_graph,
@@ -261,6 +261,28 @@ class TestBestPath:
         with pytest.raises(GraphError):
             best_path_assignment([1.0] * 11)
 
+    def test_seeded_sweep_answers(self):
+        rng = random.Random(61)
+        for m in range(2, 8):
+            for i in range(10):
+                if i % 2:
+                    ws = [10 ** rng.uniform(-6, 6) for _ in range(m)]
+                else:
+                    ws = [rng.uniform(0.1, 10) for _ in range(m)]
+                result = best_path_assignment(ws)
+                total = sum(ws)
+                for _, j, k in result.evaluations:
+                    # on a path kappa is affine in J, so the two rankings are one
+                    assert k == pytest.approx((2 * m - 1) / 2 + 2 * j / total, rel=1e-5)
+
+    def test_swapped_kappas_disagree(self):
+        evaluations = sorted(best_path_assignment([7, 6, 5, 4, 3]).evaluations, key=lambda e: e[1])
+        (lo, j_lo, k_lo), (hi, j_hi, k_hi) = evaluations[0], evaluations[-1]
+        assert j_hi - j_lo > 1.0
+        evaluations[0], evaluations[-1] = (lo, j_lo, k_hi), (hi, j_hi, k_lo)
+        with pytest.raises(ConsistencyError, match="rankings disagree"):
+            _check_rankings_agree(evaluations)
+
 
 def _seeded_cases():
     rng = random.Random(2024)
@@ -298,9 +320,18 @@ class TestArrayScan:
     @pytest.mark.parametrize("ws", SCAN_CASES, ids=lambda ws: f"m{len(ws)}-{ws[0]:.3g}")
     def test_shape_stats_bit_equal_to_scalar_route(self, ws):
         for shape, rows in _family_rows(weight_multiset(ws)):
-            alphas, kappas = _shape_stats(shape, rows)
+            alphas, kappas = tree_stats(shape, rows.T)
             for row, a, k in zip(rows.tolist(), alphas.tolist(), kappas.tolist()):
                 assert (a, k) == stats(_weighted(shape, row))
+
+    @pytest.mark.parametrize("ws", SCAN_CASES, ids=lambda ws: f"m{len(ws)}-{ws[0]:.3g}")
+    def test_tree_stats_bit_equal_to_reference(self, ws):
+        for shape, rows in _family_rows(weight_multiset(ws)):
+            alphas, kappas = tree_stats(shape, rows.T)
+            for row, a, k in zip(rows.tolist(), alphas.tolist(), kappas.tolist()):
+                want = oracle.tree_sums(_weighted(shape, row))
+                assert tree_stats(shape, row) == want
+                assert (a, k) == want
 
     @pytest.mark.parametrize("m", range(2, 8))
     def test_distinct_weights_count_n_to_the_n_minus_3(self, m):

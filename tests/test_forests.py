@@ -1,16 +1,27 @@
 import random
 
+import numpy as np
 import pytest
 
 from _enumeration import spanning_tree_weight, two_forest_sums
+from _family_oracle import tree_sums
 from treewalk.errors import ConsistencyError, DisconnectedError, GraphError, NotATreeError
-from treewalk.forests import alpha_forest, forest_sums, kappa_forest, tau, tree_cut, two_forest_cuts
+from treewalk.forests import (
+    alpha_forest,
+    forest_sums,
+    kappa_forest,
+    tau,
+    tree_cut,
+    tree_stats,
+    two_forest_cuts,
+)
 from treewalk.graphs import (
     WeightedGraph,
     cycle_graph,
     complete_graph,
     enumerate_free_trees,
     path_graph,
+    random_labeled_tree,
     random_weighted_tree,
     star_graph,
 )
@@ -175,6 +186,21 @@ class TestScalars:
         assert sums.tau == pytest.approx(1.0, rel=1e-9)
         assert sums.s_sum == pytest.approx(10.0, rel=1e-12)
         assert sums.v_sum == pytest.approx(19.0, rel=1e-12)
+
+
+class TestTreeStats:
+    def test_floats_and_columns_bit_equal_to_reference(self):
+        """One closed form for one tree and for many: both equal the scalar reference bit for bit."""
+        rng = random.Random(29)
+        for _ in range(200):
+            n = rng.randint(2, 300)
+            shape = random_labeled_tree(rng, n)
+            rows = np.array([[10 ** rng.uniform(-6, 6) for _ in shape.edges] for _ in range(3)])
+            alphas, kappas = tree_stats(shape, rows.T)
+            for row, a, k in zip(rows.tolist(), alphas.tolist(), kappas.tolist()):
+                want = tree_sums(WeightedGraph(n, tuple((u, v, w) for (u, v, _), w in zip(shape.edges, row))))
+                assert tree_stats(shape, row) == want
+                assert (a, k) == want
 
 
 def _general_graphs():

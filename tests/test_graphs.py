@@ -4,10 +4,12 @@ from itertools import permutations
 
 import pytest
 
-from _enumeration import enumerate_labeled_trees, remove_edges_partition
+from _enumeration import enumerate_labeled_trees, recursive_canonical_form, remove_edges_partition
 from treewalk.errors import GraphError, NotATreeError, TwgParseError
+from treewalk.extremal import tree_family
 from treewalk.graphs import (
     FREE_TREE_COUNTS,
+    FREE_TREE_MAX,
     WeightedGraph,
     canonical_form,
     complete_graph,
@@ -128,6 +130,10 @@ class TestBasics:
         with pytest.raises(GraphError, match="finite"):
             WeightedGraph(2, ((0, 1, math.inf),))
 
+    def test_construction_rejects_non_integer_vertices(self):
+        with pytest.raises(GraphError, match="integers"):
+            WeightedGraph(2, ((0.5, 1, 1.0),))
+
 
 class TestPartitions:
     def test_single_cut(self):
@@ -165,18 +171,18 @@ class TestPartitions:
 class TestRootedOrder:
     def test_weighted_path(self):
         # edges 0-1 (2.0), 1-2 (1.0), 2-3 (3.0); BFS from vertex 0
-        assert rooted_order(path_graph([2, 1, 3])) == ([0, 1, 2, 3], [-1, 0, 1, 2], [0.0, 2.0, 1.0, 3.0])
+        assert rooted_order(path_graph([2, 1, 3])) == ([0, 1, 2, 3], [-1, 0, 1, 2])
 
     def test_parents_precede_children(self):
         rng = random.Random(5)
         for _ in range(20):
             t = random_weighted_tree(rng, rng.randint(1, 12))
-            order, parent, parent_w = rooted_order(t)
+            order, parent = rooted_order(t)
             assert sorted(order) == list(range(t.n))
             position = {x: i for i, x in enumerate(order)}
             for x in order[1:]:
                 assert position[parent[x]] < position[x]
-                assert parent_w[x] == t.weight(x, parent[x])
+                assert t.has_edge(x, parent[x])
 
 
 class TestCanonicalForm:
@@ -215,6 +221,22 @@ class TestCanonicalForm:
     def test_centers_of_paths(self):
         assert tree_centers(path_graph([1, 1])) == (1,)
         assert tree_centers(path_graph([1, 1, 1])) == (1, 2)
+
+    def test_matches_recursive_coder(self):
+        trees = [t for n in range(1, FREE_TREE_MAX + 1) for t in enumerate_free_trees(n)]
+        rng = random.Random(17)
+        for i in range(2000):
+            t = random_weighted_tree(rng, rng.randint(1, 40))
+            if i % 2:  # few distinct weights, so equal subtrees and ties in the sort occur
+                t = WeightedGraph(t.n, tuple((u, v, float(round(w) % 3 + 1)) for u, v, w in t.edges))
+            trees.append(t)
+        trees += tree_family([2, 2, 1, 1, 0.5])
+        for t in trees:
+            assert canonical_form(t) == recursive_canonical_form(t)
+
+    def test_deep_path(self):
+        code = canonical_form(path_graph([1.0] * 4999))
+        assert code.count("(") == 5000
 
 
 class TestEnumeration:
