@@ -44,6 +44,7 @@ from .homorder import (
     connected_graph_corpus,
     corpus_dominates,
     hom_count,
+    hom_counts,
 )
 from .simulate import WalkEstimate, Xorshift64Star, estimate_hitting, mix64
 from .spectral import SpectrumResult, alpha_spectral, kappa_spectral, laplacian_spectra

@@ -274,10 +274,26 @@ def complete_graph(n: int, weight: float = 1.0) -> WeightedGraph:
 
 
 def parse_twg(text: str) -> WeightedGraph:
-    """Parse the TWG format; every error reports its 1-based line number."""
+    """Parse the TWG format; every error reports its 1-based line number.
+
+    The edge rules run once, in the ``WeightedGraph`` constructor; only
+    when an error is raised are they run again line by line, to find
+    the first offending line.
+    """
     n: int | None = None
     edges: list[tuple[int, int, float]] = []
-    seen: set[tuple[int, int]] = set()
+    linenos: list[int] = []
+
+    def error(message: str, lineno: int) -> TwgParseError:
+        # an edge line before this one that breaks the edge rules comes first
+        seen: set[tuple[int, int]] = set()
+        for at, (u, v, w) in zip(linenos, edges):
+            try:
+                _checked_edge(n, u, v, w, seen)
+            except GraphError as exc:
+                return TwgParseError(str(exc), at)
+        return TwgParseError(message, lineno)
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -294,22 +310,23 @@ def parse_twg(text: str) -> WeightedGraph:
                 raise TwgParseError(f"vertex count must be positive, got {n}", lineno)
             continue
         if len(fields) != 3:
-            raise TwgParseError(f"expected 'u v w', got {line!r}", lineno)
+            raise error(f"expected 'u v w', got {line!r}", lineno)
         try:
             u, v = int(fields[0]), int(fields[1])
         except ValueError:
-            raise TwgParseError(f"invalid vertex index in {line!r}", lineno) from None
+            raise error(f"invalid vertex index in {line!r}", lineno) from None
         try:
             w = float(fields[2])
         except ValueError:
-            raise TwgParseError(f"invalid weight {fields[2]!r}", lineno) from None
-        try:
-            edges.append(_checked_edge(n, u, v, w, seen))
-        except GraphError as exc:
-            raise TwgParseError(str(exc), lineno) from None
+            raise error(f"invalid weight {fields[2]!r}", lineno) from None
+        edges.append((u, v, w))
+        linenos.append(lineno)
     if n is None:
         raise TwgParseError("empty input, expected vertex count", 1)
-    return WeightedGraph(n, tuple(edges))
+    try:
+        return WeightedGraph(n, tuple(edges))
+    except GraphError as exc:
+        raise error(str(exc), linenos[-1]) from None
 
 
 def format_twg(g: WeightedGraph) -> str:

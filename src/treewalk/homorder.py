@@ -1,20 +1,30 @@
 """Tree homomorphism counting and empirical dominance over a graph corpus.
 
 hom(T, G) counts edge-preserving maps from a tree T into a simple graph
-G, computed exactly by bottom-up dynamic programming. Comparing two
-trees by domination of hom counts over every simple graph defines a
-partial order; a finite corpus can only approximate it, so the verdicts
-here are necessary-condition semantics: corpus dominance is implied by
-true dominance but does not certify it. The conjecture scan checks that
-corpus-dominant trees never have a larger average hitting time, and
-reports violations as data rather than failing, since a violation may
-be a corpus false positive.
+G. ``hom_counts`` gives one tree's counts into a whole list of graphs
+from one bottom-up dynamic program over the tree, run on the graphs'
+concatenated adjacency lists with numpy; counts are exact integers.
+The corpus of connected graphs is grown one vertex at a time: every
+connected graph has a non-cut vertex, so each class on n vertices is a
+class on n - 1 vertices plus a new vertex joined to a nonempty vertex
+subset, and a canonical edge list removes the repeats.
+
+Comparing two trees by domination of hom counts over every simple graph
+defines a partial order; a finite corpus can only approximate it, so the
+verdicts here are necessary-condition semantics: corpus dominance is
+implied by true dominance but does not certify it. The conjecture scan
+checks that corpus-dominant trees never have a larger average hitting
+time, and reports violations as data rather than failing, since a
+violation may be a corpus false positive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import permutations, product
+from typing import Collection, Sequence
+
+import numpy as np
 
 from .errors import GraphError
 from .graphs import WeightedGraph, canonical_form, enumerate_free_trees, rooted_order, sig12
@@ -70,28 +80,48 @@ class HomDominanceReport:
         }
 
 
-def hom_count(t: WeightedGraph, g: WeightedGraph) -> int:
-    """Exact number of homomorphisms from tree t into simple graph g.
+def hom_counts(t: WeightedGraph, graphs: Sequence[WeightedGraph]) -> list[int]:
+    """Exact number of homomorphisms from tree t into each simple graph.
 
-    Dynamic programming over a rooted orientation of t: a vertex's table
-    entry at image a multiplies, over its children, the sums of the
-    child tables over the neighbors of a. Integer exact.
+    One dynamic program over a rooted orientation of t, run on all the
+    graphs' vertices at once: a tree vertex's table entry at image a
+    multiplies, over its children, the sums of the child tables over the
+    neighbours of a. No entry exceeds max |V(G)| * maxdeg^(|T|-1), so
+    the tables are int64 when that bound fits and Python integers
+    otherwise; either way the counts are exact.
     """
     t.require_tree()
-    if t.n == 1:
-        return g.n
-    nbrs = [[v for v, _ in g.neighbors[u]] for u in range(g.n)]
+    if not graphs:
+        return []
+    first, deg, nbr = [], [], []
+    for g in graphs:
+        offset = len(deg)
+        first.append(offset)
+        for adj in g.neighbors:
+            deg.append(len(adj))
+            nbr.extend(offset + v for v, _ in adj)
+    bound = max(g.n for g in graphs) * max(deg) ** (t.n - 1)
+    dtype = np.int64 if bound < 2**63 else object
+    deg = np.array(deg)
+    nbr = np.array(nbr, dtype=np.intp)
+    # reduceat sums a segment of length zero to the element at its start
+    has_nbr = deg > 0
+    seg = (np.cumsum(deg) - deg)[has_nbr]
     order, parent = rooted_order(t)
-    table = [[1] * g.n for _ in range(t.n)]
+    table = np.ones((t.n, len(deg)), dtype=dtype)
     for x in reversed(order[1:]):
-        child = table[x]
-        up = table[parent[x]]
-        for a in range(g.n):
-            up[a] *= sum(child[b] for b in nbrs[a])
-    return sum(table[0])
+        sums = np.zeros(len(deg), dtype=dtype)
+        sums[has_nbr] = np.add.reduceat(table[x][nbr], seg)
+        table[parent[x]] *= sums
+    return np.add.reduceat(table[0], first).tolist()
 
 
-def _simple_canonical(n: int, pairs: frozenset[tuple[int, int]]) -> tuple:
+def hom_count(t: WeightedGraph, g: WeightedGraph) -> int:
+    """Exact number of homomorphisms from tree t into simple graph g."""
+    return hom_counts(t, [g])[0]
+
+
+def _simple_canonical(n: int, pairs: Collection[tuple[int, int]]) -> tuple:
     """Minimum edge list over relabelings that sort degrees descending.
 
     Restricting to arrangements with non-increasing degree by new label
@@ -120,26 +150,26 @@ def _simple_canonical(n: int, pairs: frozenset[tuple[int, int]]) -> tuple:
 def connected_graph_corpus(min_n: int = 2, max_n: int = 5) -> list[WeightedGraph]:
     """All connected simple graphs on min_n..max_n vertices, up to isomorphism.
 
-    Deterministic order: by vertex count, then by canonical edge list.
+    Deterministic order: by vertex count, then by canonical edge list,
+    which is also each graph's labelling. The classes on n vertices come
+    from those on n - 1 by joining a new vertex to a nonempty subset of
+    the old ones: deleting a leaf of a spanning tree keeps a connected
+    graph connected, so every class is reached.
     """
     if not 1 <= min_n <= max_n <= CORPUS_VERTEX_MAX:
         raise GraphError(f"corpus guarded to {CORPUS_VERTEX_MAX} vertices")
+    level: list[tuple] = [()]  # the one class on a single vertex
     corpus = []
-    for n in range(min_n, max_n + 1):
-        if n == 1:
-            corpus.append(WeightedGraph(1, ()))
-            continue
-        all_pairs = list(combinations(range(n), 2))
-        found: dict[tuple, WeightedGraph] = {}
-        for r in range(n - 1, len(all_pairs) + 1):
-            for subset in combinations(all_pairs, r):
-                g = WeightedGraph(n, tuple((u, v, 1.0) for u, v in subset))
-                if not g.is_connected():
-                    continue
-                canon = _simple_canonical(n, frozenset(subset))
-                if canon not in found:
-                    found[canon] = g
-        corpus.extend(found[c] for c in sorted(found))
+    for n in range(1, max_n + 1):
+        if n > 1:
+            new = n - 1
+            level = sorted({
+                _simple_canonical(n, pairs + tuple((v, new) for v in range(new) if mask >> v & 1))
+                for pairs in level
+                for mask in range(1, 1 << new)
+            })
+        if n >= min_n:
+            corpus.extend(WeightedGraph(n, tuple((u, v, 1.0) for u, v in pairs)) for pairs in level)
     return corpus
 
 
@@ -164,9 +194,7 @@ def corpus_dominates(
     """Verdict of t against t2 over the corpus (necessary-condition semantics)."""
     if t.n != t2.n:
         raise GraphError("trees must have equal size")
-    counts_a = [hom_count(t, g) for g in corpus]
-    counts_b = [hom_count(t2, g) for g in corpus]
-    verdict, _ = _compare_counts(counts_a, counts_b)
+    verdict, _ = _compare_counts(hom_counts(t, corpus), hom_counts(t2, corpus))
     return verdict
 
 
@@ -184,7 +212,7 @@ def conjecture_scan(n: int, corpus: list[WeightedGraph] | None = None) -> HomDom
     trees = enumerate_free_trees(n)
     codes = [canonical_form(t) for t in trees]
     alphas = [average_hitting_time(t) if t.n > 1 else 0.0 for t in trees]
-    counts = [[hom_count(t, g) for g in corpus] for t in trees]
+    counts = [hom_counts(t, corpus) for t in trees]
 
     pairs = []
     violations = []

@@ -5,14 +5,18 @@ at most ENUM_EDGE_MAX edges), and the tree edge-cut closed forms with
 both side volumes summed directly by math.fsum. None of it calls the
 routes it checks. Also every labeled tree by Pruefer decoding, the
 star predicate, the partition a set of edge cuts leaves and the
-recursive canonical coder, which only the tests use.
+recursive canonical coder, which only the tests use. Last, the graph
+corpus by enumerating every edge subset, and the homomorphism count by
+one Python dynamic program per target graph: the references for the
+corpus grown by vertex extension and for the array hom-count program.
 """
 
 import math
 from itertools import combinations, product
 
 from treewalk.errors import GraphError
-from treewalk.graphs import format_weight, prufer_tree, tree_centers
+from treewalk.graphs import WeightedGraph, format_weight, prufer_tree, rooted_order, tree_centers
+from treewalk.homorder import _simple_canonical
 
 ENUM_EDGE_MAX = 20
 LABELED_TREE_MAX = 9  # n^(n-2) blows up past this
@@ -127,3 +131,44 @@ def tree_stats(g):
         s_terms.append(len(b1) * len(b2) / cut[2])
         v_terms.append(math.fsum(degrees[x] for x in b1) * math.fsum(degrees[x] for x in b2) / cut[2])
     return vol / (g.n * g.n) * math.fsum(s_terms), math.fsum(v_terms) / vol
+
+
+def subset_graph_corpus(min_n, max_n):
+    """connected_graph_corpus by testing every edge subset for connectivity.
+
+    Same classes in the same order; each class is represented by the
+    first subset of it met, not by its canonical labelling.
+    """
+    corpus = []
+    for n in range(min_n, max_n + 1):
+        if n == 1:
+            corpus.append(WeightedGraph(1, ()))
+            continue
+        all_pairs = list(combinations(range(n), 2))
+        found = {}
+        for r in range(n - 1, len(all_pairs) + 1):
+            for subset in combinations(all_pairs, r):
+                g = WeightedGraph(n, tuple((u, v, 1.0) for u, v in subset))
+                if not g.is_connected():
+                    continue
+                canon = _simple_canonical(n, frozenset(subset))
+                if canon not in found:
+                    found[canon] = g
+        corpus.extend(found[c] for c in sorted(found))
+    return corpus
+
+
+def scalar_hom_count(t, g):
+    """hom(t, g) by a rooted dynamic program over t, one Python loop per image."""
+    t.require_tree()
+    if t.n == 1:
+        return g.n
+    nbrs = [[v for v, _ in g.neighbors[u]] for u in range(g.n)]
+    order, parent = rooted_order(t)
+    table = [[1] * g.n for _ in range(t.n)]
+    for x in reversed(order[1:]):
+        child = table[x]
+        up = table[parent[x]]
+        for a in range(g.n):
+            up[a] *= sum(child[b] for b in nbrs[a])
+    return sum(table[0])

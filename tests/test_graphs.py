@@ -59,23 +59,29 @@ class TestParse:
         g = parse_twg("# header\n\n2\n# edge\n0 1 0.5\n")
         assert g.edges == ((0, 1, 0.5),)
 
+    PARSE_ERRORS = [
+        ("2\n0 0 1\n", 2, "loop at vertex 0"),
+        ("2\n0 1 1\n1 0 2\n", 3, "duplicate edge (0, 1)"),
+        ("2\n0 1 -1\n", 2, "edge (0, 1) weight must be positive and finite, got -1.0"),
+        ("2\n0 1 0\n", 2, "edge (0, 1) weight must be positive and finite, got 0.0"),
+        ("2\n0 2 1\n", 2, "edge (0, 2) out of range for n=2"),
+        ("2\n0 1\n", 2, "expected 'u v w', got '0 1'"),
+        ("x\n", 1, "invalid vertex count 'x'"),
+        ("", 1, "empty input, expected vertex count"),
+        # the edge rules run after the last line, yet the earlier line is reported
+        ("3\n0 0 1\n0 1\n", 2, "loop at vertex 0"),
+    ]
+
     @pytest.mark.parametrize(
-        "text,line",
-        [
-            ("2\n0 0 1\n", 2),          # loop
-            ("2\n0 1 1\n1 0 2\n", 3),   # duplicate pair
-            ("2\n0 1 -1\n", 2),         # non-positive weight
-            ("2\n0 1 0\n", 2),          # zero weight
-            ("2\n0 2 1\n", 2),          # index out of range
-            ("2\n0 1\n", 2),            # malformed line
-            ("x\n", 1),                 # bad count
-            ("", 1),                    # empty
-        ],
+        "text,line,message",
+        PARSE_ERRORS,
+        ids=[f"{text}-{line}" for text, line, _ in PARSE_ERRORS],
     )
-    def test_errors_carry_line_numbers(self, text, line):
+    def test_errors_carry_line_numbers(self, text, line, message):
         with pytest.raises(TwgParseError) as err:
             parse_twg(text)
         assert err.value.line == line
+        assert str(err.value) == f"line {line}: {message}"
 
     def test_roundtrip(self):
         g = path_graph([2.0, 1.0, 0.125])

@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+from _enumeration import scalar_hom_count, subset_graph_corpus
 from treewalk.errors import GraphError
 from treewalk.graphs import (
     WeightedGraph,
@@ -12,10 +13,12 @@ from treewalk.graphs import (
     star_graph,
 )
 from treewalk.homorder import (
+    _simple_canonical,
     connected_graph_corpus,
     conjecture_scan,
     corpus_dominates,
     hom_count,
+    hom_counts,
 )
 from treewalk.walks import average_hitting_time
 
@@ -77,14 +80,47 @@ class TestHomCount:
     def test_vertex_map_count_single_vertex_tree(self):
         assert hom_count(WeightedGraph(1, ()), complete_graph(4)) == 4
 
+    def test_rows_match_scalar_reference(self):
+        corpus = connected_graph_corpus(1, 6)
+        for n in range(1, 9):
+            for t in enumerate_free_trees(n):
+                assert hom_counts(t, corpus) == [scalar_hom_count(t, g) for g in corpus]
+
+    def test_empty_graph_list(self):
+        assert hom_counts(path_graph([1, 1]), []) == []
+
+    def test_single_vertex_targets_anywhere_in_the_list(self):
+        k1 = WeightedGraph(1, ())
+        graphs = [k1, complete_graph(2), k1, cycle_graph(4), k1]
+        for t in (WeightedGraph(1, ()), path_graph([1]), star_graph([1, 1, 1])):
+            assert hom_counts(t, graphs) == [scalar_hom_count(t, g) for g in graphs]
+        assert hom_counts(path_graph([1]), graphs) == [0, 2, 0, 8, 0]
+
+    def test_exact_past_int64(self):
+        k20 = complete_graph(20)
+        for size in range(2, 31):
+            t = path_graph([1] * (size - 1))
+            assert hom_count(t, k20) == 20 * 19 ** (size - 1)
+        assert 20 * 19**29 >= 2**63
+
 
 class TestCorpus:
     def test_connected_counts_by_size(self):
-        corpus = connected_graph_corpus()
+        corpus = connected_graph_corpus(2, 6)
         by_n = {}
         for g in corpus:
             by_n[g.n] = by_n.get(g.n, 0) + 1
-        assert by_n == {2: 1, 3: 2, 4: 6, 5: 21}
+        assert by_n == {2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
+
+    def test_matches_subset_enumeration(self):
+        def keys(graphs):
+            return [(g.n, _simple_canonical(g.n, [(u, v) for u, v, _ in g.edges])) for g in graphs]
+
+        levels = {n: keys(subset_graph_corpus(n, n)) for n in range(1, 7)}
+        for min_n in range(1, 7):
+            for max_n in range(min_n, 7):
+                want = [key for n in range(min_n, max_n + 1) for key in levels[n]]
+                assert keys(connected_graph_corpus(min_n, max_n)) == want
 
     def test_deterministic(self):
         a = connected_graph_corpus()
@@ -92,7 +128,7 @@ class TestCorpus:
         assert [g.edges for g in a] == [g.edges for g in b]
 
     def test_all_connected(self):
-        assert all(g.is_connected() for g in connected_graph_corpus())
+        assert all(g.is_connected() for g in connected_graph_corpus(1, 6))
 
     def test_guard(self):
         with pytest.raises(GraphError):
@@ -104,6 +140,7 @@ class TestDominance:
         corpus = connected_graph_corpus(2, 4)
         p = path_graph([1, 1, 1])
         assert corpus_dominates(p, p, corpus) == "equal-on-corpus"
+        assert corpus_dominates(p, p, []) == "equal-on-corpus"
 
     def test_star_dominates_path(self):
         corpus = [complete_graph(2), complete_graph(3), path_graph([1, 1])]
@@ -148,6 +185,13 @@ class TestConjectureScan:
         assert verdicts[(star_code, path_code)] == "dominates"
         assert verdicts[(path_code, star_code)] == "dominated"
         assert alphas[path_code] > alphas[star_code]
+
+    def test_empty_corpus_decides_nothing(self):
+        report = conjecture_scan(4, corpus=[])
+        assert report.corpus_size == 0
+        assert len(report.pairs) == 2
+        assert {p.verdict for p in report.pairs} == {"equal-on-corpus"}
+        assert report.violations == ()
 
     def test_dominant_pairs_have_witnesses(self):
         report = conjecture_scan(5)
