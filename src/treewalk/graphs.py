@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DisconnectedError, GraphError, NotATreeError, TwgParseError
+from .errors import ConsistencyError, DisconnectedError, GraphError, NotATreeError, TwgParseError
 
 WEIGHT_FORMAT = ".12g"
 
@@ -73,6 +73,7 @@ class WeightedGraph:
     ``edges`` is normalized at construction to a sorted tuple of
     ``(u, v, w)`` with ``u < v``. Connectivity is deliberately not an
     invariant; operations that need it call :meth:`require_connected`.
+    It is computed at most once per graph, like the neighbour lists.
     """
 
     n: int
@@ -191,8 +192,12 @@ class WeightedGraph:
             blocks.append(frozenset(block))
         return tuple(sorted(blocks, key=min))
 
-    def is_connected(self) -> bool:
+    @cached_property
+    def _connected(self) -> bool:
         return len(self.components()) == 1
+
+    def is_connected(self) -> bool:
+        return self._connected
 
     def is_tree(self) -> bool:
         return len(self.edges) == self.n - 1 and self.is_connected()
@@ -339,25 +344,74 @@ def format_twg(g: WeightedGraph) -> str:
 # -- canonical form ----------------------------------------------------------
 
 
-def tree_centers(t: WeightedGraph) -> tuple[int, ...]:
-    """The 1 or 2 central vertices of a tree (weight-agnostic)."""
-    t.require_tree()
-    if t.n <= 2:
-        return tuple(range(t.n))
-    adj = [set(v for v, _ in nbrs) for nbrs in t.neighbors]
-    remaining = t.n
-    layer = [v for v in range(t.n) if len(adj[v]) == 1]
+def _centres(n: int, neighbors: Sequence[Sequence[tuple[int, float]]]) -> list[int]:
+    """The 1 or 2 central vertices of a tree given by its neighbour lists.
+
+    Leaves are peeled layer by layer on a degree count. On a graph with
+    a cycle the peeling runs out of leaves before 2 vertices are left,
+    and that raises ``ConsistencyError``.
+    """
+    if n <= 2:
+        return list(range(n))
+    degree = [len(a) for a in neighbors]
+    layer = [v for v in range(n) if degree[v] == 1]
+    remaining = n
     while remaining > 2:
+        if not layer:
+            raise ConsistencyError("leaf peeling stalled: the graph is not a tree")
         remaining -= len(layer)
         nxt = []
         for leaf in layer:
-            for nb in adj[leaf]:
-                adj[nb].discard(leaf)
-                if len(adj[nb]) == 1:
+            for nb, _ in neighbors[leaf]:
+                degree[nb] -= 1
+                if degree[nb] == 1:
                     nxt.append(nb)
-            adj[leaf].clear()
         layer = nxt
-    return tuple(sorted(layer))
+    return sorted(layer)
+
+
+def tree_centers(t: WeightedGraph) -> tuple[int, ...]:
+    """The 1 or 2 central vertices of a tree (weight-agnostic)."""
+    t.require_tree()
+    return tuple(_centres(t.n, t.neighbors))
+
+
+def _tree_code(n: int, neighbors: Sequence[Sequence[tuple[int, float]]]) -> str:
+    """The canonical code of the tree with these neighbour lists (see ``canonical_form``).
+
+    The lists need not be sorted. A graph that is not a tree raises
+    ``ConsistencyError``: a cycle stalls the centre search, and a
+    forest leaves vertices that the search from the centre(s) misses.
+    """
+    centres = _centres(n, neighbors)
+    parent = [-1] * n
+    label = [""] * n
+    if len(centres) == 2:  # each centre hangs below the other
+        a, b = centres
+        centre_edge = next((format_weight(w) for y, w in neighbors[a] if y == b), None)
+        if centre_edge is None:
+            raise ConsistencyError("the two centres are not adjacent: the graph is not a tree")
+        parent[a], parent[b] = b, a
+    order = list(centres)
+    for x in order:
+        for y, w in neighbors[x]:
+            if y != parent[x]:
+                parent[y], label[y] = x, format_weight(w)
+                order.append(y)
+    if len(order) != n:
+        raise ConsistencyError("the search from the centre missed a vertex: the graph is not a tree")
+    kids: list[list[str]] = [[] for _ in range(n)]
+
+    def code(x: int, above: str) -> str:
+        return "(" + above + "|" + "".join(sorted(kids[x])) + ")"
+
+    for x in reversed(order[len(centres):]):
+        kids[parent[x]].append(code(x, label[x]))
+        kids[x] = []  # frees the subtree's codes: a path keeps O(n) text alive, not O(n^2)
+    if len(centres) == 1:
+        return code(centres[0], "")
+    kids[a], kids[b] = kids[a] + [code(b, centre_edge)], kids[b] + [code(a, centre_edge)]
+    return min(code(a, ""), code(b, ""))
 
 
 def canonical_form(t: WeightedGraph) -> str:
@@ -370,31 +424,8 @@ def canonical_form(t: WeightedGraph) -> str:
     Codes are built bottom-up over a breadth-first search from the
     center(s), so a deep tree needs no deep stack.
     """
-    centres = tree_centers(t)
-    parent = [-1] * t.n
-    label = [""] * t.n
-    if len(centres) == 2:  # each centre hangs below the other
-        a, b = centres
-        parent[a], parent[b] = b, a
-    order = list(centres)
-    for x in order:
-        for y, w in t.neighbors[x]:
-            if y != parent[x]:
-                parent[y], label[y] = x, format_weight(w)
-                order.append(y)
-    kids: list[list[str]] = [[] for _ in range(t.n)]
-
-    def code(x: int, above: str) -> str:
-        return "(" + above + "|" + "".join(sorted(kids[x])) + ")"
-
-    for x in reversed(order[len(centres):]):
-        kids[parent[x]].append(code(x, label[x]))
-        kids[x] = []  # frees the subtree's codes: a path keeps O(n) text alive, not O(n^2)
-    if len(centres) == 1:
-        return code(centres[0], "")
-    centre_edge = format_weight(t.weight(a, b))
-    kids[a], kids[b] = kids[a] + [code(b, centre_edge)], kids[b] + [code(a, centre_edge)]
-    return min(code(a, ""), code(b, ""))
+    t.require_tree()
+    return _tree_code(t.n, t.neighbors)
 
 
 # -- enumeration -------------------------------------------------------------
@@ -449,29 +480,40 @@ def _rooted_level_sequences(n: int) -> Iterator[tuple[int, ...]]:
             s[i] = s[i - period]
 
 
+def _level_parents(levels: Sequence[int]) -> list[int]:
+    """Parent of every vertex of a rooted level sequence: the nearest shallower vertex before it."""
+    last: dict[int, int] = {}  # level -> latest vertex at that level
+    parents = []
+    for i, level in enumerate(levels):
+        parents.append(last.get(level - 1, -1))
+        last[level] = i
+    return parents
+
+
 def level_sequence_tree(levels: Sequence[int]) -> WeightedGraph:
     """Unit-weight tree from a rooted level sequence (parent = nearest shallower)."""
-    n = len(levels)
-    edges = []
-    for i in range(1, n):
-        parent = max(j for j in range(i) if levels[j] == levels[i] - 1)
-        edges.append((parent, i, 1.0))
-    return WeightedGraph(n, tuple(edges))
+    parents = _level_parents(levels)
+    return WeightedGraph(len(levels), tuple((parents[i], i, 1.0) for i in range(1, len(levels))))
 
 
 def enumerate_free_trees(n: int) -> list[WeightedGraph]:
-    """One unit-weight representative per isomorphism class of trees on n vertices."""
+    """One unit-weight representative per isomorphism class of trees on n vertices.
+
+    Each rooted level sequence is coded from its neighbour lists; only
+    the first sequence of each class becomes a ``WeightedGraph``.
+    """
     if not 1 <= n <= FREE_TREE_MAX:
         raise GraphError(f"free-tree enumeration supports 1 <= n <= {FREE_TREE_MAX}")
     if n == 1:
         return [WeightedGraph(1, ())]
-    reps: dict[str, WeightedGraph] = {}
+    reps: dict[str, tuple[int, ...]] = {}
     for levels in _rooted_level_sequences(n):
-        t = level_sequence_tree(levels)
-        code = canonical_form(t)
-        if code not in reps:
-            reps[code] = t
-    return [reps[c] for c in sorted(reps)]
+        neighbors: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+        for i, p in enumerate(_level_parents(levels)[1:], start=1):
+            neighbors[p].append((i, 1.0))
+            neighbors[i].append((p, 1.0))
+        reps.setdefault(_tree_code(n, neighbors), levels)
+    return [level_sequence_tree(reps[c]) for c in sorted(reps)]
 
 
 # -- random trees (seeded; used by the verification suites) -----------------

@@ -9,6 +9,14 @@ strictly decreases the average hitting time and a legal volume move
 strictly decreases Kemeny's constant. Iterating moves over a family of
 trees with a fixed weight multiset yields a partial order whose Hasse
 diagram this module constructs and renders as DOT.
+
+One rooted pass per tree gives, for every tree edge xy, the bitmask of
+the vertices on y's side. T1 is v1's side of (v1, v2) and T3 is v3's
+side of (v2, v3), both seen from v2; T2 is the rest. Every move of a
+tree, its legality and its components come from that one pass, and
+each block's volume is summed once per tree. ``build_hasse`` codes a
+move's result from the tree's neighbour lists with the moved edge
+swapped, without building the result as a graph.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
 
 from .errors import ConsistencyError, GraphError
-from .graphs import WeightedGraph, canonical_form, format_weight
+from .graphs import WeightedGraph, _tree_code, canonical_form, format_weight, rooted_order
 from .forests import alpha_forest, kappa_forest
 
 MODE_SIZE = "size"
@@ -72,30 +80,59 @@ def _check_mode(mode: str) -> None:
         raise GraphError(f"unknown transfer mode {mode!r}")
 
 
+def _sides(t: WeightedGraph) -> dict[tuple[int, int], int]:
+    """For every ordered tree edge (x, y), the bitmask of the vertices on y's side.
+
+    One rooted pass: the side below an edge is the child's subtree, the
+    side above it is the rest of the tree.
+    """
+    t.require_tree()
+    order, parent = rooted_order(t)
+    below = [1 << x for x in range(t.n)]
+    for x in reversed(order[1:]):
+        below[parent[x]] |= below[x]
+    full = (1 << t.n) - 1
+    sides = {}
+    for x in order[1:]:
+        sides[parent[x], x] = below[x]
+        sides[x, parent[x]] = full ^ below[x]
+    return sides
+
+
+def _blocks(
+    t: WeightedGraph, sides: dict[tuple[int, int], int], v1: int, v2: int, v3: int
+) -> tuple[int, int, int]:
+    """Bitmasks of T1, T2, T3 for the move (v1, v2, v3): v1's and v3's sides seen from v2, and the rest."""
+    if v1 == v3 or (v2, v1) not in sides or (v2, v3) not in sides:
+        raise GraphError("move edges not present in tree")
+    b1, b3 = sides[v2, v1], sides[v2, v3]
+    return b1, ((1 << t.n) - 1) ^ b1 ^ b3, b3
+
+
+def _stats(
+    t: WeightedGraph, sides: dict[tuple[int, int], int], v1: int, v2: int, v3: int, mode: str,
+    volumes: dict[int, float],
+) -> tuple[float, float]:
+    """The compared statistics of T1 and T2: sizes, or volumes as graphs of their own.
+
+    A block's own volume is twice its internal weight. ``volumes`` keeps
+    the volumes computed so far for this tree.
+    """
+    b1, b2, _ = _blocks(t, sides, v1, v2, v3)
+    if mode == MODE_SIZE:
+        return float(b1.bit_count()), float(b2.bit_count())
+    for b in (b1, b2):
+        if b not in volumes:
+            volumes[b] = 2.0 * sum(w for u, v, w in t.edges if b >> u & 1 and b >> v & 1)
+    return volumes[b1], volumes[b2]
+
+
 def transfer_components(
     t: WeightedGraph, v1: int, v2: int, v3: int
 ) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
     """Components of T minus {e1, e2} containing v1, v2, v3 respectively."""
-    blocks = t.components(removed=((v1, v2), (v2, v3)))
-    by_vertex = {}
-    for block in blocks:
-        for x in block:
-            by_vertex[x] = block
-    return by_vertex[v1], by_vertex[v2], by_vertex[v3]
-
-
-def _standalone_volume(t: WeightedGraph, block: frozenset[int]) -> float:
-    """Volume of a component as a graph of its own: twice its internal weight."""
-    return 2.0 * sum(w for u, v, w in t.edges if u in block and v in block)
-
-
-def _component_stats(
-    t: WeightedGraph, v1: int, v2: int, v3: int, mode: str
-) -> tuple[float, float]:
-    b1, b2, _ = transfer_components(t, v1, v2, v3)
-    if mode == MODE_SIZE:
-        return float(len(b1)), float(len(b2))
-    return _standalone_volume(t, b1), _standalone_volume(t, b2)
+    blocks = _blocks(t, _sides(t), v1, v2, v3)
+    return tuple(frozenset(x for x in range(t.n) if b >> x & 1) for b in blocks)
 
 
 def _strictly_greater(a: float, b: float) -> bool:
@@ -105,7 +142,8 @@ def _strictly_greater(a: float, b: float) -> bool:
 def legal_moves(t: WeightedGraph, mode: str) -> list[TransferMove]:
     """All legal moves, both orientations of every adjacent edge pair."""
     _check_mode(mode)
-    t.require_tree()
+    sides = _sides(t)
+    volumes: dict[int, float] = {}
     moves = []
     for v2 in range(t.n):
         nbrs = [v for v, _ in t.neighbors[v2]]
@@ -113,7 +151,7 @@ def legal_moves(t: WeightedGraph, mode: str) -> list[TransferMove]:
             for v3 in nbrs:
                 if v1 == v3:
                     continue
-                s1, s2 = _component_stats(t, v1, v2, v3, mode)
+                s1, s2 = _stats(t, sides, v1, v2, v3, mode, volumes)
                 if _strictly_greater(s1, s2):
                     moves.append(TransferMove(v1, v2, v3, mode, s1, s2))
     return moves
@@ -122,9 +160,7 @@ def legal_moves(t: WeightedGraph, mode: str) -> list[TransferMove]:
 def apply_move(t: WeightedGraph, move: TransferMove) -> WeightedGraph:
     """Tree with e2 = (v2, v3) replaced by (v1, v3) at the same weight."""
     v1, v2, v3 = move.v1, move.v2, move.v3
-    if not (t.has_edge(v1, v2) and t.has_edge(v2, v3)):
-        raise GraphError("move edges not present in tree")
-    s1, s2 = _component_stats(t, v1, v2, v3, move.mode)
+    s1, s2 = _stats(t, _sides(t), v1, v2, v3, move.mode, {})
     if not _strictly_greater(s1, s2):
         raise GraphError("illegal move: component statistics not strictly decreasing")
     w2 = t.weight(v2, v3)
@@ -133,6 +169,22 @@ def apply_move(t: WeightedGraph, move: TransferMove) -> WeightedGraph:
     if not out.is_tree():
         raise ConsistencyError(f"move {move} did not leave a tree")
     return out
+
+
+def _moved_code(t: WeightedGraph, move: TransferMove) -> str:
+    """Canonical code of ``apply_move(t, move)`` for a move of ``legal_moves(t)``.
+
+    Only the neighbour lists of v1, v2 and v3 change. The result is a
+    tree because v1 lies outside v3's side of (v2, v3), so it is coded
+    without building or checking a graph.
+    """
+    v1, v2, v3 = move.v1, move.v2, move.v3
+    w2 = t.weight(v2, v3)
+    neighbors = list(t.neighbors)
+    neighbors[v1] = neighbors[v1] + ((v3, w2),)
+    neighbors[v2] = tuple(p for p in neighbors[v2] if p[0] != v3)
+    neighbors[v3] = tuple(p for p in neighbors[v3] if p[0] != v2) + ((v1, w2),)
+    return _tree_code(t.n, neighbors)
 
 
 def verify_monotonicity(t: WeightedGraph, move: TransferMove) -> tuple[float, float]:
@@ -181,8 +233,7 @@ def build_hasse(trees: list[WeightedGraph], mode: str) -> HasseDiagram:
     for i, t in enumerate(reps):
         succ = set()
         for move in legal_moves(t, mode):
-            code = canonical_form(apply_move(t, move))
-            j = index.get(code)
+            j = index.get(_moved_code(t, move))
             if j is None:
                 raise GraphError("move left the provided family; family is incomplete")
             if j != i:

@@ -4,13 +4,15 @@ from itertools import permutations
 
 import pytest
 
+import _transfer_oracle as oracle
 from _enumeration import enumerate_labeled_trees, recursive_canonical_form, remove_edges_partition
-from treewalk.errors import GraphError, NotATreeError, TwgParseError
+from treewalk.errors import ConsistencyError, GraphError, NotATreeError, TwgParseError
 from treewalk.extremal import tree_family
 from treewalk.graphs import (
     FREE_TREE_COUNTS,
     FREE_TREE_MAX,
     WeightedGraph,
+    _tree_code,
     canonical_form,
     complete_graph,
     cycle_graph,
@@ -244,6 +246,30 @@ class TestCanonicalForm:
         code = canonical_form(path_graph([1.0] * 4999))
         assert code.count("(") == 5000
 
+    def test_code_builder_refuses_a_cycle(self):
+        # a 4-cycle with a pendant vertex: peeling takes the pendant, then finds no leaf
+        g = WeightedGraph(5, ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0), (3, 4, 1.0)))
+        with pytest.raises(ConsistencyError, match="peeling stalled"):
+            _tree_code(g.n, g.neighbors)
+        with pytest.raises(NotATreeError):
+            canonical_form(g)
+
+    @pytest.mark.parametrize(
+        "n,edges",
+        [
+            (5, ((0, 1), (2, 3), (3, 4))),  # P2 + P3: one centre, the P2 missed
+            (6, ((0, 1), (1, 2), (3, 4), (4, 5))),  # P3 + P3: two centres, not adjacent
+            (3, ((0, 1),)),  # P2 + an isolated vertex: no centre
+            (2, ()),
+        ],
+    )
+    def test_code_builder_refuses_a_forest(self, n, edges):
+        g = WeightedGraph(n, tuple((u, v, 1.0) for u, v in edges))
+        with pytest.raises(ConsistencyError, match="not a tree"):
+            _tree_code(g.n, g.neighbors)
+        with pytest.raises(NotATreeError):
+            canonical_form(g)
+
 
 class TestEnumeration:
     @pytest.mark.parametrize("n,count", [(1, 1), (2, 1), (3, 3), (4, 16), (5, 125), (6, 1296)])
@@ -282,6 +308,10 @@ class TestEnumeration:
     def test_free_trees_match_prufer_dedup_n8(self):
         via_prufer = {canonical_form(t) for t in enumerate_labeled_trees(8)}
         assert via_prufer == {canonical_form(t) for t in enumerate_free_trees(8)}
+
+    @pytest.mark.parametrize("n", range(1, FREE_TREE_MAX + 1))
+    def test_free_trees_match_graph_per_sequence_dedup(self, n):
+        assert enumerate_free_trees(n) == oracle.free_trees(n)
 
     def test_prufer_decode_example(self):
         t = prufer_tree((3, 3, 3, 4), 6)

@@ -1,13 +1,18 @@
+import functools
 import random
 
 import pytest
 
+import _transfer_oracle as oracle
 from _enumeration import is_star_graph
-from treewalk.errors import ConsistencyError, GraphError
+from treewalk.errors import ConsistencyError, GraphError, NotATreeError
+from treewalk.extremal import tree_family
 from treewalk.forests import alpha_forest, kappa_forest, tree_cut
 from treewalk.graphs import (
     canonical_form,
+    cycle_graph,
     enumerate_free_trees,
+    format_weight,
     is_path_graph,
     path_graph,
     random_weighted_tree,
@@ -23,6 +28,21 @@ from treewalk.transfers import (
 )
 
 P4 = path_graph([1, 1, 1])
+
+# weight multisets whose families the per-pair oracle checks
+ORACLE_FAMILIES = {
+    "distinct": (6, 5, 4, 3, 2, 1),
+    "repeated": (2, 2, 1, 1),
+    "tie-12-digits": (3.0, 3.0 + 4e-13, 2.0, 1.0, 1.0 + 1e-13),  # equal to 12 significant digits
+    "spread": (1e-6, 1e-3, 1.0, 1e3, 1e6),
+}
+
+
+@functools.cache
+def oracle_family(name):
+    if name.startswith("free-"):
+        return enumerate_free_trees(int(name[5:]))
+    return tree_family(ORACLE_FAMILIES[name])
 
 
 class TestMoves:
@@ -214,8 +234,6 @@ class TestHasse:
     @pytest.mark.parametrize("mode", ["size", "volume"])
     @pytest.mark.parametrize("family", ["weighted-3,2,1,0.5", "free-8"])
     def test_covers_close_to_move_reachability(self, family, mode):
-        from treewalk.extremal import tree_family
-
         trees = tree_family([3, 2, 1, 0.5]) if family.startswith("weighted") else enumerate_free_trees(8)
         h = build_hasse(trees, mode)
         index = {code: i for i, code in enumerate(h.nodes)}
@@ -245,17 +263,19 @@ class TestHasse:
         trees = enumerate_free_trees(5)  # path, spider, star
         nxt = {canonical_form(t): trees[(k + 1) % 3] for k, t in enumerate(trees)}
         monkeypatch.setattr(transfers, "legal_moves", lambda t, mode: [None])
-        monkeypatch.setattr(transfers, "apply_move", lambda t, move: nxt[canonical_form(t)])
+        monkeypatch.setattr(transfers, "_moved_code", lambda t, move: canonical_form(nxt[canonical_form(t)]))
         with pytest.raises(ConsistencyError, match="lead back"):
             build_hasse(trees, "size")
+
+    def test_non_tree_rejected(self):
+        with pytest.raises(NotATreeError):
+            build_hasse([cycle_graph(4)], "size")
 
     def test_mixed_multisets_rejected(self):
         with pytest.raises(GraphError):
             build_hasse([path_graph([1, 1]), path_graph([2, 1])], "size")
 
     def test_weighted_family_acyclic_order(self):
-        from treewalk.extremal import tree_family
-
         trees = tree_family([3.0, 2.0, 1.0, 0.5])
         h = build_hasse(trees, "size")
         # alpha must strictly decrease along every cover
@@ -265,8 +285,6 @@ class TestHasse:
     def test_weighted_family_extremes(self):
         # maximal elements are exactly the weighted paths; the star is the
         # unique minimal element, in both modes
-        from treewalk.extremal import tree_family
-
         trees = tree_family([3.0, 2.0, 1.0, 0.5])
         path_indices = {i for i, t in enumerate(trees) if is_path_graph(t)}
         for mode, stat in (("size", alpha_forest), ("volume", kappa_forest)):
@@ -286,3 +304,49 @@ class TestHasse:
         assert a == b
         assert a.startswith("digraph hasse {")
         assert a.count("->") == 2
+
+
+class TestAgainstPerPairOracle:
+    """The subtree-pass moves and neighbour-list codes against one search per pair and one graph per result."""
+
+    FAMILIES = sorted(ORACLE_FAMILIES) + [f"free-{n}" for n in range(1, 10)]
+
+    def test_tie_family_has_ties(self):
+        ws = ORACLE_FAMILIES["tie-12-digits"]
+        assert len(set(ws)) == 5
+        assert len({format_weight(w) for w in ws}) == 3
+
+    @pytest.mark.parametrize("mode", ["size", "volume"])
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_legal_moves(self, name, mode):
+        for t in oracle_family(name):
+            got, want = legal_moves(t, mode), oracle.legal_moves(t, mode)
+            # dataclass equality compares the positive float stats exactly
+            assert got == want
+            assert [(m.t1_stat.hex(), m.t2_stat.hex()) for m in got] == [
+                (m.t1_stat.hex(), m.t2_stat.hex()) for m in want
+            ]
+
+    @pytest.mark.parametrize("mode", ["size", "volume"])
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_build_hasse(self, name, mode):
+        trees = oracle_family(name)
+        got, want = build_hasse(trees, mode), oracle.build_hasse(trees, mode)
+        assert got.nodes == want.nodes
+        assert got.covers == want.covers
+        assert got.representatives == want.representatives
+        assert hasse_to_dot(got) == hasse_to_dot(want)
+
+    def test_transfer_components(self):
+        for t in oracle_family("free-8"):
+            for v2 in range(t.n):
+                nbrs = [v for v, _ in t.neighbors[v2]]
+                for v1 in nbrs:
+                    for v3 in nbrs:
+                        if v1 != v3:
+                            assert transfer_components(t, v1, v2, v3) == oracle.components(t, v1, v2, v3)
+
+    def test_missing_move_edges_rejected(self):
+        for v1, v2, v3 in ((0, 1, 0), (0, 2, 3), (0, 1, 3)):
+            with pytest.raises(GraphError, match="not present"):
+                transfer_components(P4, v1, v2, v3)
