@@ -3,11 +3,19 @@
 hom(T, G) counts edge-preserving maps from a tree T into a simple graph
 G. ``hom_counts`` gives one tree's counts into a whole list of graphs
 from one bottom-up dynamic program over the tree, run on the graphs'
-concatenated adjacency lists with numpy; counts are exact integers.
+concatenated adjacency lists with numpy; the conjecture scan builds
+that table once and runs every tree's program on it. Counts are exact
+integers.
+
 The corpus of connected graphs is grown one vertex at a time: every
 connected graph has a non-cut vertex, so each class on n vertices is a
 class on n - 1 vertices plus a new vertex joined to a nonempty vertex
-subset, and a canonical edge list removes the repeats.
+subset. An edge set on n vertices is a bitmask with the pair (0, 1) in
+the highest bit and the pairs in lexicographic order below it, so among
+edge sets of one size the larger mask is the lexicographically smaller
+sorted edge list. A candidate's canonical edge list is therefore its
+largest mask over the relabelings that sort degrees descending, found
+for a whole level in a few numpy passes and decoded back to edge lists.
 
 Comparing two trees by domination of hom counts over every simple graph
 defines a partial order; a finite corpus can only approximate it, so the
@@ -21,8 +29,8 @@ violation may be a corpus false positive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
-from typing import Collection, Sequence
+from itertools import combinations, compress, permutations, product
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -80,19 +88,22 @@ class HomDominanceReport:
         }
 
 
-def hom_counts(t: WeightedGraph, graphs: Sequence[WeightedGraph]) -> list[int]:
-    """Exact number of homomorphisms from tree t into each simple graph.
+def _hom_matrix(trees: Sequence[WeightedGraph], graphs: Sequence[WeightedGraph]) -> np.ndarray:
+    """hom(t, g) for every tree against every graph, one row per tree.
 
-    One dynamic program over a rooted orientation of t, run on all the
-    graphs' vertices at once: a tree vertex's table entry at image a
-    multiplies, over its children, the sums of the child tables over the
-    neighbours of a. No entry exceeds max |V(G)| * maxdeg^(|T|-1), so
-    the tables are int64 when that bound fits and Python integers
-    otherwise; either way the counts are exact.
+    The graphs' adjacency lists are concatenated once, and each tree
+    runs one bottom-up dynamic program over a rooted orientation on
+    that table, all graphs' vertices at once: a tree vertex's entry at
+    image a multiplies, over its children, the sums of the child
+    entries over the neighbours of a. No entry exceeds
+    max |V(G)| * maxdeg^(|T|-1), so the tables are int64 when that bound
+    fits for the largest tree and Python integers otherwise; either way
+    the counts are exact.
     """
-    t.require_tree()
+    for t in trees:
+        t.require_tree()
     if not graphs:
-        return []
+        return np.zeros((len(trees), 0), dtype=np.int64)
     first, deg, nbr = [], [], []
     for g in graphs:
         offset = len(deg)
@@ -100,20 +111,28 @@ def hom_counts(t: WeightedGraph, graphs: Sequence[WeightedGraph]) -> list[int]:
         for adj in g.neighbors:
             deg.append(len(adj))
             nbr.extend(offset + v for v, _ in adj)
-    bound = max(g.n for g in graphs) * max(deg) ** (t.n - 1)
+    bound = max(g.n for g in graphs) * max(deg) ** (max(t.n for t in trees) - 1)
     dtype = np.int64 if bound < 2**63 else object
     deg = np.array(deg)
     nbr = np.array(nbr, dtype=np.intp)
     # reduceat sums a segment of length zero to the element at its start
     has_nbr = deg > 0
     seg = (np.cumsum(deg) - deg)[has_nbr]
-    order, parent = rooted_order(t)
-    table = np.ones((t.n, len(deg)), dtype=dtype)
-    for x in reversed(order[1:]):
-        sums = np.zeros(len(deg), dtype=dtype)
-        sums[has_nbr] = np.add.reduceat(table[x][nbr], seg)
-        table[parent[x]] *= sums
-    return np.add.reduceat(table[0], first).tolist()
+    counts = np.empty((len(trees), len(graphs)), dtype=dtype)
+    for i, t in enumerate(trees):
+        order, parent = rooted_order(t)
+        table = np.ones((t.n, len(deg)), dtype=dtype)
+        for x in reversed(order[1:]):
+            sums = np.zeros(len(deg), dtype=dtype)
+            sums[has_nbr] = np.add.reduceat(table[x][nbr], seg)
+            table[parent[x]] *= sums
+        counts[i] = np.add.reduceat(table[0], first)
+    return counts
+
+
+def hom_counts(t: WeightedGraph, graphs: Sequence[WeightedGraph]) -> list[int]:
+    """Exact number of homomorphisms from tree t into each simple graph (one row of _hom_matrix)."""
+    return _hom_matrix([t], graphs)[0].tolist()
 
 
 def hom_count(t: WeightedGraph, g: WeightedGraph) -> int:
@@ -121,30 +140,64 @@ def hom_count(t: WeightedGraph, g: WeightedGraph) -> int:
     return hom_counts(t, [g])[0]
 
 
-def _simple_canonical(n: int, pairs: Collection[tuple[int, int]]) -> tuple:
-    """Minimum edge list over relabelings that sort degrees descending.
+def _next_level(prev: np.ndarray) -> tuple[list[tuple], np.ndarray]:
+    """Canonical edge lists of the classes one vertex larger, sorted, and their adjacency.
 
-    Restricting to arrangements with non-increasing degree by new label
-    is isomorphism-invariant, so the minimum is a proper canonical form
-    while skipping most of the n! relabelings.
+    prev holds the adjacency matrices of the classes on n - 1 vertices.
+    Every (class, nonempty subset) candidate gets the largest edge mask
+    over the relabelings that sort its degrees descending. Candidates
+    with the same degree-block sizes and edge count share one array of
+    such relabelings (permutations within blocks), read as the new
+    label of each place in the candidate's own descending-degree order.
+    The masks are decoded to edge lists and the classes sorted by those,
+    not by mask: mask order follows list order only between edge sets
+    of one size.
     """
-    deg = [0] * n
-    for u, v in pairs:
-        deg[u] += 1
-        deg[v] += 1
-    groups = [
-        [v for v in range(n) if deg[v] == d] for d in sorted(set(deg), reverse=True)
-    ]
-    best = None
-    for parts in product(*(permutations(group) for group in groups)):
-        arrangement = [v for part in parts for v in part]
-        pos = [0] * n
-        for i, v in enumerate(arrangement):
-            pos[v] = i
-        relabeled = tuple(sorted(tuple(sorted((pos[u], pos[v]))) for u, v in pairs))
-        if best is None or relabeled < best:
-            best = relabeled
-    return best
+    count, new = prev.shape[0], prev.shape[1]
+    n = new + 1
+    pairs = list(combinations(range(n), 2))  # lexicographic; pair p is bit len(pairs) - 1 - p
+    top = len(pairs) - 1
+    lo, hi = np.array(pairs).T
+    bit = np.zeros((n, n), dtype=np.int64)
+    bit[lo, hi] = bit[hi, lo] = [1 << (top - p) for p in range(len(pairs))]
+    joins = np.array([[s >> v & 1 for v in range(new)] for s in range(1, 1 << new)], dtype=bool)
+    adj = np.zeros((count, len(joins), n, n), dtype=bool)
+    adj[:, :, :new, :new] = prev[:, None]
+    adj[:, :, :new, new] = joins
+    adj[:, :, new, :new] = joins
+    adj = adj.reshape(-1, n, n)
+
+    present = adj[:, lo, hi]
+    deg = adj.sum(axis=2)
+    mine, other = deg[:, :, None], deg[:, None, :]
+    start = (other > mine).sum(axis=2)  # first place of each vertex's degree block
+    earlier = np.arange(n) < np.arange(n)[:, None]
+    rank = start + ((other == mine) & earlier).sum(axis=2)  # ties keep label order
+    opens = (start[:, :, None] == np.arange(n)).any(axis=1)  # a block opens at this place
+    keys = (opens * [1 << p for p in range(n)]).sum(axis=1) * (len(pairs) + 1) + present.sum(axis=1)
+
+    masks = np.empty(len(adj), dtype=np.int64)
+    relabelings = {}
+    for key in set(keys.tolist()):
+        rows = np.flatnonzero(keys == key)
+        cuts = [*np.flatnonzero(opens[rows[0]]).tolist(), n]
+        blocks = tuple(zip(cuts, cuts[1:]))
+        if blocks not in relabelings:
+            relabelings[blocks] = np.array([
+                sum(parts, ())
+                for parts in product(*(permutations(range(a, b)) for a, b in blocks))
+            ])
+        places = relabelings[blocks]
+        edges = present[rows].nonzero()[1].reshape(len(rows), -1)
+        ends_u = np.take_along_axis(rank[rows], lo[edges], axis=1)
+        ends_v = np.take_along_axis(rank[rows], hi[edges], axis=1)
+        masks[rows] = bit[places[:, ends_u], places[:, ends_v]].sum(axis=2).max(axis=0)
+
+    found = ([m >> (top - p) & 1 for p in range(len(pairs))] for m in set(masks.tolist()))
+    decoded = sorted((tuple(compress(pairs, row)), row) for row in found)
+    level = np.zeros((len(decoded), n, n), dtype=bool)
+    level[:, lo, hi] = level[:, hi, lo] = np.array([row for _, row in decoded], dtype=bool)
+    return [edges for edges, _ in decoded], level
 
 
 def connected_graph_corpus(min_n: int = 2, max_n: int = 5) -> list[WeightedGraph]:
@@ -157,35 +210,43 @@ def connected_graph_corpus(min_n: int = 2, max_n: int = 5) -> list[WeightedGraph
     graph connected, so every class is reached.
     """
     if not 1 <= min_n <= max_n <= CORPUS_VERTEX_MAX:
-        raise GraphError(f"corpus guarded to {CORPUS_VERTEX_MAX} vertices")
+        raise GraphError(
+            f"corpus needs 1 <= min_n <= max_n <= {CORPUS_VERTEX_MAX}, got min_n={min_n}, max_n={max_n}"
+        )
     level: list[tuple] = [()]  # the one class on a single vertex
+    adj = np.zeros((1, 1, 1), dtype=bool)
     corpus = []
     for n in range(1, max_n + 1):
         if n > 1:
-            new = n - 1
-            level = sorted({
-                _simple_canonical(n, pairs + tuple((v, new) for v in range(new) if mask >> v & 1))
-                for pairs in level
-                for mask in range(1, 1 << new)
-            })
+            level, adj = _next_level(adj)
         if n >= min_n:
             corpus.extend(WeightedGraph(n, tuple((u, v, 1.0) for u, v in pairs)) for pairs in level)
     return corpus
 
 
-def _compare_counts(counts_a: list[int], counts_b: list[int]) -> tuple[str, tuple[int, int, int] | None]:
-    ge = all(a >= b for a, b in zip(counts_a, counts_b))
-    le = all(a <= b for a, b in zip(counts_a, counts_b))
-    witness = next(
-        ((i, a, b) for i, (a, b) in enumerate(zip(counts_a, counts_b)) if a != b), None
-    )
-    if witness is None:
-        return EQUAL, None
-    if ge:
-        return DOMINATES, witness
-    if le:
-        return DOMINATED, witness
-    return INCOMPARABLE, witness
+def _pair_verdicts(counts: np.ndarray) -> Iterator[tuple[int, int, str, tuple[int, int, int] | None]]:
+    """(i, j, verdict, witness) for every ordered pair of distinct rows, row by row.
+
+    Both comparisons and the first difference come from broadcasting the
+    count matrix against itself over the corpus axis.
+    """
+    a, b = counts[:, None], counts[None]
+    differ = a != b
+    # an empty corpus separates nothing, and argmax cannot search an empty axis
+    at = differ.argmax(axis=2) if counts.shape[1] else np.zeros(differ.shape[:2], dtype=np.intp)
+    kind = np.select(
+        [~differ.any(axis=2), (a >= b).all(axis=2), (a <= b).all(axis=2)], [0, 1, 2], default=3
+    ).tolist()
+    at = at.tolist()
+    rows = counts.tolist()
+    names = (EQUAL, DOMINATES, DOMINATED, INCOMPARABLE)
+    for i, row in enumerate(rows):
+        for j, other in enumerate(rows):
+            if i == j:
+                continue
+            k = kind[i][j]
+            f = at[i][j]
+            yield i, j, names[k], None if k == 0 else (f, row[f], other[f])
 
 
 def corpus_dominates(
@@ -194,7 +255,7 @@ def corpus_dominates(
     """Verdict of t against t2 over the corpus (necessary-condition semantics)."""
     if t.n != t2.n:
         raise GraphError("trees must have equal size")
-    verdict, _ = _compare_counts(hom_counts(t, corpus), hom_counts(t2, corpus))
+    _, _, verdict, _ = next(_pair_verdicts(_hom_matrix([t, t2], corpus)))
     return verdict
 
 
@@ -206,24 +267,19 @@ def conjecture_scan(n: int, corpus: list[WeightedGraph] | None = None) -> HomDom
     are collected, not raised.
     """
     if not 1 <= n <= SCAN_TREE_MAX:
-        raise GraphError(f"conjecture scan guarded to trees of size {SCAN_TREE_MAX}")
+        raise GraphError(f"conjecture scan needs 1 <= n <= {SCAN_TREE_MAX}, got n={n}")
     if corpus is None:
         corpus = connected_graph_corpus()
     trees = enumerate_free_trees(n)
     codes = [canonical_form(t) for t in trees]
     alphas = [average_hitting_time(t) if t.n > 1 else 0.0 for t in trees]
-    counts = [hom_counts(t, corpus) for t in trees]
 
     pairs = []
     violations = []
-    for i in range(len(trees)):
-        for j in range(len(trees)):
-            if i == j:
-                continue
-            verdict, witness = _compare_counts(counts[i], counts[j])
-            pairs.append(PairVerdict(codes[i], codes[j], verdict, witness))
-            if verdict == DOMINATES and alphas[j] < alphas[i] - ALPHA_SLACK:
-                violations.append((codes[i], codes[j], alphas[i], alphas[j]))
+    for i, j, verdict, witness in _pair_verdicts(_hom_matrix(trees, corpus)):
+        pairs.append(PairVerdict(codes[i], codes[j], verdict, witness))
+        if verdict == DOMINATES and alphas[j] < alphas[i] - ALPHA_SLACK:
+            violations.append((codes[i], codes[j], alphas[i], alphas[j]))
     return HomDominanceReport(
         tree_size=n,
         corpus_size=len(corpus),

@@ -6,17 +6,19 @@ both side volumes summed directly by math.fsum. None of it calls the
 routes it checks. Also every labeled tree by Pruefer decoding, the
 star predicate, the partition a set of edge cuts leaves and the
 recursive canonical coder, which only the tests use. Last, the graph
-corpus by enumerating every edge subset, and the homomorphism count by
-one Python dynamic program per target graph: the references for the
-corpus grown by vertex extension and for the array hom-count program.
+corpus by enumerating every edge subset and by vertex extension with a
+scalar canonical edge list, the homomorphism count by one Python
+dynamic program per target graph, and the dominance verdicts one pair
+of count lists at a time: the references for the array corpus levels,
+the array hom-count program and the broadcast verdicts.
 """
 
 import math
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from treewalk.errors import GraphError
 from treewalk.graphs import WeightedGraph, format_weight, prufer_tree, rooted_order, tree_centers
-from treewalk.homorder import _simple_canonical
+from treewalk.homorder import DOMINATED, DOMINATES, EQUAL, INCOMPARABLE
 
 ENUM_EDGE_MAX = 20
 LABELED_TREE_MAX = 9  # n^(n-2) blows up past this
@@ -133,6 +135,49 @@ def tree_stats(g):
     return vol / (g.n * g.n) * math.fsum(s_terms), math.fsum(v_terms) / vol
 
 
+def _simple_canonical(n, pairs):
+    """Minimum edge list over relabelings that sort degrees descending.
+
+    Restricting to arrangements with non-increasing degree by new label
+    is isomorphism-invariant, so the minimum is a proper canonical form
+    while skipping most of the n! relabelings.
+    """
+    deg = [0] * n
+    for u, v in pairs:
+        deg[u] += 1
+        deg[v] += 1
+    groups = [
+        [v for v in range(n) if deg[v] == d] for d in sorted(set(deg), reverse=True)
+    ]
+    best = None
+    for parts in product(*(permutations(group) for group in groups)):
+        arrangement = [v for part in parts for v in part]
+        pos = [0] * n
+        for i, v in enumerate(arrangement):
+            pos[v] = i
+        relabeled = tuple(sorted(tuple(sorted((pos[u], pos[v]))) for u, v in pairs))
+        if best is None or relabeled < best:
+            best = relabeled
+    return best
+
+
+def extension_graph_corpus(min_n, max_n):
+    """connected_graph_corpus with one _simple_canonical call per extension candidate."""
+    level = [()]
+    corpus = []
+    for n in range(1, max_n + 1):
+        if n > 1:
+            new = n - 1
+            level = sorted({
+                _simple_canonical(n, pairs + tuple((v, new) for v in range(new) if mask >> v & 1))
+                for pairs in level
+                for mask in range(1, 1 << new)
+            })
+        if n >= min_n:
+            corpus.extend(WeightedGraph(n, tuple((u, v, 1.0) for u, v in pairs)) for pairs in level)
+    return corpus
+
+
 def subset_graph_corpus(min_n, max_n):
     """connected_graph_corpus by testing every edge subset for connectivity.
 
@@ -172,3 +217,29 @@ def scalar_hom_count(t, g):
         for a in range(g.n):
             up[a] *= sum(child[b] for b in nbrs[a])
     return sum(table[0])
+
+
+def compare_counts(counts_a, counts_b):
+    """(verdict, witness) of one pair of count lists, by three passes over the corpus."""
+    ge = all(a >= b for a, b in zip(counts_a, counts_b))
+    le = all(a <= b for a, b in zip(counts_a, counts_b))
+    witness = next(
+        ((i, a, b) for i, (a, b) in enumerate(zip(counts_a, counts_b)) if a != b), None
+    )
+    if witness is None:
+        return EQUAL, None
+    if ge:
+        return DOMINATES, witness
+    if le:
+        return DOMINATED, witness
+    return INCOMPARABLE, witness
+
+
+def scalar_pair_verdicts(rows):
+    """(i, j, verdict, witness) for every ordered pair of distinct count lists, row by row."""
+    return [
+        (i, j, *compare_counts(rows[i], rows[j]))
+        for i in range(len(rows))
+        for j in range(len(rows))
+        if i != j
+    ]

@@ -177,6 +177,17 @@ class TestConjecture:
         out = capsys.readouterr().out
         assert "corpus-dominant" in out
 
+    @pytest.mark.parametrize("n", [0, 9])
+    def test_tree_size_out_of_range(self, n, capsys):
+        assert main(["conjecture", "--n", str(n), "--corpus-max", "3"]) == 2
+        assert f"conjecture scan needs 1 <= n <= 8, got n={n}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("corpus_max", [1, 7])
+    def test_corpus_max_out_of_range(self, corpus_max, capsys):
+        assert main(["conjecture", "--n", "5", "--corpus-max", str(corpus_max)]) == 2
+        err = capsys.readouterr().err
+        assert f"corpus needs 1 <= min_n <= max_n <= 6, got min_n=2, max_n={corpus_max}" in err
+
 
 class TestSimulate:
     def test_path3(self, twg, capsys):

@@ -2,7 +2,14 @@ from itertools import product
 
 import pytest
 
-from _enumeration import scalar_hom_count, subset_graph_corpus
+from _enumeration import (
+    _simple_canonical,
+    compare_counts,
+    extension_graph_corpus,
+    scalar_hom_count,
+    scalar_pair_verdicts,
+    subset_graph_corpus,
+)
 from treewalk.errors import GraphError
 from treewalk.graphs import (
     WeightedGraph,
@@ -13,7 +20,7 @@ from treewalk.graphs import (
     star_graph,
 )
 from treewalk.homorder import (
-    _simple_canonical,
+    ALPHA_SLACK,
     connected_graph_corpus,
     conjecture_scan,
     corpus_dominates,
@@ -122,6 +129,15 @@ class TestCorpus:
                 want = [key for n in range(min_n, max_n + 1) for key in levels[n]]
                 assert keys(connected_graph_corpus(min_n, max_n)) == want
 
+    def test_labels_match_extension_oracle(self):
+        levels = {}
+        for g in extension_graph_corpus(1, 6):
+            levels.setdefault(g.n, []).append(g.edges)
+        for min_n in range(1, 7):
+            for max_n in range(min_n, 7):
+                want = [edges for n in range(min_n, max_n + 1) for edges in levels[n]]
+                assert [g.edges for g in connected_graph_corpus(min_n, max_n)] == want
+
     def test_deterministic(self):
         a = connected_graph_corpus()
         b = connected_graph_corpus()
@@ -148,6 +164,14 @@ class TestDominance:
         assert corpus_dominates(s4, p4, corpus) == "dominates"
         assert corpus_dominates(p4, s4, corpus) == "dominated"
 
+    def test_matches_scalar_comparison(self):
+        corpus = connected_graph_corpus(2, 5)
+        trees = enumerate_free_trees(6)
+        rows = [[scalar_hom_count(t, g) for g in corpus] for t in trees]
+        for i, t in enumerate(trees):
+            for j, t2 in enumerate(trees):
+                assert corpus_dominates(t, t2, corpus) == compare_counts(rows[i], rows[j])[0]
+
     def test_size_mismatch_rejected(self):
         with pytest.raises(GraphError):
             corpus_dominates(path_graph([1]), path_graph([1, 1]), [complete_graph(2)])
@@ -168,7 +192,44 @@ class TestDominance:
                 assert corpus_dominates(path, t, corpus) == "dominated"
 
 
+def assert_scan_matches_scalar_loop(n, corpus):
+    """Verdicts, witnesses and violations equal the pair-at-a-time loop on scalar counts."""
+    report = conjecture_scan(n, corpus=corpus)
+    codes = [c for c, _ in report.alphas]
+    alphas = [a for _, a in report.alphas]
+    rows = [[scalar_hom_count(t, g) for g in corpus] for t in enumerate_free_trees(n)]
+    want = scalar_pair_verdicts(rows)
+    got = [(p.code_a, p.code_b, p.verdict, p.witness) for p in report.pairs]
+    assert got == [(codes[i], codes[j], verdict, witness) for i, j, verdict, witness in want]
+    assert report.violations == tuple(
+        (codes[i], codes[j], alphas[i], alphas[j])
+        for i, j, verdict, _ in want
+        if verdict == "dominates" and alphas[j] < alphas[i] - ALPHA_SLACK
+    )
+
+
 class TestConjectureScan:
+    def test_verdicts_match_scalar_loop(self):
+        for corpus_max in range(2, 7):
+            corpus = connected_graph_corpus(2, corpus_max)
+            for n in range(1, 9):
+                assert_scan_matches_scalar_loop(n, corpus)
+
+    def test_verdicts_match_scalar_loop_on_empty_corpus(self):
+        for n in range(1, 9):
+            assert_scan_matches_scalar_loop(n, [])
+
+    def test_verdicts_match_scalar_loop_with_single_vertex_graphs(self):
+        k1 = WeightedGraph(1, ())
+        for corpus in (connected_graph_corpus(1, 4), [k1, complete_graph(2), k1, cycle_graph(4)], [k1, k1]):
+            for n in range(1, 9):
+                assert_scan_matches_scalar_loop(n, corpus)
+
+    def test_verdicts_match_scalar_loop_past_int64(self):
+        corpus = [complete_graph(3), star_graph([1] * 600), path_graph([1, 1])]
+        assert max(hom_counts(star_graph([1] * 7), corpus)) >= 2**63
+        assert_scan_matches_scalar_loop(8, corpus)
+
     def test_n3_trivial(self):
         report = conjecture_scan(3)
         assert report.pairs == ()
