@@ -19,7 +19,7 @@ from . import forests, spectral
 from .errors import ConsistencyError, DisconnectedError, GraphError, NotATreeError, TwgParseError
 from .extremal import best_path_assignment, extremal_scan, weight_multiset
 from .graphs import WeightedGraph, enumerate_free_trees, parse_twg, sig12
-from .homorder import connected_graph_corpus, conjecture_scan
+from .homorder import conjecture_scan, connected_graph_corpus, require_scan_size
 from .simulate import estimate_hitting
 from .transfers import build_hasse, hasse_to_dot
 from .walks import hitting_matrix, walk_stats
@@ -62,14 +62,11 @@ class RunReport:
         return asdict(self)
 
 
-def _read_graph(path: str) -> WeightedGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_twg(fh.read())
-
-
-def _digest(path: str) -> str:
+def _read_graph(path: str) -> tuple[WeightedGraph, str]:
+    """The graph in a TWG file and the sha256 of the very bytes it was parsed from."""
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        data = fh.read()
+    return parse_twg(data.decode("utf-8")), hashlib.sha256(data).hexdigest()
 
 
 def _parse_weights(text: str) -> tuple[float, ...]:
@@ -89,7 +86,7 @@ def _emit(args, payload: dict, human_lines: list[str]) -> None:
 
 def cmd_compute(args) -> int:
     t0 = time.perf_counter()
-    g = _read_graph(args.input)
+    g, digest = _read_graph(args.input)
     selected = list(METHODS) if args.method == "all" else [args.method]
     raw = {name: METHODS[name](g) for name in selected}
     results = {name: {"alpha": sig12(a), "kappa": sig12(k)} for name, (a, k) in raw.items()}
@@ -100,7 +97,7 @@ def cmd_compute(args) -> int:
             delta = max(delta, (max(vals) - min(vals)) / top)
     report = RunReport(
         command="compute",
-        input_digest=_digest(args.input),
+        input_digest=digest,
         n=g.n,
         edge_count=len(g.edges),
         methods=results,
@@ -175,6 +172,7 @@ def cmd_search_path(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
+    require_scan_size(args.n)  # before the corpus, which checks its own range first
     corpus = connected_graph_corpus(2, args.corpus_max)
     report = conjecture_scan(args.n, corpus=corpus)
     dominant = sum(1 for p in report.pairs if p.verdict == "dominates")
@@ -190,7 +188,7 @@ def cmd_conjecture(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    g = _read_graph(args.input)
+    g, _ = _read_graph(args.input)
     est = estimate_hitting(g, args.src, args.dst, args.trials, args.seed)
     payload = {
         "mean": est.mean,

@@ -19,10 +19,11 @@ from __future__ import annotations
 import heapq
 import math
 import operator
-import random
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import ConsistencyError, DisconnectedError, GraphError, NotATreeError, TwgParseError
 
@@ -32,6 +33,8 @@ FREE_TREE_MAX = 10
 
 # non-isomorphic trees on 1..10 vertices
 FREE_TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106)
+
+_TWG_ROW = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
 
 
 def format_weight(w: float) -> str:
@@ -85,6 +88,30 @@ class WeightedGraph:
         seen: set[tuple[int, int]] = set()
         normalized = [_checked_edge(self.n, u, v, w, seen) for u, v, w in self.edges]
         object.__setattr__(self, "edges", tuple(sorted(normalized)))
+
+    @classmethod
+    def _from_columns(cls, n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> "WeightedGraph":
+        """``WeightedGraph(n, zip(u, v, w))`` from nonempty int64 and float64 columns.
+
+        The edge rules are checked as whole-array predicates. When one
+        fails, the constructor runs on the same edges, so the error is
+        the one ``_checked_edge`` raises.
+        """
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        order = np.lexsort((hi, lo))
+        lo, hi, w = lo[order], hi[order], w[order]
+        if (
+            lo[0] < 0
+            or hi.max() >= n
+            or (lo == hi).any()
+            or not (np.isfinite(w) & (w > 0.0)).all()
+            or ((lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])).any()
+        ):
+            return cls(n, tuple(zip(u.tolist(), v.tolist(), w.tolist())))
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "edges", tuple(zip(lo.tolist(), hi.tolist(), w.tolist())))
+        return g
 
     # -- basic accessors -------------------------------------------------
 
@@ -194,7 +221,22 @@ class WeightedGraph:
 
     @cached_property
     def _connected(self) -> bool:
-        return len(self.components()) == 1
+        """Union-find with path halving over the edges, stopped once one component is left."""
+        merges = self.n - 1  # unions still needed
+        if len(self.edges) < merges:
+            return False
+        root = list(range(self.n))
+        for u, v, _ in self.edges:
+            if not merges:
+                break
+            while root[u] != u:
+                root[u] = u = root[root[u]]
+            while root[v] != v:
+                root[v] = v = root[root[v]]
+            if u != v:
+                root[u] = v
+                merges -= 1
+        return not merges
 
     def is_connected(self) -> bool:
         return self._connected
@@ -281,24 +323,32 @@ def complete_graph(n: int, weight: float = 1.0) -> WeightedGraph:
 def parse_twg(text: str) -> WeightedGraph:
     """Parse the TWG format; every error reports its 1-based line number.
 
-    The edge rules run once, in the ``WeightedGraph`` constructor; only
-    when an error is raised are they run again line by line, to find
-    the first offending line.
+    The edge lines of ASCII text are read by one ``np.loadtxt`` call and
+    checked as whole arrays. All else goes to the line-by-line reader,
+    which gives the same graph or the first offending line's error:
+    non-ASCII text (numpy reads some non-ASCII letters as digits),
+    spellings only Python accepts (``1_000``), and broken rules.
     """
+    if text.isascii():
+        lines = list(filter(None, map(str.strip, text.splitlines())))
+        if "#" in text:
+            lines = [s for s in lines if s[0] != "#"]
+        try:
+            n = int(lines[0])
+            if len(lines) == 1:
+                return WeightedGraph(n, ())
+            cols = np.loadtxt(lines[1:], dtype=_TWG_ROW, comments=None, ndmin=1)
+            return WeightedGraph._from_columns(n, cols["u"], cols["v"], cols["w"])
+        except (IndexError, ValueError):
+            pass
+    return _parse_twg_lines(text)
+
+
+def _parse_twg_lines(text: str) -> WeightedGraph:
+    """``parse_twg`` one line at a time: Python's ``int`` and ``float``, then ``_checked_edge``."""
     n: int | None = None
     edges: list[tuple[int, int, float]] = []
-    linenos: list[int] = []
-
-    def error(message: str, lineno: int) -> TwgParseError:
-        # an edge line before this one that breaks the edge rules comes first
-        seen: set[tuple[int, int]] = set()
-        for at, (u, v, w) in zip(linenos, edges):
-            try:
-                _checked_edge(n, u, v, w, seen)
-            except GraphError as exc:
-                return TwgParseError(str(exc), at)
-        return TwgParseError(message, lineno)
-
+    seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -315,23 +365,22 @@ def parse_twg(text: str) -> WeightedGraph:
                 raise TwgParseError(f"vertex count must be positive, got {n}", lineno)
             continue
         if len(fields) != 3:
-            raise error(f"expected 'u v w', got {line!r}", lineno)
+            raise TwgParseError(f"expected 'u v w', got {line!r}", lineno)
         try:
             u, v = int(fields[0]), int(fields[1])
         except ValueError:
-            raise error(f"invalid vertex index in {line!r}", lineno) from None
+            raise TwgParseError(f"invalid vertex index in {line!r}", lineno) from None
         try:
             w = float(fields[2])
         except ValueError:
-            raise error(f"invalid weight {fields[2]!r}", lineno) from None
-        edges.append((u, v, w))
-        linenos.append(lineno)
+            raise TwgParseError(f"invalid weight {fields[2]!r}", lineno) from None
+        try:
+            edges.append(_checked_edge(n, u, v, w, seen))
+        except GraphError as exc:
+            raise TwgParseError(str(exc), lineno) from None
     if n is None:
         raise TwgParseError("empty input, expected vertex count", 1)
-    try:
-        return WeightedGraph(n, tuple(edges))
-    except GraphError as exc:
-        raise error(str(exc), linenos[-1]) from None
+    return WeightedGraph(n, tuple(edges))
 
 
 def format_twg(g: WeightedGraph) -> str:
@@ -514,23 +563,3 @@ def enumerate_free_trees(n: int) -> list[WeightedGraph]:
             neighbors[i].append((p, 1.0))
         reps.setdefault(_tree_code(n, neighbors), levels)
     return [level_sequence_tree(reps[c]) for c in sorted(reps)]
-
-
-# -- random trees (seeded; used by the verification suites) -----------------
-
-
-def random_labeled_tree(rng: random.Random, n: int) -> WeightedGraph:
-    if n <= 2:
-        return prufer_tree((), n)
-    seq = [rng.randrange(n) for _ in range(n - 2)]
-    return prufer_tree(seq, n)
-
-
-def random_weighted_tree(
-    rng: random.Random, n: int, low: float = 0.1, high: float = 10.0
-) -> WeightedGraph:
-    """Random labeled tree with weights log-uniform in [low, high]."""
-    t = random_labeled_tree(rng, n)
-    lo, hi = math.log10(low), math.log10(high)
-    edges = tuple((u, v, 10.0 ** rng.uniform(lo, hi)) for u, v, _ in t.edges)
-    return WeightedGraph(n, edges)

@@ -200,6 +200,11 @@ def _next_level(prev: np.ndarray) -> tuple[list[tuple], np.ndarray]:
     return [edges for edges, _ in decoded], level
 
 
+def require_scan_size(n: int) -> None:
+    if not 1 <= n <= SCAN_TREE_MAX:
+        raise GraphError(f"conjecture scan needs 1 <= n <= {SCAN_TREE_MAX}, got n={n}")
+
+
 def connected_graph_corpus(min_n: int = 2, max_n: int = 5) -> list[WeightedGraph]:
     """All connected simple graphs on min_n..max_n vertices, up to isomorphism.
 
@@ -266,8 +271,7 @@ def conjecture_scan(n: int, corpus: list[WeightedGraph] | None = None) -> HomDom
     T' must not fall below that of T by more than ALPHA_SLACK; exceptions
     are collected, not raised.
     """
-    if not 1 <= n <= SCAN_TREE_MAX:
-        raise GraphError(f"conjecture scan needs 1 <= n <= {SCAN_TREE_MAX}, got n={n}")
+    require_scan_size(n)
     if corpus is None:
         corpus = connected_graph_corpus()
     trees = enumerate_free_trees(n)

@@ -127,14 +127,6 @@ def _stats(
     return volumes[b1], volumes[b2]
 
 
-def transfer_components(
-    t: WeightedGraph, v1: int, v2: int, v3: int
-) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
-    """Components of T minus {e1, e2} containing v1, v2, v3 respectively."""
-    blocks = _blocks(t, _sides(t), v1, v2, v3)
-    return tuple(frozenset(x for x in range(t.n) if b >> x & 1) for b in blocks)
-
-
 def _strictly_greater(a: float, b: float) -> bool:
     return a - b > LEGALITY_RTOL * max(abs(a), abs(b))
 

@@ -3,17 +3,19 @@
 Subset enumeration of spanning trees and spanning 2-forests (graphs of
 at most ENUM_EDGE_MAX edges), and the tree edge-cut closed forms with
 both side volumes summed directly by math.fsum. None of it calls the
-routes it checks. Also every labeled tree by Pruefer decoding, the
-star predicate, the partition a set of edge cuts leaves and the
-recursive canonical coder, which only the tests use. Last, the graph
-corpus by enumerating every edge subset and by vertex extension with a
-scalar canonical edge list, the homomorphism count by one Python
-dynamic program per target graph, and the dominance verdicts one pair
-of count lists at a time: the references for the array corpus levels,
-the array hom-count program and the broadcast verdicts.
+routes it checks. Also every labeled tree by Pruefer decoding, seeded
+random labeled and weighted trees, the star predicate, the partition a
+set of edge cuts leaves and the recursive canonical coder, which only
+the tests use. Last, the graph corpus by enumerating every edge subset
+and by vertex extension with a scalar canonical edge list, the
+homomorphism count by one Python dynamic program per target graph, and
+the dominance verdicts one pair of count lists at a time: the
+references for the array corpus levels, the array hom-count program and
+the broadcast verdicts.
 """
 
 import math
+import random
 from itertools import combinations, permutations, product
 
 from treewalk.errors import GraphError
@@ -33,6 +35,23 @@ def enumerate_labeled_trees(n):
         return
     for seq in product(range(n), repeat=n - 2):
         yield prufer_tree(seq, n)
+
+
+def random_labeled_tree(rng: random.Random, n: int) -> WeightedGraph:
+    if n <= 2:
+        return prufer_tree((), n)
+    seq = [rng.randrange(n) for _ in range(n - 2)]
+    return prufer_tree(seq, n)
+
+
+def random_weighted_tree(
+    rng: random.Random, n: int, low: float = 0.1, high: float = 10.0
+) -> WeightedGraph:
+    """Random labeled tree with weights log-uniform in [low, high]."""
+    t = random_labeled_tree(rng, n)
+    lo, hi = math.log10(low), math.log10(high)
+    edges = tuple((u, v, 10.0 ** rng.uniform(lo, hi)) for u, v, _ in t.edges)
+    return WeightedGraph(n, edges)
 
 
 def is_star_graph(g):

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from _enumeration import is_star_graph
+from _enumeration import is_star_graph, random_weighted_tree
 from _separators import find_separator, separator_library
 from treewalk.extremal import (
     best_path_assignment,
@@ -24,7 +24,6 @@ from treewalk.graphs import (
     enumerate_free_trees,
     is_path_graph,
     path_graph,
-    random_weighted_tree,
     star_graph,
 )
 from treewalk.homorder import conjecture_scan, connected_graph_corpus

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -67,6 +68,20 @@ class TestCompute:
         with pytest.raises(SystemExit) as exc:
             main(["compute", "--input", twg(PATH3), "--tol", "1"])
         assert exc.value.code == 2
+
+    def test_digest_is_sha256_of_parsed_text(self, tmp_path, capsys, monkeypatch):
+        from treewalk import cli
+
+        parsed = []
+        parse = cli.parse_twg
+        monkeypatch.setattr(cli, "parse_twg", lambda text: parsed.append(text) or parse(text))
+        path = tmp_path / "crlf.twg"
+        path.write_bytes("# path\r\n3\r\n0 1 1\r\n1 2 1\r\n".encode())
+        assert main(["compute", "--input", str(path), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert len(parsed) == 1
+        assert payload["input_digest"] == hashlib.sha256(parsed[0].encode()).hexdigest()
+        assert payload["input_digest"] == hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_delta_from_unrounded_values(self, twg, capsys, monkeypatch):
         from treewalk import cli
@@ -180,6 +195,18 @@ class TestConjecture:
     @pytest.mark.parametrize("n", [0, 9])
     def test_tree_size_out_of_range(self, n, capsys):
         assert main(["conjecture", "--n", str(n), "--corpus-max", "3"]) == 2
+        assert f"conjecture scan needs 1 <= n <= 8, got n={n}" in capsys.readouterr().err
+
+    # (0, 7): the tree size is reported, not the corpus range
+    @pytest.mark.parametrize("n,corpus_max", [(0, 5), (9, 3), (0, 7)])
+    def test_no_corpus_built_for_bad_tree_size(self, n, corpus_max, capsys, monkeypatch):
+        from treewalk import cli
+
+        def unexpected(*args):
+            raise AssertionError("corpus built for an out-of-range scan")
+
+        monkeypatch.setattr(cli, "connected_graph_corpus", unexpected)
+        assert main(["conjecture", "--n", str(n), "--corpus-max", str(corpus_max)]) == 2
         assert f"conjecture scan needs 1 <= n <= 8, got n={n}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("corpus_max", [1, 7])

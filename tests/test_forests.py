@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from _enumeration import spanning_tree_weight, two_forest_sums
+from _enumeration import random_labeled_tree, random_weighted_tree, spanning_tree_weight, two_forest_sums
 from _family_oracle import tree_sums
 from treewalk.errors import ConsistencyError, DisconnectedError, GraphError, NotATreeError
 from treewalk.forests import (
@@ -21,8 +21,6 @@ from treewalk.graphs import (
     complete_graph,
     enumerate_free_trees,
     path_graph,
-    random_labeled_tree,
-    random_weighted_tree,
     star_graph,
 )
 from treewalk.walks import average_hitting_time, hitting_matrix, kemeny

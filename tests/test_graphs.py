@@ -5,7 +5,12 @@ from itertools import permutations
 import pytest
 
 import _transfer_oracle as oracle
-from _enumeration import enumerate_labeled_trees, recursive_canonical_form, remove_edges_partition
+from _enumeration import (
+    enumerate_labeled_trees,
+    random_weighted_tree,
+    recursive_canonical_form,
+    remove_edges_partition,
+)
 from treewalk.errors import ConsistencyError, GraphError, NotATreeError, TwgParseError
 from treewalk.extremal import tree_family
 from treewalk.graphs import (
@@ -21,7 +26,6 @@ from treewalk.graphs import (
     parse_twg,
     path_graph,
     prufer_tree,
-    random_weighted_tree,
     rooted_order,
     star_graph,
     tree_centers,

@@ -11,11 +11,11 @@ import random
 import numpy as np
 import pytest
 
-from _enumeration import enumerated_stats, tree_stats
+from _enumeration import enumerated_stats, random_weighted_tree, tree_stats
 from treewalk import forests, spectral
 from treewalk.cli import METHODS, main
 from treewalk.errors import ConsistencyError
-from treewalk.graphs import WeightedGraph, complete_graph, random_weighted_tree
+from treewalk.graphs import WeightedGraph, complete_graph
 from treewalk.walks import hitting_matrix
 
 ORACLE_RTOL = 1e-7

@@ -2,11 +2,12 @@ import random
 
 import numpy as np
 import pytest
+from _enumeration import random_weighted_tree
 from _scalar_walk import estimate_from_steps, scalar_estimate_hitting, scalar_trial_steps
 
 from treewalk import simulate
 from treewalk.errors import GraphError
-from treewalk.graphs import WeightedGraph, path_graph, random_weighted_tree, star_graph
+from treewalk.graphs import WeightedGraph, path_graph, star_graph
 from treewalk.simulate import Xorshift64Star, estimate_hitting, mix64
 from treewalk.walks import hitting_matrix
 

@@ -2,12 +2,12 @@ import random
 
 import pytest
 
+from _enumeration import random_weighted_tree
 from treewalk.forests import alpha_forest, kappa_forest
 from treewalk.graphs import (
     cycle_graph,
     enumerate_free_trees,
     path_graph,
-    random_weighted_tree,
     star_graph,
 )
 from treewalk.spectral import alpha_spectral, kappa_spectral, laplacian_spectra

@@ -4,7 +4,7 @@ import random
 import pytest
 
 import _transfer_oracle as oracle
-from _enumeration import is_star_graph
+from _enumeration import is_star_graph, random_weighted_tree
 from treewalk.errors import ConsistencyError, GraphError, NotATreeError
 from treewalk.extremal import tree_family
 from treewalk.forests import alpha_forest, kappa_forest, tree_cut
@@ -15,19 +15,25 @@ from treewalk.graphs import (
     format_weight,
     is_path_graph,
     path_graph,
-    random_weighted_tree,
     star_graph,
 )
 from treewalk.transfers import (
+    _blocks,
+    _sides,
     apply_move,
     build_hasse,
     hasse_to_dot,
     legal_moves,
-    transfer_components,
     verify_monotonicity,
 )
 
 P4 = path_graph([1, 1, 1])
+
+
+def transfer_components(t, v1, v2, v3):
+    """Components of T minus {e1, e2} containing v1, v2, v3, from the move bitmasks."""
+    blocks = _blocks(t, _sides(t), v1, v2, v3)
+    return tuple(frozenset(x for x in range(t.n) if b >> x & 1) for b in blocks)
 
 # weight multisets whose families the per-pair oracle checks
 ORACLE_FAMILIES = {

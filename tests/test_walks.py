@@ -3,13 +3,13 @@ import random
 import numpy as np
 import pytest
 
+from _enumeration import random_weighted_tree
 from treewalk.errors import DisconnectedError
 from treewalk.graphs import (
     WeightedGraph,
     complete_graph,
     cycle_graph,
     path_graph,
-    random_weighted_tree,
     star_graph,
 )
 from treewalk.walks import (
