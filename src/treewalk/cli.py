@@ -13,12 +13,11 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
 
 from . import forests, spectral
 from .errors import ConsistencyError, DisconnectedError, GraphError, NotATreeError, TwgParseError
 from .extremal import best_path_assignment, extremal_scan, weight_multiset
-from .graphs import WeightedGraph, enumerate_free_trees, parse_twg, sig12
+from .graphs import FREE_TREE_MAX, WeightedGraph, enumerate_free_trees, parse_twg, sig12
 from .homorder import conjecture_scan, connected_graph_corpus, require_scan_size
 from .simulate import estimate_hitting
 from .transfers import build_hasse, hasse_to_dot
@@ -44,22 +43,6 @@ METHODS = {
     "forest": lambda g: forests.stats(g),
     "spectral": lambda g: spectral.stats(g),
 }
-
-
-@dataclass(frozen=True)
-class RunReport:
-    """Per-method results for one input, with the cross-method deltas."""
-
-    command: str
-    input_digest: str
-    n: int
-    edge_count: int
-    methods: dict
-    max_rel_delta: float
-    wall_time_s: float
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def _read_graph(path: str) -> tuple[WeightedGraph, str]:
@@ -95,15 +78,15 @@ def cmd_compute(args) -> int:
         top = max(abs(v) for v in vals)
         if top > 0.0:  # all routes give exactly 0 on one vertex
             delta = max(delta, (max(vals) - min(vals)) / top)
-    report = RunReport(
-        command="compute",
-        input_digest=digest,
-        n=g.n,
-        edge_count=len(g.edges),
-        methods=results,
-        max_rel_delta=delta,
-        wall_time_s=round(time.perf_counter() - t0, 6),
-    )
+    payload = {
+        "command": "compute",
+        "input_digest": digest,
+        "n": g.n,
+        "edge_count": len(g.edges),
+        "methods": results,
+        "max_rel_delta": delta,
+        "wall_time_s": round(time.perf_counter() - t0, 6),
+    }
     lines = [f"n={g.n} edges={len(g.edges)} vol={g.vol:.12g}"]
     for name in selected:
         lines.append(
@@ -111,7 +94,6 @@ def cmd_compute(args) -> int:
         )
     if len(selected) > 1:
         lines.append(f"max relative delta across methods: {delta:.3e}")
-    payload = report.to_json_dict()
     if args.hitting:
         h = hitting_matrix(g)
         payload["hitting"] = [[sig12(x) for x in row] for row in h.tolist()]
@@ -145,8 +127,6 @@ def cmd_verify_extremal(args) -> int:
 
 
 def cmd_hasse(args) -> int:
-    if not 2 <= args.n <= 8:
-        raise GraphError("hasse supports tree sizes 2..8")
     trees = enumerate_free_trees(args.n)
     diagram = build_hasse(trees, args.mode)
     dot = hasse_to_dot(diagram)
@@ -229,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_extremal)
 
     p = sub.add_parser("hasse", help="Hasse diagram of the transfer order on simple trees")
-    p.add_argument("--n", type=int, required=True, help="tree size, 2..8")
+    p.add_argument("--n", type=int, required=True, help=f"tree size, 1..{FREE_TREE_MAX}")
     p.add_argument("--mode", choices=["size", "volume"], default="size")
     p.add_argument("--output", help="DOT output path (stdout when omitted)")
     p.set_defaults(func=cmd_hasse)
@@ -265,7 +245,7 @@ def main(argv: list[str] | None = None) -> int:
     except TwgParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (DisconnectedError, NotATreeError) as exc:

@@ -34,6 +34,7 @@ from .errors import ConsistencyError, GraphError
 from .forests import alpha_forest, tree_stats
 from .graphs import (
     WeightedGraph,
+    _peel,
     canonical_form,
     enumerate_free_trees,
     format_weight,
@@ -41,7 +42,6 @@ from .graphs import (
     path_graph,
     sig12,
     star_graph,
-    tree_centers,
 )
 
 FAMILY_WEIGHT_MAX = 8
@@ -189,38 +189,38 @@ def _shape_keys(shape: WeightedGraph, ids: np.ndarray) -> np.ndarray:
 
     ``ids`` holds one row per weight assignment, one column per edge of
     ``shape`` in edge order. AHU relabelling (Aho, Hopcroft & Ullman
-    1974): the shape is rooted at its centre, or at both ends of its
-    central edge, and each level, deepest first, labels every vertex of
-    every row at once by the class of (label of the edge above, sorted
-    labels of its children).
+    1974) over the leaf layers that find the centre: each layer labels
+    every vertex of every row at once by the class of (label of the edge
+    above, sorted labels of its children). Siblings can sit in different
+    layers, so each layer's classes are numbered past the layers before.
     """
     rows = len(ids)
-    centres = tree_centers(shape)
-    edge = {(u, v): i for i, (u, v, _) in enumerate(shape.edges)}
-    up_edge = {c: edge[centres] if len(centres) == 2 else -1 for c in centres}
-    children: dict[int, list[int]] = {}
-    levels = [list(centres)]
-    while levels[-1]:
-        nxt = []
-        for x in levels[-1]:
-            children[x] = [y for y, _ in shape.neighbors[x] if y not in up_edge]
-            for y in children[x]:
-                up_edge[y] = edge[min(x, y), max(x, y)]
-            nxt.extend(children[x])
-        levels.append(nxt)
+    neighbors: list[list[tuple[int, int]]] = [[] for _ in range(shape.n)]
+    for i, (u, v, _) in enumerate(shape.edges):
+        neighbors[u].append((v, i))
+        neighbors[v].append((u, i))
+    layers, parent, up_edge = _peel(shape.n, neighbors)
+    children: list[list[int]] = [[] for _ in range(shape.n)]
+    for layer in layers[:-1]:
+        for x in layer:
+            children[parent[x]].append(x)
     label = np.empty((shape.n, rows), dtype=np.int64)
-    for level in reversed(levels[:-1]):
-        width = 1 + max(len(children[x]) for x in level)
-        table = np.full((len(level), rows, width), -1, dtype=np.int64)
-        for j, x in enumerate(level):
-            if up_edge[x] >= 0:
+    offset = 0
+    for layer in layers:
+        width = 1 + max(len(children[x]) for x in layer)
+        table = np.full((len(layer), rows, width), -1, dtype=np.int64)
+        for j, x in enumerate(layer):
+            if up_edge[x] is not None:
                 table[j, :, 0] = ids[:, up_edge[x]]
             if children[x]:
                 table[j, :, width - len(children[x]):] = np.sort(label[children[x]].T, axis=1)
-        label[level] = _classes(table.reshape(-1, width)).reshape(len(level), rows)
+        classes = _classes(table.reshape(-1, width))
+        label[layer] = classes.reshape(len(layer), rows) + offset
+        offset += int(classes.max()) + 1
+    centres = layers[-1]
     if len(centres) == 1:
         return label[centres[0]]
-    return _classes(np.sort(label[list(centres)].T, axis=1))
+    return _classes(np.sort(label[centres].T, axis=1))
 
 
 def _classes(table: np.ndarray) -> np.ndarray:

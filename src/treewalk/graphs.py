@@ -16,7 +16,6 @@ Weights serialize with up to 12 significant digits.
 
 from __future__ import annotations
 
-import heapq
 import math
 import operator
 from dataclasses import dataclass
@@ -30,9 +29,6 @@ from .errors import ConsistencyError, DisconnectedError, GraphError, NotATreeErr
 WEIGHT_FORMAT = ".12g"
 
 FREE_TREE_MAX = 10
-
-# non-isomorphic trees on 1..10 vertices
-FREE_TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106)
 
 _TWG_ROW = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
 
@@ -393,72 +389,87 @@ def format_twg(g: WeightedGraph) -> str:
 # -- canonical form ----------------------------------------------------------
 
 
-def _centres(n: int, neighbors: Sequence[Sequence[tuple[int, float]]]) -> list[int]:
-    """The 1 or 2 central vertices of a tree given by its neighbour lists.
+def _peel(n: int, neighbors: Sequence[Sequence[tuple]]) -> tuple[list[list[int]], list[int], list]:
+    """Leaf layers of the tree with these neighbour lists of (vertex, payload) pairs.
 
-    Leaves are peeled layer by layer on a degree count. On a graph with
-    a cycle the peeling runs out of leaves before 2 vertices are left,
-    and that raises ``ConsistencyError``.
+    Leaves are peeled layer by layer on a degree count. Returns
+    ``(layers, parent, above)``: the layers run outermost first and end
+    with the 1 or 2 centres; ``parent[x]`` is the neighbour that outlives
+    x and ``above[x]`` the payload of the edge to it. Two centres hang
+    below each other across the central edge; one centre has parent -1
+    and payload None. Every child is peeled before its parent, so the
+    layers are an AHU order. A graph that is not a tree raises
+    ``ConsistencyError``: a cycle stalls the peeling, and a forest peels
+    a leaf together with its neighbour, misses a vertex, or ends with
+    two centres that are not adjacent.
     """
-    if n <= 2:
-        return list(range(n))
     degree = [len(a) for a in neighbors]
-    layer = [v for v in range(n) if degree[v] == 1]
+    parent = [-1] * n
+    above: list = [None] * n
+    layers = []
+    layer = list(range(n)) if n <= 2 else [v for v in range(n) if degree[v] == 1]
     remaining = n
     while remaining > 2:
         if not layer:
             raise ConsistencyError("leaf peeling stalled: the graph is not a tree")
-        remaining -= len(layer)
+        for leaf in layer:
+            degree[leaf] = 0  # marks it peeled; an unpeeled neighbour still counts it, so stays above 0
         nxt = []
         for leaf in layer:
-            for nb, _ in neighbors[leaf]:
-                degree[nb] -= 1
-                if degree[nb] == 1:
-                    nxt.append(nb)
+            for nb, payload in neighbors[leaf]:
+                if degree[nb]:
+                    break
+            else:
+                raise ConsistencyError("a leaf lost its last neighbour: the graph is not a tree")
+            parent[leaf], above[leaf] = nb, payload
+            degree[nb] -= 1
+            if degree[nb] == 1:
+                nxt.append(nb)
+        layers.append(layer)
+        remaining -= len(layer)
         layer = nxt
-    return sorted(layer)
+    if len(layer) != remaining:
+        raise ConsistencyError("leaf peeling missed a vertex: the graph is not a tree")
+    if remaining == 2:
+        a, b = layer
+        for nb, payload in neighbors[a]:
+            if nb == b:
+                break
+        else:
+            raise ConsistencyError("the two centres are not adjacent: the graph is not a tree")
+        parent[a], parent[b] = b, a
+        above[a] = above[b] = payload
+    layers.append(layer)
+    return layers, parent, above
 
 
 def tree_centers(t: WeightedGraph) -> tuple[int, ...]:
     """The 1 or 2 central vertices of a tree (weight-agnostic)."""
     t.require_tree()
-    return tuple(_centres(t.n, t.neighbors))
+    return tuple(sorted(_peel(t.n, t.neighbors)[0][-1]))
 
 
 def _tree_code(n: int, neighbors: Sequence[Sequence[tuple[int, float]]]) -> str:
     """The canonical code of the tree with these neighbour lists (see ``canonical_form``).
 
     The lists need not be sorted. A graph that is not a tree raises
-    ``ConsistencyError``: a cycle stalls the centre search, and a
-    forest leaves vertices that the search from the centre(s) misses.
+    ``ConsistencyError`` (see ``_peel``).
     """
-    centres = _centres(n, neighbors)
-    parent = [-1] * n
-    label = [""] * n
-    if len(centres) == 2:  # each centre hangs below the other
-        a, b = centres
-        centre_edge = next((format_weight(w) for y, w in neighbors[a] if y == b), None)
-        if centre_edge is None:
-            raise ConsistencyError("the two centres are not adjacent: the graph is not a tree")
-        parent[a], parent[b] = b, a
-    order = list(centres)
-    for x in order:
-        for y, w in neighbors[x]:
-            if y != parent[x]:
-                parent[y], label[y] = x, format_weight(w)
-                order.append(y)
-    if len(order) != n:
-        raise ConsistencyError("the search from the centre missed a vertex: the graph is not a tree")
+    layers, parent, above = _peel(n, neighbors)
     kids: list[list[str]] = [[] for _ in range(n)]
 
-    def code(x: int, above: str) -> str:
-        return "(" + above + "|" + "".join(sorted(kids[x])) + ")"
+    def code(x: int, label: str) -> str:
+        return "(" + label + "|" + "".join(sorted(kids[x])) + ")"
 
-    for x in reversed(order[len(centres):]):
-        kids[parent[x]].append(code(x, label[x]))
-        kids[x] = []  # frees the subtree's codes: a path keeps O(n) text alive, not O(n^2)
+    for layer in layers[:-1]:
+        for x in layer:
+            kids[parent[x]].append(code(x, format_weight(above[x])))
+            kids[x] = []  # frees the subtree's codes: a path keeps O(n) text alive, not O(n^2)
+    centres = layers[-1]
     if len(centres) == 1:
         return code(centres[0], "")
+    a, b = centres
+    centre_edge = format_weight(above[a])
     kids[a], kids[b] = kids[a] + [code(b, centre_edge)], kids[b] + [code(a, centre_edge)]
     return min(code(a, ""), code(b, ""))
 
@@ -470,7 +481,7 @@ def canonical_form(t: WeightedGraph) -> str:
     isomorphism between them. The tree is rooted at its center; when the
     center is an edge, both rootings are encoded and the lexicographic
     minimum taken. Weights enter the code with 12 significant digits.
-    Codes are built bottom-up over a breadth-first search from the
+    Codes are built bottom-up over the leaf layers that find the
     center(s), so a deep tree needs no deep stack.
     """
     t.require_tree()
@@ -478,37 +489,6 @@ def canonical_form(t: WeightedGraph) -> str:
 
 
 # -- enumeration -------------------------------------------------------------
-
-
-def prufer_tree(seq: Sequence[int], n: int | None = None) -> WeightedGraph:
-    """Unit-weight labeled tree decoded from a Pruefer sequence."""
-    seq = tuple(seq)
-    if n is None:
-        n = len(seq) + 2
-    if n == 1:
-        if seq:
-            raise GraphError("sequence must be empty for n=1")
-        return WeightedGraph(1, ())
-    if len(seq) != n - 2:
-        raise GraphError(f"sequence length must be {n - 2} for n={n}")
-    degree = [1] * n
-    for x in seq:
-        if not 0 <= x < n:
-            raise GraphError(f"sequence entry {x} out of range")
-        degree[x] += 1
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(leaves)
-    edges = []
-    for x in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, x, 1.0))
-        degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(leaves, x)
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    edges.append((u, v, 1.0))
-    return WeightedGraph(n, tuple(edges))
 
 
 def _rooted_level_sequences(n: int) -> Iterator[tuple[int, ...]]:
@@ -539,12 +519,6 @@ def _level_parents(levels: Sequence[int]) -> list[int]:
     return parents
 
 
-def level_sequence_tree(levels: Sequence[int]) -> WeightedGraph:
-    """Unit-weight tree from a rooted level sequence (parent = nearest shallower)."""
-    parents = _level_parents(levels)
-    return WeightedGraph(len(levels), tuple((parents[i], i, 1.0) for i in range(1, len(levels))))
-
-
 def enumerate_free_trees(n: int) -> list[WeightedGraph]:
     """One unit-weight representative per isomorphism class of trees on n vertices.
 
@@ -555,11 +529,15 @@ def enumerate_free_trees(n: int) -> list[WeightedGraph]:
         raise GraphError(f"free-tree enumeration supports 1 <= n <= {FREE_TREE_MAX}")
     if n == 1:
         return [WeightedGraph(1, ())]
-    reps: dict[str, tuple[int, ...]] = {}
+    reps: dict[str, list[int]] = {}
     for levels in _rooted_level_sequences(n):
+        parents = _level_parents(levels)
         neighbors: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        for i, p in enumerate(_level_parents(levels)[1:], start=1):
+        for i, p in enumerate(parents[1:], start=1):
             neighbors[p].append((i, 1.0))
             neighbors[i].append((p, 1.0))
-        reps.setdefault(_tree_code(n, neighbors), levels)
-    return [level_sequence_tree(reps[c]) for c in sorted(reps)]
+        reps.setdefault(_tree_code(n, neighbors), parents)
+    return [
+        WeightedGraph(n, tuple((p, i, 1.0) for i, p in enumerate(reps[c][1:], start=1)))
+        for c in sorted(reps)
+    ]

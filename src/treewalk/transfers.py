@@ -151,32 +151,34 @@ def legal_moves(t: WeightedGraph, mode: str) -> list[TransferMove]:
 
 def apply_move(t: WeightedGraph, move: TransferMove) -> WeightedGraph:
     """Tree with e2 = (v2, v3) replaced by (v1, v3) at the same weight."""
-    v1, v2, v3 = move.v1, move.v2, move.v3
-    s1, s2 = _stats(t, _sides(t), v1, v2, v3, move.mode, {})
+    s1, s2 = _stats(t, _sides(t), move.v1, move.v2, move.v3, move.mode, {})
     if not _strictly_greater(s1, s2):
         raise GraphError("illegal move: component statistics not strictly decreasing")
-    w2 = t.weight(v2, v3)
-    edges = tuple(e for e in t.edges if {e[0], e[1]} != {v2, v3}) + ((v1, v3, w2),)
-    out = WeightedGraph(t.n, edges)
+    neighbors = _moved_neighbors(t, move)
+    out = WeightedGraph(t.n, tuple((u, v, w) for u, a in enumerate(neighbors) for v, w in a if u < v))
     if not out.is_tree():
         raise ConsistencyError(f"move {move} did not leave a tree")
     return out
 
 
-def _moved_code(t: WeightedGraph, move: TransferMove) -> str:
-    """Canonical code of ``apply_move(t, move)`` for a move of ``legal_moves(t)``.
-
-    Only the neighbour lists of v1, v2 and v3 change. The result is a
-    tree because v1 lies outside v3's side of (v2, v3), so it is coded
-    without building or checking a graph.
-    """
+def _moved_neighbors(t: WeightedGraph, move: TransferMove) -> list[tuple[tuple[int, float], ...]]:
+    """The neighbour lists of ``t`` with e2 = (v2, v3) moved to (v1, v3); only v1, v2 and v3 change."""
     v1, v2, v3 = move.v1, move.v2, move.v3
     w2 = t.weight(v2, v3)
     neighbors = list(t.neighbors)
     neighbors[v1] = neighbors[v1] + ((v3, w2),)
     neighbors[v2] = tuple(p for p in neighbors[v2] if p[0] != v3)
     neighbors[v3] = tuple(p for p in neighbors[v3] if p[0] != v2) + ((v1, w2),)
-    return _tree_code(t.n, neighbors)
+    return neighbors
+
+
+def _moved_code(t: WeightedGraph, move: TransferMove) -> str:
+    """Canonical code of ``apply_move(t, move)`` for a move of ``legal_moves(t)``.
+
+    The result is a tree because v1 lies outside v3's side of (v2, v3),
+    so it is coded without building or checking a graph.
+    """
+    return _tree_code(t.n, _moved_neighbors(t, move))
 
 
 def verify_monotonicity(t: WeightedGraph, move: TransferMove) -> tuple[float, float]:

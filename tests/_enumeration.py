@@ -3,9 +3,10 @@
 Subset enumeration of spanning trees and spanning 2-forests (graphs of
 at most ENUM_EDGE_MAX edges), and the tree edge-cut closed forms with
 both side volumes summed directly by math.fsum. None of it calls the
-routes it checks. Also every labeled tree by Pruefer decoding, seeded
-random labeled and weighted trees, the star predicate, the partition a
-set of edge cuts leaves and the recursive canonical coder, which only
+routes it checks. Also every labeled tree by Pruefer decoding, the
+free-tree counts, seeded random labeled and weighted trees, the star
+predicate, the partition a set of edge cuts leaves, the centres by leaf
+peeling on a degree count and the recursive canonical coder, which only
 the tests use. Last, the graph corpus by enumerating every edge subset
 and by vertex extension with a scalar canonical edge list, the
 homomorphism count by one Python dynamic program per target graph, and
@@ -14,16 +15,51 @@ references for the array corpus levels, the array hom-count program and
 the broadcast verdicts.
 """
 
+import heapq
 import math
 import random
 from itertools import combinations, permutations, product
 
-from treewalk.errors import GraphError
-from treewalk.graphs import WeightedGraph, format_weight, prufer_tree, rooted_order, tree_centers
+from treewalk.errors import ConsistencyError, GraphError
+from treewalk.graphs import WeightedGraph, format_weight, rooted_order, tree_centers
 from treewalk.homorder import DOMINATED, DOMINATES, EQUAL, INCOMPARABLE
 
 ENUM_EDGE_MAX = 20
 LABELED_TREE_MAX = 9  # n^(n-2) blows up past this
+
+# non-isomorphic trees on 1..10 vertices
+FREE_TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106)
+
+
+def prufer_tree(seq, n=None):
+    """Unit-weight labeled tree decoded from a Pruefer sequence."""
+    seq = tuple(seq)
+    if n is None:
+        n = len(seq) + 2
+    if n == 1:
+        if seq:
+            raise GraphError("sequence must be empty for n=1")
+        return WeightedGraph(1, ())
+    if len(seq) != n - 2:
+        raise GraphError(f"sequence length must be {n - 2} for n={n}")
+    degree = [1] * n
+    for x in seq:
+        if not 0 <= x < n:
+            raise GraphError(f"sequence entry {x} out of range")
+        degree[x] += 1
+    leaves = [v for v in range(n) if degree[v] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for x in seq:
+        leaf = heapq.heappop(leaves)
+        edges.append((leaf, x, 1.0))
+        degree[x] -= 1
+        if degree[x] == 1:
+            heapq.heappush(leaves, x)
+    u = heapq.heappop(leaves)
+    v = heapq.heappop(leaves)
+    edges.append((u, v, 1.0))
+    return WeightedGraph(n, tuple(edges))
 
 
 def enumerate_labeled_trees(n):
@@ -58,6 +94,27 @@ def is_star_graph(g):
     if g.n <= 2:
         return g.is_tree()
     return g.is_tree() and g.degree_sequence()[0] == g.n - 1
+
+
+def peeled_centres(n, neighbors):
+    """The 1 or 2 central vertices of a tree, by leaf peeling on a degree count alone."""
+    if n <= 2:
+        return list(range(n))
+    degree = [len(a) for a in neighbors]
+    layer = [v for v in range(n) if degree[v] == 1]
+    remaining = n
+    while remaining > 2:
+        if not layer:
+            raise ConsistencyError("leaf peeling stalled: the graph is not a tree")
+        remaining -= len(layer)
+        nxt = []
+        for leaf in layer:
+            for nb, _ in neighbors[leaf]:
+                degree[nb] -= 1
+                if degree[nb] == 1:
+                    nxt.append(nb)
+        layer = nxt
+    return sorted(layer)
 
 
 def recursive_canonical_form(t):

@@ -94,6 +94,19 @@ class TestCompute:
         assert payload["max_rel_delta"] == pytest.approx(3e-14, rel=0.05, abs=0.0)
 
 
+@pytest.mark.parametrize("subcommand", [["compute"], ["simulate", "--from", "0", "--to", "2"]])
+class TestUnreadableInput:
+    def test_directory_exit_2(self, subcommand, tmp_path, capsys):
+        assert main([*subcommand, "--input", str(tmp_path)]) == 2
+        assert "cannot read input" in capsys.readouterr().err
+
+    def test_non_utf8_exit_2(self, subcommand, tmp_path, capsys):
+        path = tmp_path / "bad.twg"
+        path.write_bytes(b"3\n0 1 1\n1 2 \xff\n")
+        assert main([*subcommand, "--input", str(path)]) == 2
+        assert "cannot read input" in capsys.readouterr().err
+
+
 class TestVerifyExtremal:
     def test_unit_weights_alpha(self, twg, capsys):
         rc = main(["verify-extremal", "--weights", "1,1,1,1,1", "--stat", "alpha", "--json"])
@@ -150,10 +163,19 @@ class TestHasse:
             main(["hasse", "--n", "4", "--json"])
         assert exc.value.code == 2
 
-    def test_guard_exit_2(self):
-        assert main(["hasse", "--n", "11"]) == 2
-        assert main(["hasse", "--n", "9"]) == 2
-        assert main(["hasse", "--n", "1"]) == 2
+    def test_guard_exit_2(self, capsys):
+        # the free-tree enumeration sets the range
+        for n in ("0", "11"):
+            assert main(["hasse", "--n", n]) == 2
+            assert "free-tree enumeration supports 1 <= n <= 10" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["size", "volume"])
+    @pytest.mark.parametrize(
+        "n,counts", [(1, "nodes=1 covers=0"), (9, "nodes=47 covers=98"), (10, "nodes=106 covers=291")]
+    )
+    def test_enumeration_range_ends(self, n, counts, mode, capsys):
+        assert main(["hasse", "--n", str(n), "--mode", mode]) == 0
+        assert counts in capsys.readouterr().err
 
 
 class TestSearchPath:

@@ -6,7 +6,10 @@ import pytest
 
 import _transfer_oracle as oracle
 from _enumeration import (
+    FREE_TREE_COUNTS,
     enumerate_labeled_trees,
+    peeled_centres,
+    prufer_tree,
     random_weighted_tree,
     recursive_canonical_form,
     remove_edges_partition,
@@ -14,9 +17,9 @@ from _enumeration import (
 from treewalk.errors import ConsistencyError, GraphError, NotATreeError, TwgParseError
 from treewalk.extremal import tree_family
 from treewalk.graphs import (
-    FREE_TREE_COUNTS,
     FREE_TREE_MAX,
     WeightedGraph,
+    _peel,
     _tree_code,
     canonical_form,
     complete_graph,
@@ -25,7 +28,6 @@ from treewalk.graphs import (
     format_twg,
     parse_twg,
     path_graph,
-    prufer_tree,
     rooted_order,
     star_graph,
     tree_centers,
@@ -261,10 +263,11 @@ class TestCanonicalForm:
     @pytest.mark.parametrize(
         "n,edges",
         [
-            (5, ((0, 1), (2, 3), (3, 4))),  # P2 + P3: one centre, the P2 missed
+            (5, ((0, 1), (2, 3), (3, 4))),  # P2 + P3: the P2's leaves peel in one layer
             (6, ((0, 1), (1, 2), (3, 4), (4, 5))),  # P3 + P3: two centres, not adjacent
-            (3, ((0, 1),)),  # P2 + an isolated vertex: no centre
+            (3, ((0, 1),)),  # P2 + an isolated vertex: the same, and no centre left
             (2, ()),
+            (5, ((0, 1), (0, 2), (0, 3))),  # a star + an isolated vertex: the vertex missed
         ],
     )
     def test_code_builder_refuses_a_forest(self, n, edges):
@@ -273,6 +276,41 @@ class TestCanonicalForm:
             _tree_code(g.n, g.neighbors)
         with pytest.raises(NotATreeError):
             canonical_form(g)
+
+
+class TestPeel:
+    """The leaf layers that both tree coders walk, against peeling on a degree count alone."""
+
+    @staticmethod
+    def trees():
+        rng = random.Random(29)
+        for n in range(1, 61):
+            yield random_weighted_tree(rng, n)
+            yield path_graph([rng.uniform(0.5, 2.0) for _ in range(n - 1)])
+            yield star_graph([1.0] * (n - 1))
+
+    def test_layers_parents_and_centres(self):
+        for t in self.trees():
+            layers, parent, above = _peel(t.n, t.neighbors)
+            layer_of = {x: i for i, layer in enumerate(layers) for x in layer}
+            assert sorted(layer_of) == list(range(t.n))
+            assert sum(map(len, layers)) == t.n
+            centres = layers[-1]
+            assert sorted(centres) == peeled_centres(t.n, t.neighbors) == list(tree_centers(t))
+            for x in range(t.n):
+                if x in centres:
+                    continue
+                assert t.has_edge(x, parent[x]) and above[x] == t.weight(x, parent[x])
+                assert layer_of[parent[x]] > layer_of[x]
+            if len(centres) == 2:
+                a, b = centres
+                assert (parent[a], parent[b]) == (b, a) and above[a] == above[b] == t.weight(a, b)
+            else:
+                assert (parent[centres[0]], above[centres[0]]) == (-1, None)
+
+    def test_deep_path_layers(self):
+        layers, _, _ = _peel(5000, path_graph([1.0] * 4999).neighbors)
+        assert len(layers) == 2500 and layers[-1] == [2499, 2500]
 
 
 class TestEnumeration:

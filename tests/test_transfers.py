@@ -19,6 +19,7 @@ from treewalk.graphs import (
 )
 from treewalk.transfers import (
     _blocks,
+    _moved_code,
     _sides,
     apply_move,
     build_hasse,
@@ -342,6 +343,15 @@ class TestAgainstPerPairOracle:
         assert got.covers == want.covers
         assert got.representatives == want.representatives
         assert hasse_to_dot(got) == hasse_to_dot(want)
+
+    @pytest.mark.parametrize("mode", ["size", "volume"])
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_apply_move_and_moved_code(self, name, mode):
+        for t in oracle_family(name):
+            for move in legal_moves(t, mode):
+                moved = apply_move(t, move)
+                assert moved == oracle.apply_move(t, move)
+                assert _moved_code(t, move) == canonical_form(moved)
 
     def test_transfer_components(self):
         for t in oracle_family("free-8"):
