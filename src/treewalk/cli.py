@@ -11,8 +11,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 from . import forests, spectral
 from .errors import ConsistencyError, DisconnectedError, GraphError, NotATreeError, TwgParseError
@@ -45,11 +47,19 @@ METHODS = {
 }
 
 
+class _Unreadable(Exception):
+    """An input file that could not be opened, read or decoded."""
+
+
 def _read_graph(path: str) -> tuple[WeightedGraph, str]:
     """The graph in a TWG file and the sha256 of the very bytes it was parsed from."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    return parse_twg(data.decode("utf-8")), hashlib.sha256(data).hexdigest()
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        text = data.decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _Unreadable(exc) from exc
+    return parse_twg(text), hashlib.sha256(data).hexdigest()
 
 
 def _parse_weights(text: str) -> tuple[float, ...]:
@@ -59,9 +69,64 @@ def _parse_weights(text: str) -> tuple[float, ...]:
         raise GraphError(f"bad weights list {text!r}: {exc}") from exc
 
 
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(x: float) -> str:
+    text = float.__repr__(x)
+    return _NON_FINITE.get(text, text)
+
+
+# The scalar types json.dumps writes itself, by exact type: any other type,
+# subclasses included, goes to json.dumps with its own rules and errors.
+_SCALAR_TEXT = {
+    float: _float_text,
+    int: int.__repr__,
+    str: encode_basestring_ascii,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _json_text(x, pad: str = "") -> str:
+    """``json.dumps(x, indent=2, sort_keys=True)`` byte for byte, for a value
+    nested at indent ``pad``.
+
+    With ``indent`` set, the stdlib runs its pure-Python encoder, one
+    generator step per token. This writes each dict and list with one join
+    and a flat list of floats with one ``map(float.__repr__, ...)``. Empty
+    containers, dicts with non-str keys and values of any other type are
+    written by json.dumps itself, re-indented.
+    """
+    kind = type(x)
+    scalar = _SCALAR_TEXT.get(kind)
+    if scalar is not None:
+        return scalar(x)
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if kind is dict and x:
+        try:
+            keys = sorted(x)
+            names = list(map(encode_basestring_ascii, keys))
+        except TypeError:  # keys that are not all str: json.dumps converts or refuses them
+            pass
+        else:
+            body = sep.join([name + ": " + _json_text(x[k], inner) for name, k in zip(names, keys)])
+            return "{\n" + inner + body + "\n" + pad + "}"
+    elif (kind is list or kind is tuple) and x:
+        try:
+            body = sep.join(map(float.__repr__, x))
+        except TypeError:  # not all floats
+            body = None
+        if body is None or "n" in body:  # ... or nan or inf among them
+            body = sep.join([_json_text(v, inner) for v in x])
+        return "[\n" + inner + body + "\n" + pad + "]"
+    return json.dumps(x, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+
+
 def _emit(args, payload: dict, human_lines: list[str]) -> None:
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_json_text(payload))
     else:
         for line in human_lines:
             print(line)
@@ -241,12 +306,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a write that fails here is reported like any other
+        return code
     except TwgParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (OSError, UnicodeDecodeError) as exc:
+    except _Unreadable as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (DisconnectedError, NotATreeError) as exc:
         print(f"invalid graph: {exc}", file=sys.stderr)
@@ -260,7 +330,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # main has reported the failed write; send what is still buffered to
+        # devnull so the flush at interpreter exit cannot fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

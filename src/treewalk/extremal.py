@@ -243,7 +243,7 @@ def _family_rows(ws: tuple[float, ...]) -> Iterator[tuple[WeightedGraph, np.ndar
     significant digits share one label, as in ``canonical_form``.
     """
     if len(ws) > FAMILY_WEIGHT_MAX:
-        raise GraphError(f"family enumeration guarded to {FAMILY_WEIGHT_MAX} weights")
+        raise GraphError(f"family enumeration guarded to {FAMILY_WEIGHT_MAX} weights, got m={len(ws)}")
     values = sorted(set(ws))
     rank = {w: i for i, w in enumerate(values)}
     perms = np.array(list(distinct_permutations([rank[w] for w in ws])))
@@ -349,24 +349,28 @@ def extremal_scan(weights: Sequence[float], stat: str) -> FamilyReport:
     )
 
 
-def path_kappa_objective(weights_in_order: Sequence[float]) -> float:
+def path_kappa_objective(weights_in_order: Sequence[float] | np.ndarray) -> float | np.ndarray:
     """The triple sum sum_{j<i<k} w_j w_k / w_i, factored to O(m).
 
     Over orderings of a fixed multiset, Kemeny's constant of the path is
     an increasing affine function of this value, so ranking orders by it
-    ranks them by kappa.
+    ranks them by kappa. ``weights_in_order`` holds floats for one order,
+    or numpy arrays with each position's weight in many orders, which give
+    an array of values; as in ``tree_stats``, the same statements do both,
+    bit for bit alike.
     """
+    low = float(np.asarray(weights_in_order, dtype=float).min(initial=math.inf))
+    if not low > 0.0:
+        raise GraphError(f"weights must be positive, got {low}")
     total = 0.0
     for w in weights_in_order:
-        if not float(w) > 0.0:
-            raise GraphError(f"weights must be positive, got {w}")
-        total += w
+        total = total + w
     left = 0.0
     objective = 0.0
     for w in weights_in_order:
         right = total - left - w
-        objective += left * right / w
-        left += w
+        objective = objective + left * right / w
+        left = left + w
     return objective
 
 
@@ -374,39 +378,42 @@ def best_path_assignment(weights: Sequence[float]) -> PathSearchResult:
     """Maximize Kemeny's constant over distinct path orderings of W.
 
     Every distinct ordering is evaluated both by the triple-sum
-    objective and by the forest-formula kappa; the two rankings must
-    agree, which cross-checks both computations.
+    objective and by the forest-formula kappa, on one column per path
+    position; the two rankings must agree, which cross-checks both
+    computations.
     """
     ws = weight_multiset(weights)
     if len(ws) > PATH_SEARCH_MAX:
-        raise GraphError(f"path search guarded to {PATH_SEARCH_MAX} weights")
+        raise GraphError(f"path search guarded to {PATH_SEARCH_MAX} weights, got m={len(ws)}")
     orders = list(distinct_permutations(ws))
-    kappas = tree_stats(path_graph([1.0] * len(ws)), np.array(orders).T)[1].tolist()
-    evaluations = [(order, path_kappa_objective(order), k) for order, k in zip(orders, kappas)]
-    _check_rankings_agree(evaluations)
+    columns = np.array(orders).T
+    objectives = path_kappa_objective(columns)
+    kappas = tree_stats(path_graph([1.0] * len(ws)), columns)[1]
+    _check_rankings_agree(orders[0], objectives, kappas)
+    evaluations = tuple(zip(orders, objectives.tolist(), kappas.tolist()))
     best = max(evaluations, key=lambda e: (e[2], e[0]))
     return PathSearchResult(
         assignment=best[0],
         kappa=best[2],
         objective=best[1],
-        evaluations=tuple(evaluations),
+        evaluations=evaluations,
     )
 
 
-def _check_rankings_agree(evaluations: list[tuple[tuple[float, ...], float, float]]) -> None:
-    """Both rankings must agree up to rounding: on a path of total weight T,
-    kappa = (2m - 1)/2 + 2J/T exactly. Each of J's m terms is at most
-    T^2 / min(w), so J's rounding error stays below 16 m eps T^2 / min(w),
-    and kappa's below 2/T times that.
+def _check_rankings_agree(order: Sequence[float], objectives: np.ndarray, kappas: np.ndarray) -> None:
+    """Both rankings of the orders must agree up to rounding: on a path of
+    total weight T, kappa = (2m - 1)/2 + 2J/T exactly. Each of J's m terms
+    is at most T^2 / min(w), so J's rounding error stays below
+    16 m eps T^2 / min(w), and kappa's below 2/T times that. T is summed
+    along ``order``, one of the orders ranked.
     """
-    order = evaluations[0][0]
     total = sum(order)
     j_tol = 16 * len(order) * sys.float_info.epsilon * total * total / min(order)
-    tols = (j_tol, 2.0 / total * j_tol)
-    def check(sorted_evals, other, name):
-        for (_, *a), (_, *b) in zip(sorted_evals, sorted_evals[1:]):
-            if b[other] - a[other] > tols[other]:
-                raise ConsistencyError(f"kappa and objective rankings disagree ({name})")
-
-    check(sorted(evaluations, key=lambda e: -e[1]), 1, "sorted by objective")
-    check(sorted(evaluations, key=lambda e: -e[2]), 0, "sorted by kappa")
+    checks = (
+        (objectives, kappas, 2.0 / total * j_tol, "sorted by objective"),
+        (kappas, objectives, j_tol, "sorted by kappa"),
+    )
+    for key, other, tol, name in checks:
+        ranked = other[np.argsort(-key, kind="stable")]
+        if (ranked[1:] - ranked[:-1] > tol).any():
+            raise ConsistencyError(f"kappa and objective rankings disagree ({name})")

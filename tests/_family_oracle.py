@@ -5,12 +5,17 @@ permutation of W, one WeightedGraph per row, deduplicated by
 canonical_form, with one scalar forests.stats per representative. The
 array scans in treewalk.extremal must give the same families, values
 and extremes. Also the scalar tree closed form that forests.stats ran
-before forests.tree_stats, which must match it bit for bit.
+before forests.tree_stats, which must match it bit for bit, and the
+per-order path ranking that best_path_assignment ran before it worked on
+columns.
 """
 
+import sys
+
+from treewalk.errors import ConsistencyError
 from treewalk.extremal import EXTREME_GROUP_RTOL, STAT_ALPHA, distinct_permutations, weight_multiset
-from treewalk.forests import stats
-from treewalk.graphs import WeightedGraph, canonical_form, enumerate_free_trees, rooted_order
+from treewalk.forests import stats, tree_stats
+from treewalk.graphs import WeightedGraph, canonical_form, enumerate_free_trees, path_graph, rooted_order
 
 
 def family(weights):
@@ -68,3 +73,40 @@ def tree_sums(t):
         s_sum += size[x] * (n - size[x]) / w
         v_sum += side_vol * (vol - side_vol) / w
     return (vol / (n * n)) * s_sum, v_sum / vol
+
+
+def path_evaluations(weights):
+    """(order, J, kappa) per distinct order, one order at a time: J by the
+    scalar loop with in-place updates, kappa by the closed form on that
+    order's floats."""
+    ws = weight_multiset(weights)
+    shape = path_graph([1.0] * len(ws))
+    evaluations = []
+    for order in distinct_permutations(ws):
+        total = 0.0
+        for w in order:
+            total += w
+        left = objective = 0.0
+        for w in order:
+            right = total - left - w
+            objective += left * right / w
+            left += w
+        evaluations.append((order, objective, tree_stats(shape, order)[1]))
+    return evaluations
+
+
+def check_rankings_agree(evaluations):
+    """The ranking cross-check on (order, J, kappa) tuples, by Python sorts;
+    the tolerances are taken from the first order."""
+    order = evaluations[0][0]
+    total = sum(order)
+    j_tol = 16 * len(order) * sys.float_info.epsilon * total * total / min(order)
+    tols = (j_tol, 2.0 / total * j_tol)
+
+    def check(sorted_evals, other, name):
+        for (_, *a), (_, *b) in zip(sorted_evals, sorted_evals[1:]):
+            if b[other] - a[other] > tols[other]:
+                raise ConsistencyError(f"kappa and objective rankings disagree ({name})")
+
+    check(sorted(evaluations, key=lambda e: -e[1]), 1, "sorted by objective")
+    check(sorted(evaluations, key=lambda e: -e[2]), 0, "sorted by kappa")

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import treewalk
 from treewalk.cli import main
 
 PATH3 = "3\n0 1 1\n1 2 1\n"
@@ -107,6 +112,44 @@ class TestUnreadableInput:
         assert "cannot read input" in capsys.readouterr().err
 
 
+def _console(*argv, stdout):
+    """The console script in a child process, as installed: entrypoint() under argv."""
+    env = {**os.environ, "PYTHONPATH": str(Path(treewalk.__file__).parents[1])}
+    code = "from treewalk.cli import entrypoint; entrypoint()"
+    return subprocess.Popen(
+        [sys.executable, "-c", code, *argv], stdout=stdout, stderr=subprocess.PIPE, env=env
+    )
+
+
+class TestUnwritableOutput:
+    def test_hasse_output_in_missing_directory_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.dot"
+        assert main(["hasse", "--n", "4", "--output", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"cannot write output: [Errno 2] No such file or directory: '{out}'\n"
+        )
+
+    def test_closed_pipe_exit_2_without_traceback(self):
+        # the report is about 1 MB, far more than a pipe holds, so the
+        # reader closes its end while the writer is still writing
+        child = _console("search-path", "--weights", "9.5,7.25,5,4.125,3,2.5,1", "--json",
+                         stdout=subprocess.PIPE)
+        assert child.stdout.read(10) == b'{\n  "assig'
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        child.stderr.close()
+        assert child.wait(timeout=120) == 2
+        assert err == "cannot write output: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device_exit_2_without_traceback(self):
+        with open("/dev/full", "wb") as full:
+            child = _console("search-path", "--weights", "3,2,1", stdout=full)
+            err = child.communicate(timeout=120)[1].decode()
+        assert child.returncode == 2
+        assert err == "cannot write output: [Errno 28] No space left on device\n"
+
+
 class TestVerifyExtremal:
     def test_unit_weights_alpha(self, twg, capsys):
         rc = main(["verify-extremal", "--weights", "1,1,1,1,1", "--stat", "alpha", "--json"])
@@ -199,6 +242,12 @@ class TestSearchPath:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["evaluations"]) == 6
+
+    def test_seven_weights_report_frozen(self, capsys):
+        # all 5,040 orders; the same sha256 as CI's freeze of this report
+        assert main(["search-path", "--weights", "9.5,7.25,5,4.125,3,2.5,1", "--json"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == "f3bb7aa1316942e6a20aa8b11226b015f3c8b6804dd8e2994c5e427a35061dca"
 
 
 class TestConjecture:

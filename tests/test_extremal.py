@@ -1,8 +1,10 @@
 import math
 import random
+import sys
 import time
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 import _family_oracle as oracle
@@ -121,7 +123,7 @@ class TestStarAndFamily:
             assert t.weight_multiset() == ws
 
     def test_guard(self):
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match=r"^family enumeration guarded to 8 weights, got m=9$"):
             tree_family([1.0] * 9)
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan, -1.0, 0.0])
@@ -258,7 +260,7 @@ class TestBestPath:
         assert canonical_form(path_graph(result.assignment)) in report.argmax_codes
 
     def test_guard(self):
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match=r"^path search guarded to 10 weights, got m=11$"):
             best_path_assignment([1.0] * 11)
 
     def test_seeded_sweep_answers(self):
@@ -276,12 +278,64 @@ class TestBestPath:
                     assert k == pytest.approx((2 * m - 1) / 2 + 2 * j / total, rel=1e-5)
 
     def test_swapped_kappas_disagree(self):
-        evaluations = sorted(best_path_assignment([7, 6, 5, 4, 3]).evaluations, key=lambda e: e[1])
-        (lo, j_lo, k_lo), (hi, j_hi, k_hi) = evaluations[0], evaluations[-1]
-        assert j_hi - j_lo > 1.0
-        evaluations[0], evaluations[-1] = (lo, j_lo, k_hi), (hi, j_hi, k_lo)
+        evaluations = best_path_assignment([7, 6, 5, 4, 3]).evaluations
+        _, objectives, kappas = (np.array(c) for c in zip(*evaluations))
+        lo, hi = np.argmin(objectives), np.argmax(objectives)
+        assert objectives[hi] - objectives[lo] > 1.0
+        kappas[[lo, hi]] = kappas[[hi, lo]]
         with pytest.raises(ConsistencyError, match="rankings disagree"):
-            _check_rankings_agree(evaluations)
+            _check_rankings_agree(evaluations[0][0], objectives, kappas)
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_evaluations_match_per_order_oracle(self, m):
+        rng = random.Random(300 + m)
+        cases = [
+            [rng.uniform(0.1, 10) for _ in range(m)],
+            [10 ** rng.uniform(-6, 6) for _ in range(m)],
+            [rng.choice((0.5, 2.0, 3.0)) for _ in range(m)],
+        ]
+        for ws in cases:
+            evaluations = best_path_assignment(ws).evaluations
+            assert evaluations == tuple(oracle.path_evaluations(ws))
+            assert all(type(j) is float and type(k) is float for _, j, k in evaluations)
+
+    def test_ranking_check_raises_where_the_sort_check_does(self):
+        # perturbations around the tolerance, ties and swaps: the column check
+        # raises, with the same message, exactly where the sort check raises
+        rng = random.Random(71)
+        raised = 0
+        for trial in range(300):
+            ws = [rng.choice((1.0, 2.0, 3.0, 10 ** rng.uniform(-3, 3))) for _ in range(rng.randint(1, 6))]
+            evaluations = oracle.path_evaluations(ws)
+            total = sum(evaluations[0][0])
+            tol = 16 * len(ws) * sys.float_info.epsilon * total * total / min(ws)
+            for _ in range(rng.randint(0, 3)):
+                i = rng.randrange(len(evaluations))
+                order, j, k = evaluations[i]
+                nudge = rng.choice((-3, -1, -0.5, 0.5, 1, 3)) * tol
+                kind = rng.randrange(3)
+                if kind == 0:
+                    j += nudge
+                elif kind == 1:  # kappa's tolerance is 2/T times J's
+                    k += 2.0 / total * nudge
+                else:
+                    k = evaluations[rng.randrange(len(evaluations))][2]
+                evaluations[i] = (order, j, k)
+            _, objectives, kappas = (np.array(c) for c in zip(*evaluations))
+            expected = _refusal(lambda: oracle.check_rankings_agree(evaluations))
+            got = _refusal(lambda: _check_rankings_agree(evaluations[0][0], objectives, kappas))
+            assert got == expected, (trial, ws)
+            raised += expected is not None
+        assert 50 < raised < 250
+
+
+def _refusal(check):
+    """The ConsistencyError message a check raises, or None."""
+    try:
+        check()
+    except ConsistencyError as exc:
+        return str(exc)
+    return None
 
 
 def _seeded_cases():

@@ -1,0 +1,140 @@
+"""The CLI's JSON writer against json.dumps(x, indent=2, sort_keys=True), byte for byte."""
+
+import json
+import math
+import random
+
+import numpy as np
+import pytest
+
+from treewalk import cli
+from treewalk.cli import _json_text, main
+
+
+def _stdlib(x):
+    return json.dumps(x, indent=2, sort_keys=True)
+
+
+def _outcome(write, x):
+    """What a writer gives for x: its text, or the type and message of its error."""
+    try:
+        return write(x)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+TREE5 = "5\n0 1 2\n1 2 0.5\n1 3 3\n3 4 1.25\n"
+GRAPH4 = "4\n0 1 1\n1 2 2.5\n2 3 0.5\n3 0 4\n0 2 1.5\n"
+PATH_WEIGHTS = "9.5,7.25,5,4.125,3,2.5,1"
+
+REPORTS = [
+    ["compute", "--input", "{tree}"],
+    ["compute", "--input", "{tree}", "--hitting"],
+    ["compute", "--input", "{graph}", "--hitting"],
+    ["verify-extremal", "--weights", "7,5,4,2,2,1", "--stat", "alpha"],
+    ["verify-extremal", "--weights", "7,5,4,2,2,1", "--stat", "kappa"],
+    *(["search-path", "--weights", ",".join(PATH_WEIGHTS.split(",")[:m])] for m in range(1, 8)),
+    ["conjecture", "--n", "8", "--corpus-max", "3"],
+    ["conjecture", "--n", "8", "--corpus-max", "6"],
+    ["simulate", "--input", "{tree}", "--from", "0", "--to", "4", "--trials", "2000", "--seed", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", REPORTS, ids=" ".join)
+def test_every_report(argv, tmp_path, capsys, monkeypatch):
+    tree, graph = tmp_path / "tree.twg", tmp_path / "graph.twg"
+    tree.write_text(TREE5)
+    graph.write_text(GRAPH4)
+    payloads = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda args, payload, lines: payloads.append(payload) or emit(args, payload, lines))
+    argv = [a.format(tree=tree, graph=graph) for a in argv]
+    assert main([*argv, "--json"]) == 0
+    (payload,) = payloads
+    assert _json_text(payload) == _stdlib(payload)
+    assert capsys.readouterr().out == _stdlib(payload) + "\n"
+
+
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308, -1e308, 1e16, 1e-7, 0.1]
+INTS = [0, -1, 7, 2**63, 2**64 + 1, -(2**70), 10**30]
+STRINGS = [
+    "", "plain", 'say "hi"', "back\\slash", "tab\tline\nnul\x00\x1f\x7f", "café ∑ 日本",
+    "lone \ud800 surrogate", "trail \udfff", "emoji \U0001F600", "</script>",
+]
+ODD_KEYS = [
+    [1, -3, 2**65],  # ints: json.dumps writes them as strings
+    [0.5, -1.5, math.inf, math.nan],
+    [True, False],
+    [None, True],  # unsortable: both raise the same TypeError
+    ["a", 1],
+]
+
+
+def _scalar(rng):
+    kind = rng.randrange(7)
+    if kind == 0:
+        return rng.choice(SPECIAL_FLOATS)
+    if kind == 1:
+        return rng.choice((1, -1)) * 10 ** rng.uniform(-300, 300)
+    if kind == 2:
+        return rng.choice(INTS)
+    if kind == 3:
+        return rng.choice(STRINGS)
+    if kind == 4:
+        return rng.choice((True, False, None))
+    if kind == 5:
+        return np.float64(rng.choice((2.5, -0.0, 1e-310, math.nan)))
+    return rng.choice(({1, 2}, b"bytes", np.int64(3), 1j))  # json.dumps refuses these
+
+
+def _value(rng, depth):
+    if depth == 0 or rng.random() < 0.25:
+        return _scalar(rng)
+    size = rng.choice((0, 0, 1, 2, 5))  # empty containers at every depth
+    kind = rng.randrange(6)
+    if kind == 0:
+        return [_value(rng, depth - 1) for _ in range(size)]
+    if kind == 1:
+        return tuple(_value(rng, depth - 1) for _ in range(size))
+    if kind == 2:  # a flat list of floats, sometimes with one odd item
+        floats = [rng.choice((1, -1)) * 10 ** rng.uniform(-20, 20) for _ in range(size)]
+        if floats and rng.random() < 0.6:
+            odd = (True, False, 3, 2**64, np.float64(0.25), *SPECIAL_FLOATS)
+            floats[rng.randrange(size)] = rng.choice(odd)
+        return floats
+    if kind == 3:
+        return {f"{rng.choice(STRINGS)}{i}": _value(rng, depth - 1) for i in range(size)}
+    if kind == 4:
+        return {k: _value(rng, depth - 1) for k in rng.choice(ODD_KEYS)}
+    return {"k": _value(rng, depth - 1), "j": [_value(rng, depth - 1)]}
+
+
+def test_seeded_fuzz():
+    rng = random.Random(20261019)
+    refused = 0
+    for trial in range(3000):
+        x = _value(rng, rng.randint(0, 5))
+        expected = _outcome(_stdlib, x)
+        assert _outcome(_json_text, x) == expected, (trial, x)
+        refused += isinstance(expected, tuple)
+    assert 100 < refused < 2900
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        {}, [], (), [[]], {"a": {}}, [(), {}], 5e-324, -0.0, math.nan, 2**64 + 1, "\ud800",
+        [True, 1.5, False], [1.0, math.nan, 2.0], [np.float64(1.5), 2.0], (0.1, -math.inf),
+        {"b": [1.0, 2.0], "a": (3, "x"), "c": {"z": None, "y": -0.0}},
+        {1: "one", 2: [1.5]}, {True: 1, False: [2.0]}, {"x": {1.5: [0.5]}},
+    ],
+)
+def test_edge_values(x):
+    assert _json_text(x) == _stdlib(x)
+
+
+@pytest.mark.parametrize("x", [{"a": 1, 2: 3}, {"s": {1, 2}}, [b"raw"], np.int64(1), {"c": [1j]}])
+def test_same_errors(x):
+    expected = _outcome(_stdlib, x)
+    assert isinstance(expected, tuple)
+    assert _outcome(_json_text, x) == expected
