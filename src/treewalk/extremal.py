@@ -43,6 +43,7 @@ from .graphs import (
     sig12,
     star_graph,
 )
+from .walks import check_finite
 
 FAMILY_WEIGHT_MAX = 8
 PATH_SEARCH_MAX = 10
@@ -295,6 +296,7 @@ def extremal_scan(weights: Sequence[float], stat: str) -> FamilyReport:
         parts.append(tree_stats(shape, reps.T)[which])
     weight_rows = np.concatenate(rows)
     values = np.concatenate(parts)
+    check_finite(values, f"{stat} values of the family")
 
     def trees(mask: np.ndarray) -> Iterator[WeightedGraph]:
         for i in np.flatnonzero(mask).tolist():
@@ -325,7 +327,7 @@ def extremal_scan(weights: Sequence[float], stat: str) -> FamilyReport:
             raise ConsistencyError(f"alpha argmax set differs from the polarized paths for W={ws}")
         pol_vals = [alpha_forest(path_graph(p)) for p in layouts]
         spread = max(pol_vals) - min(pol_vals)
-        if spread > EXTREME_GROUP_RTOL * abs(max_value):
+        if not spread <= EXTREME_GROUP_RTOL * abs(max_value):
             raise ConsistencyError(f"polarized paths do not share one alpha for W={ws}")
         pol_value = max_value
     else:
@@ -389,6 +391,8 @@ def best_path_assignment(weights: Sequence[float]) -> PathSearchResult:
     columns = np.array(orders).T
     objectives = path_kappa_objective(columns)
     kappas = tree_stats(path_graph([1.0] * len(ws)), columns)[1]
+    check_finite(objectives, "path objective J")
+    check_finite(kappas, "path kappa")
     _check_rankings_agree(orders[0], objectives, kappas)
     evaluations = tuple(zip(orders, objectives.tolist(), kappas.tolist()))
     best = max(evaluations, key=lambda e: (e[2], e[0]))
@@ -415,5 +419,5 @@ def _check_rankings_agree(order: Sequence[float], objectives: np.ndarray, kappas
     )
     for key, other, tol, name in checks:
         ranked = other[np.argsort(-key, kind="stable")]
-        if (ranked[1:] - ranked[:-1] > tol).any():
+        if not (ranked[1:] - ranked[:-1] <= tol).all():
             raise ConsistencyError(f"kappa and objective rankings disagree ({name})")

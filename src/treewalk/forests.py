@@ -13,8 +13,8 @@ Trees use O(n) closed forms (one cut per edge, w(T\\e) = tau/w(e)), and
 ``two_forest_cuts`` lists a tree's edge cuts. General graphs use the
 all-minors matrix-tree theorem: the 2-forests that separate u and v
 weigh tau * R(u, v) in total, with R the effective resistance, so one
-Cholesky factor of the reduced Laplacian gives every sum without
-listing a single 2-forest.
+inverse of the reduced Laplacian gives every sum without listing a
+single 2-forest; tau itself, where asked for, takes a Cholesky factor.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConsistencyError, GraphError
 from .graphs import WeightedGraph, rooted_order
-from .walks import check_error_bound, condition_bound, laplacian
+from .walks import check_error_bound, check_finite, condition_bound, laplacian
 
 
 @dataclass(frozen=True)
@@ -143,27 +143,24 @@ def tree_stats(shape: WeightedGraph, weights: Sequence[float] | np.ndarray) -> t
     return (vol / (n * n)) * s_sum, v_sum / vol
 
 
-def _resistance_sums(g: WeightedGraph) -> tuple[np.ndarray, float, float]:
-    """The Cholesky factor C of L0, sum_{u<v} R(u, v) and sum_{u<v} d(u) d(v) R(u, v).
+def _resistance_sums(g: WeightedGraph, lap0: np.ndarray) -> tuple[float, float]:
+    """sum_{u<v} R(u, v) and sum_{u<v} d(u) d(v) R(u, v) from one inverse G0 of L0.
 
-    tau is left to the caller: it leaves the float range on large dense
-    graphs, where the sums themselves are fine.
-
-    With vertex 0 grounded, G = L0^-1 padded by a zero row and column
-    gives the effective resistance R(u, v) = G[u][u] + G[v][v] - 2 G[u][v].
-    Refused when the conditioning of L0 bounds the relative error above
-    ERROR_BOUND_RTOL.
+    With vertex 0 grounded, R(u, v) = G[u][u] + G[v][v] - 2 G[u][v] for
+    G = G0 padded by a zero row and column, which adds nothing to either
+    sum: they are n tr(G0) - sum(G0) and vol (d' . diag G0) - d'^T G0 d',
+    with d' the degrees of vertices 1..n-1. Refused when the conditioning
+    of L0 bounds the relative error above ERROR_BOUND_RTOL, which also
+    refuses every L0 that is not numerically positive definite.
     """
-    lap0 = laplacian(g)[1:, 1:]
-    c = _cholesky(lap0)
-    c_inv = np.linalg.inv(c)
-    grounded = np.zeros((g.n, g.n))
-    grounded[1:, 1:] = c_inv.T @ c_inv
-    check_error_bound(condition_bound(lap0, grounded), "2-forest sums")
-    diag = np.diag(grounded)
-    r = diag[:, None] + diag[None, :] - 2.0 * grounded
-    d = np.array(g.degrees)
-    return c, float(r.sum()) / 2.0, float(d @ r @ d) / 2.0
+    try:
+        g0 = np.linalg.inv(lap0)
+    except np.linalg.LinAlgError as exc:
+        raise ConsistencyError(f"reduced Laplacian is singular: {exc}") from exc
+    check_error_bound(condition_bound(lap0, g0), "2-forest sums")
+    diag = np.diag(g0)
+    d = np.array(g.degrees[1:])
+    return g.n * float(diag.sum()) - float(g0.sum()), g.vol * float(d @ diag) - float(d @ g0 @ d)
 
 
 def forest_sums(g: WeightedGraph) -> ForestSums:
@@ -176,8 +173,9 @@ def forest_sums(g: WeightedGraph) -> ForestSums:
     g.require_connected()
     if g.n == 1:
         return ForestSums(tau=1.0, s_sum=0.0, v_sum=0.0)
-    c, r_sum, dr_sum = _resistance_sums(g)
-    log_tau = _log_tau(c)
+    lap0 = laplacian(g)[1:, 1:]
+    log_tau = _log_tau(_cholesky(lap0))
+    r_sum, dr_sum = _resistance_sums(g, lap0)
     _check_float_range(log_tau + math.log(r_sum), "S-weighted 2-forest sum")
     _check_float_range(log_tau + math.log(dr_sum), "V-weighted 2-forest sum")
     t = math.exp(log_tau)
@@ -185,21 +183,26 @@ def forest_sums(g: WeightedGraph) -> ForestSums:
 
 
 def stats(g: WeightedGraph) -> tuple[float, float]:
-    """(alpha, kappa): tree closed forms, else one factorization.
+    """(alpha, kappa): tree closed forms, else one inverse of the reduced Laplacian.
 
     alpha = vol * sum S(F) w(F) / (n^2 tau) and kappa = sum V_G(F) w(F) /
     (vol tau). For general graphs tau cancels against the resistance sums,
-    so the route never divides by it (tau overflows on large dense graphs).
+    so the route never forms it (tau overflows on large dense graphs).
+    A result that is not finite is refused.
     """
     g.require_connected()
     n = g.n
     if n == 1:
         return 0.0, 0.0
     if g.is_tree():
-        return tree_stats(g, [w for _, _, w in g.edges])
-    vol = g.vol
-    _, s_sum, v_sum = _resistance_sums(g)
-    return (vol / (n * n)) * s_sum, v_sum / vol
+        alpha, kappa = tree_stats(g, [w for _, _, w in g.edges])
+    else:
+        vol = g.vol
+        r_sum, dr_sum = _resistance_sums(g, laplacian(g)[1:, 1:])
+        alpha, kappa = (vol / (n * n)) * r_sum, dr_sum / vol
+    check_finite(alpha, "forest-route alpha")
+    check_finite(kappa, "forest-route kappa")
+    return alpha, kappa
 
 
 def alpha_forest(g: WeightedGraph) -> float:

@@ -90,8 +90,8 @@ class WeightedGraph:
         """``WeightedGraph(n, zip(u, v, w))`` from nonempty int64 and float64 columns.
 
         The edge rules are checked as whole-array predicates. When one
-        fails, the constructor runs on the same edges, so the error is
-        the one ``_checked_edge`` raises.
+        fails, a GraphError that names no edge is raised; ``parse_twg``
+        then reads the text line by line for the numbered error.
         """
         lo, hi = np.minimum(u, v), np.maximum(u, v)
         order = np.lexsort((hi, lo))
@@ -103,7 +103,7 @@ class WeightedGraph:
             or not (np.isfinite(w) & (w > 0.0)).all()
             or ((lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])).any()
         ):
-            return cls(n, tuple(zip(u.tolist(), v.tolist(), w.tolist())))
+            raise GraphError("an edge breaks the edge rules")
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
         object.__setattr__(g, "edges", tuple(zip(lo.tolist(), hi.tolist(), w.tolist())))

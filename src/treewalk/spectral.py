@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConsistencyError
 from .graphs import WeightedGraph
-from .walks import EPS, check_error_bound, laplacian
+from .walks import EPS, check_error_bound, check_finite, laplacian
 
 ZERO_EIGENVALUE_ATOL = 1e-9
 RESIDUAL_RTOL = 1e-9
@@ -52,7 +52,7 @@ def _checked_spectrum(m: np.ndarray) -> np.ndarray:
     scale = np.linalg.norm(m)
     residual = np.linalg.norm(m @ vecs - vecs * vals, axis=0)
     worst = float(residual.max()) if residual.size else 0.0
-    if worst > RESIDUAL_RTOL * max(scale, 1e-30):
+    if not worst <= RESIDUAL_RTOL * max(scale, 1e-30):
         raise ConsistencyError(f"eigenpair residual {worst:.3e} exceeds tolerance")
     return vals
 
@@ -89,6 +89,8 @@ def stats(g: WeightedGraph) -> tuple[float, float]:
     check_error_bound(EPS * nrm[-1] / nrm[1], "normalized spectrum")
     alpha = (g.vol / g.n) * sum(1.0 / lam for lam in comb[1:])
     kappa = sum(1.0 / mu for mu in nrm[1:])
+    check_finite(alpha, "spectral alpha")
+    check_finite(kappa, "spectral kappa")
     return alpha, kappa
 
 

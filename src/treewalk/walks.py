@@ -41,6 +41,12 @@ def check_error_bound(bound: float, what: str) -> None:
         raise ConsistencyError(f"{what}: a-priori error bound {bound:.3e} exceeds {ERROR_BOUND_RTOL}")
 
 
+def check_finite(values, what: str) -> None:
+    """Raise ConsistencyError unless every value is finite (not inf, not NaN)."""
+    if not np.isfinite(values).all():
+        raise ConsistencyError(f"{what}: not finite, the arithmetic left the float range")
+
+
 def condition_bound(a: np.ndarray, a_inv: np.ndarray) -> float:
     """eps * ||A||_1 * ||A^-1||_1, the relative error to expect from inverting A."""
     return EPS * float(np.abs(a).sum(axis=0).max()) * float(np.abs(a_inv).sum(axis=0).max())
@@ -75,7 +81,7 @@ def _checked_stationary(g: WeightedGraph, p: np.ndarray) -> np.ndarray:
     d = np.array(g.degrees)
     pi = d / d.sum()
     residual = np.max(np.abs(pi @ p - pi))
-    if residual > STATIONARY_RTOL:
+    if not residual <= STATIONARY_RTOL:
         raise ConsistencyError(f"stationary fixed-point residual {residual:.3e}")
     return pi
 
@@ -108,10 +114,11 @@ def hitting_matrix(g: WeightedGraph) -> np.ndarray:
     check_error_bound(condition_bound(a, z), "hitting times")
     h = (np.diag(z)[None, :] - z) / pi[None, :]
     np.fill_diagonal(h, 0.0)
+    check_finite(h, "hitting times")
     residual = i_minus_p @ h - 1.0
     residual[np.diag_indices(n)] += 1.0 / pi
     worst = float(np.abs(residual).max())
-    if worst > ONE_STEP_RESIDUAL_RTOL * float(np.abs(h).max()):
+    if not worst <= ONE_STEP_RESIDUAL_RTOL * float(np.abs(h).max()):
         raise ConsistencyError(f"one-step equation residual {worst:.3e}")
     return h
 
@@ -141,7 +148,7 @@ def walk_stats(g: WeightedGraph) -> ScalarStats:
     per_start = h @ (d / d.sum())  # pi, already checked by hitting_matrix
     kap = float(per_start.mean())
     spread = float(np.max(np.abs(per_start - kap)))
-    if spread > KEMENY_INDEPENDENCE_RTOL * abs(kap):
+    if not spread <= KEMENY_INDEPENDENCE_RTOL * abs(kap):
         raise ConsistencyError(
             f"Kemeny start-independence violated: spread {spread:.3e} at value {kap:.6g}"
         )

@@ -5,11 +5,13 @@ import pytest
 
 from _enumeration import random_labeled_tree, random_weighted_tree, spanning_tree_weight, two_forest_sums
 from _family_oracle import tree_sums
+from treewalk.cli import METHODS
 from treewalk.errors import ConsistencyError, DisconnectedError, GraphError, NotATreeError
 from treewalk.forests import (
     alpha_forest,
     forest_sums,
     kappa_forest,
+    stats,
     tau,
     tree_cut,
     tree_stats,
@@ -220,6 +222,52 @@ class TestEnumerationOracle:
         assert sums.tau == pytest.approx(want_tau, rel=1e-12)
         assert sums.s_sum == pytest.approx(want_s, rel=1e-12)
         assert sums.v_sum == pytest.approx(want_v, rel=1e-12)
+
+
+def _two_cliques_bridged(k, bridge):
+    clique = [(u, v, 1.0) for u in range(k) for v in range(u + 1, k)]
+    shifted = [(u + k, v + k, w) for u, v, w in clique]
+    return WeightedGraph(2 * k, tuple(clique + shifted + [(0, k, bridge)]))
+
+
+class TestOneInverse:
+    """The route on graphs with a cycle inverts the reduced Laplacian once and factors nothing else."""
+
+    @pytest.fixture
+    def no_cholesky(self, monkeypatch):
+        def refuse(_):
+            raise np.linalg.LinAlgError("Cholesky is not on the route")
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+
+    @pytest.mark.parametrize("name", ["K_20", "C_7", "dense n=40"])
+    def test_route_runs_without_cholesky(self, name, no_cholesky):
+        g = {
+            "K_20": lambda: complete_graph(20),
+            "C_7": lambda: cycle_graph(7),
+            "dense n=40": lambda: random_connected_graph(random.Random(40), 40, 300),
+        }[name]()
+        assert stats(g) == pytest.approx(METHODS["exact"](g), rel=1e-12)
+        with pytest.raises(ConsistencyError, match="positive definite"):
+            tau(g)
+        with pytest.raises(ConsistencyError, match="positive definite"):
+            forest_sums(g)
+
+    def test_matches_exact_route_on_dense_n300(self):
+        g = random_connected_graph(random.Random(300), 300, 13_000)
+        assert stats(g) == pytest.approx(METHODS["exact"](g), rel=1e-12)
+
+    def test_near_disconnected_cliques_are_refused(self):
+        with pytest.raises(ConsistencyError, match="2-forest sums: a-priori error bound"):
+            stats(_two_cliques_bridged(6, 1e-8))
+
+    def test_singular_reduced_laplacian_is_refused(self, monkeypatch):
+        def singular(_):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        with pytest.raises(ConsistencyError, match="reduced Laplacian is singular"):
+            stats(cycle_graph(5))
 
 
 def _bfs_distances(t, start):

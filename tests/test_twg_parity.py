@@ -10,6 +10,8 @@ import random
 import pytest
 
 import _twg_reference as reference
+from treewalk import graphs
+from treewalk.errors import TwgParseError
 from treewalk.graphs import WeightedGraph, parse_twg
 
 # index spellings on which Python's int and numpy's reader could disagree ("Ǿ" numpy reads as a digit)
@@ -152,6 +154,16 @@ class TestLargeFiles:
         want = assert_parity(text)
         assert want[0] == "error" and want[3] == self.M + 2
         assert want[2].endswith(f"duplicate edge ({min(int(u), int(v))}, {max(int(u), int(v))})")
+
+    def test_broken_rule_reads_each_edge_once(self, rows, monkeypatch):
+        # the array check only detects the broken rule; the line reader alone runs the edge rules
+        calls = []
+        checked_edge = graphs._checked_edge
+        monkeypatch.setattr(graphs, "_checked_edge", lambda *a: calls.append(a) or checked_edge(*a))
+        u, v, _ = rows[0]
+        with pytest.raises(TwgParseError, match=f"line {self.M + 2}: duplicate edge"):
+            parse_twg(render(random.Random(3), str(self.N), rows + [[v, u, "1.5"]], False))
+        assert len(calls) == self.M + 1
 
     def test_out_of_range_on_first_line(self, rows):
         bad = [[str(self.N), "0", "1"]] + rows[1:] + [[rows[0][1], rows[0][0], "2"]]
