@@ -9,6 +9,7 @@ disagreement or failed verification assertion.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -35,8 +36,8 @@ EXIT_ASSERTION = 4
 METHOD_AGREEMENT_RTOL = 1e-6
 
 
-def _exact(g: WeightedGraph) -> tuple[float, float]:
-    s = walk_stats(g)
+def _exact(g: WeightedGraph, h: np.ndarray | None = None) -> tuple[float, float]:
+    s = walk_stats(g, h)
     return s.alpha, s.kappa
 
 
@@ -138,7 +139,11 @@ def cmd_compute(args) -> int:
     t0 = time.perf_counter()
     g, digest = _read_graph(args.input)
     selected = list(METHODS) if args.method == "all" else [args.method]
-    raw = {name: METHODS[name](g) for name in selected}
+    # with --hitting, the exact route (always the first to run) takes the
+    # matrix it prints: one inverse serves both
+    h = hitting_matrix(g) if args.hitting and "exact" in selected else None
+    routes = METHODS if h is None else {**METHODS, "exact": lambda g: _exact(g, h)}
+    raw = {name: routes[name](g) for name in selected}
     results = {name: {"alpha": sig12(a), "kappa": sig12(k)} for name, (a, k) in raw.items()}
     vals = np.array(list(raw.values()))  # one row per route: alpha, kappa
     top = np.abs(vals).max(axis=0)
@@ -162,7 +167,7 @@ def cmd_compute(args) -> int:
     if len(selected) > 1:
         lines.append(f"max relative delta across methods: {delta:.3e}")
     if args.hitting:
-        h = hitting_matrix(g)
+        h = hitting_matrix(g) if h is None else h
         payload["hitting"] = [[sig12(x) for x in row] for row in h.tolist()]
         if not args.json:
             lines.append("hitting matrix:")
@@ -304,11 +309,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process, built on the first ``main`` call: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # the cmd_* function is looked up by name per call, like the routes in
+    # METHODS, so rebinding one takes effect despite the one parser
+    command = globals()[args.func.__name__]
     try:
-        code = args.func(args)
+        # overflow, 0/0 and the like are refused by check_finite with a
+        # ConsistencyError; numpy's warnings would only repeat that on stderr
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            code = command(args)
         sys.stdout.flush()  # a write that fails here is reported like any other
         return code
     except TwgParseError as exc:

@@ -20,6 +20,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -107,6 +108,9 @@ class WeightedGraph:
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
         object.__setattr__(g, "edges", tuple(zip(lo.tolist(), hi.tolist(), w.tolist())))
+        for col in (lo, hi, w):
+            col.flags.writeable = False
+        object.__setattr__(g, "columns", (lo, hi, w))
         return g
 
     # -- basic accessors -------------------------------------------------
@@ -121,12 +125,30 @@ class WeightedGraph:
         return tuple(tuple(sorted(a)) for a in adj)
 
     @cached_property
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``edges`` as read-only int64, int64 and float64 columns (lo, hi, w), in edge order.
+
+        ``parse_twg`` hands over the arrays it read; a graph built from
+        tuples flattens them once, on first use.
+        """
+        e = np.fromiter(chain.from_iterable(self.edges), float, count=3 * len(self.edges))
+        cols = e[0::3].astype(np.int64), e[1::3].astype(np.int64), e[2::3].copy()
+        for col in cols:
+            col.flags.writeable = False
+        return cols
+
+    @cached_property
     def degrees(self) -> tuple[float, ...]:
-        d = [0.0] * self.n
-        for u, v, w in self.edges:
-            d[u] += w
-            d[v] += w
-        return tuple(d)
+        """Weighted degrees, each added up in edge order.
+
+        A vertex's edges to lower vertices come before its edges to
+        higher ones in the sorted edge list, so counting the ``hi``
+        column, then the ``lo`` column, adds each vertex's weights in the
+        order of a loop over ``edges``: the same bits.
+        """
+        lo, hi, w = self.columns
+        d = np.bincount(np.concatenate((hi, lo)), np.concatenate((w, w)), self.n)
+        return tuple(d.astype(float, copy=False).tolist())  # no edges: bincount counts in int
 
     @property
     def vol(self) -> float:

@@ -10,7 +10,6 @@ modules are checked against it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -54,17 +53,23 @@ def condition_bound(a: np.ndarray, a_inv: np.ndarray) -> float:
 
 def adjacency_matrix(g: WeightedGraph) -> np.ndarray:
     """Symmetric matrix of edge weights, zero off the edges."""
-    e = np.fromiter(chain.from_iterable(g.edges), float, count=3 * len(g.edges))
-    u, v, w = e[0::3].astype(np.intp), e[1::3].astype(np.intp), e[2::3]
+    lo, hi, w = g.columns
     a = np.zeros((g.n, g.n))
-    a[u, v] = w
-    a[v, u] = w
+    a[lo, hi] = w
+    a[hi, lo] = w
     return a
 
 
 def laplacian(g: WeightedGraph) -> np.ndarray:
-    """Combinatorial Laplacian D - A."""
-    return np.diag(np.array(g.degrees)) - adjacency_matrix(g)
+    """Combinatorial Laplacian D - A, written over A.
+
+    ``0.0 - A`` rather than ``-A`` keeps the zeros off the edges +0.0,
+    so the result has the same bits as ``diag(d) - A``.
+    """
+    lap = adjacency_matrix(g)
+    np.subtract(0.0, lap, out=lap)
+    np.fill_diagonal(lap, g.degrees)
+    return lap
 
 
 def transition_matrix(g: WeightedGraph) -> np.ndarray:
@@ -134,8 +139,9 @@ def kemeny(g: WeightedGraph) -> float:
     return walk_stats(g).kappa
 
 
-def walk_stats(g: WeightedGraph) -> ScalarStats:
-    """alpha and kappa from one hitting matrix.
+def walk_stats(g: WeightedGraph, h: np.ndarray | None = None) -> ScalarStats:
+    """alpha and kappa from one hitting matrix: ``h``, when the caller
+    already holds ``hitting_matrix(g)``, else computed here.
 
     kappa is sum_v h[u][v] pi[v] for every start u; the values must agree
     before their mean is returned.
@@ -143,7 +149,8 @@ def walk_stats(g: WeightedGraph) -> ScalarStats:
     if g.n == 1:
         g.require_connected()
         return ScalarStats(alpha=0.0, kappa=0.0, vol=g.vol, n=1)
-    h = hitting_matrix(g)
+    if h is None:
+        h = hitting_matrix(g)
     d = np.array(g.degrees)
     per_start = h @ (d / d.sum())  # pi, already checked by hitting_matrix
     kap = float(per_start.mean())

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import treewalk
@@ -13,6 +14,7 @@ from treewalk.cli import main
 PATH3 = "3\n0 1 1\n1 2 1\n"
 W21 = "3\n0 1 2\n1 2 1\n"
 DISCONNECTED = "4\n0 1 1\n2 3 1\n"
+CYCLE4 = "4\n0 1 1\n1 2 2\n2 3 1.5\n0 3 0.5\n"
 
 
 @pytest.fixture
@@ -97,6 +99,30 @@ class TestCompute:
         payload = json.loads(capsys.readouterr().out)
         assert payload["methods"]["forest"]["alpha"] == payload["methods"]["exact"]["alpha"]
         assert payload["max_rel_delta"] == pytest.approx(3e-14, rel=0.05, abs=0.0)
+
+    def test_hitting_reuses_the_exact_routes_inverse(self, twg, capsys, monkeypatch):
+        from treewalk import cli, walks
+
+        shapes = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: shapes.append(a.shape) or inv(a))
+        argv = ["compute", "--method", "exact", "--hitting", "--input", twg(CYCLE4)]
+        outputs = []
+        for json_flag in ([], ["--json"]):
+            assert main(argv + json_flag) == 0
+            outputs.append(capsys.readouterr())
+        assert shapes == [(4, 4), (4, 4)]  # one inverse per call
+        # the route computing its own matrix, as before it took the one printed
+        monkeypatch.setattr(cli, "walk_stats", lambda g, h=None: walks.walk_stats(g))
+
+        def untimed(text):
+            return [line for line in text.splitlines() if '"wall_time_s"' not in line]
+
+        for json_flag, (out, err) in zip(([], ["--json"]), outputs):
+            assert main(argv + json_flag) == 0
+            again = capsys.readouterr()
+            assert untimed(again.out) == untimed(out) and again.err == err == ""
+        assert len(shapes) == 6
 
 
 @pytest.mark.parametrize("subcommand", [["compute"], ["simulate", "--from", "0", "--to", "2"]])
@@ -311,3 +337,33 @@ class TestSimulate:
             ["simulate", "--input", twg(DISCONNECTED), "--from", "0", "--to", "3",
              "--trials", "10", "--seed", "1"]
         ) == 3
+
+
+class TestParserReuse:
+    def test_one_process_matches_fresh_interpreters(self, twg, monkeypatch, capsys):
+        """Every subcommand, a usage error and --help through main, one after
+        another on the one parser: each call writes what a fresh interpreter writes."""
+        monkeypatch.setenv("COLUMNS", "80")  # the help text wraps at the terminal width
+        graph = twg(W21)
+        calls = [
+            ["compute", "--method", "all", "--hitting", "--input", graph],
+            ["verify-extremal", "--weights", "3,2,1,1", "--stat", "kappa", "--json"],
+            ["compute", "--input"],  # usage error, exit 2
+            ["hasse", "--n", "5", "--mode", "volume"],
+            ["search-path", "--weights", "4,2,1"],
+            ["--help"],
+            ["conjecture", "--n", "5", "--corpus-max", "3"],
+            ["simulate", "--input", graph, "--from", "0", "--to", "2", "--trials", "500", "--seed", "3", "--json"],
+            ["compute", "--help"],
+            ["search-path", "--weights", "1e308,1e308,1e308"],  # refused, exit 4
+            ["compute", "--method", "all", "--input", graph],
+        ]
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            fresh = _console(*argv, stdout=subprocess.PIPE)
+            out, err = fresh.communicate(timeout=120)
+            assert (code, captured.out, captured.err) == (fresh.returncode, out.decode(), err.decode()), argv

@@ -7,10 +7,15 @@ names the quantity, never in inf or NaN with exit 0.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import treewalk
 from treewalk import forests, spectral
 from treewalk.cli import METHODS, main
 from treewalk.errors import ConsistencyError
@@ -98,3 +103,29 @@ def test_nan_route_fails_the_agreement_check(tmp_path, monkeypatch, capsys):
     path.write_text("3\n0 1 1\n1 2 1\n")
     assert main(["compute", "--method", "all", "--input", str(path)]) == 4
     assert "method disagreement nan" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--method", "forest", "--input", "huge.twg"],
+        ["compute", "--method", "exact", "--json", "--input", "wide.twg"],
+        ["compute", "--method", "forest", "--input", "wide.twg"],
+        ["search-path", "--weights", HUGE_WEIGHTS],
+        ["search-path", "--weights", WIDE_WEIGHTS],
+    ],
+    ids=["huge-forest", "wide-exact", "wide-forest", "huge-search", "wide-search"],
+)
+def test_console_prints_only_the_refusal(tmp_path, argv):
+    """In a fresh interpreter, with Python's default warning filters: no
+    numpy RuntimeWarning lines ahead of the one line of the refusal."""
+    (tmp_path / "huge.twg").write_text(HUGE)
+    (tmp_path / "wide.twg").write_text(WIDE)
+    env = {**os.environ, "PYTHONPATH": str(Path(treewalk.__file__).parents[1])}
+    code = "from treewalk.cli import entrypoint; entrypoint()"
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 4
+    assert done.stdout == ""
+    assert done.stderr.startswith("verification failure: ") and done.stderr.count("\n") == 1
