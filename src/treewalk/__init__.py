@@ -26,7 +26,7 @@ from .extremal import (
     tree_family,
     weight_multiset,
 )
-from .forests import TwoForestCut, alpha_forest, kappa_forest, tau, two_forest_cuts
+from .forests import alpha_forest, kappa_forest
 from .graphs import (
     WeightedGraph,
     canonical_form,

@@ -3,7 +3,8 @@
 Subcommands: compute, verify-extremal, hasse, search-path, conjecture,
 simulate. Exit codes form the CI contract: 0 success, 2 parse/usage
 error, 3 structurally invalid graph (e.g. disconnected), 4 numerical
-disagreement or failed verification assertion.
+disagreement, failed verification assertion or an input too large for
+the memory its route needs.
 """
 
 from __future__ import annotations
@@ -272,30 +273,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["exact", "forest", "spectral", "all"], default="all")
     p.add_argument("--hitting", action="store_true", help="include the full hitting matrix")
     common(p)
-    p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("verify-extremal", help="exhaustive extremal scan over one weight multiset")
     p.add_argument("--weights", required=True, help="comma-separated positive weights")
     p.add_argument("--stat", choices=["alpha", "kappa"], required=True)
     common(p)
-    p.set_defaults(func=cmd_verify_extremal)
 
     p = sub.add_parser("hasse", help="Hasse diagram of the transfer order on simple trees")
     p.add_argument("--n", type=int, required=True, help=f"tree size, 1..{FREE_TREE_MAX}")
     p.add_argument("--mode", choices=["size", "volume"], default="size")
     p.add_argument("--output", help="DOT output path (stdout when omitted)")
-    p.set_defaults(func=cmd_hasse)
 
     p = sub.add_parser("search-path", help="kappa-maximizing path ordering of a weight multiset")
     p.add_argument("--weights", required=True)
     common(p)
-    p.set_defaults(func=cmd_search_path)
 
     p = sub.add_parser("conjecture", help="hom-dominance vs alpha scan over free trees")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--corpus-max", type=int, default=5, help="largest corpus graph size")
     common(p)
-    p.set_defaults(func=cmd_conjecture)
 
     p = sub.add_parser("simulate", help="Monte Carlo hitting-time estimate")
     p.add_argument("--input", required=True)
@@ -304,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     common(p)
-    p.set_defaults(func=cmd_simulate)
 
     return parser
 
@@ -317,9 +312,9 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    # the cmd_* function is looked up by name per call, like the routes in
-    # METHODS, so rebinding one takes effect despite the one parser
-    command = globals()[args.func.__name__]
+    # the cmd_* function is looked up by subcommand name per call, like the
+    # routes in METHODS, so rebinding one takes effect despite the one parser
+    command = globals()["cmd_" + args.subcommand.replace("-", "_")]
     try:
         # overflow, 0/0 and the like are refused by check_finite with a
         # ConsistencyError; numpy's warnings would only repeat that on stderr
@@ -341,6 +336,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_GRAPH
     except ConsistencyError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
+        return EXIT_ASSERTION
+    except MemoryError as exc:
+        print(f"cannot allocate: {exc}", file=sys.stderr)
         return EXIT_ASSERTION
     except GraphError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -193,13 +193,6 @@ class WeightedGraph:
         except KeyError:
             raise GraphError(f"no edge ({u}, {v})") from None
 
-    def subgraph_weight(self, edge_pairs: Iterable[tuple[int, int]]) -> float:
-        """Product of the weights of the given edges; empty product is 1."""
-        w = 1.0
-        for u, v in edge_pairs:
-            w *= self.weight(u, v)
-        return w
-
     def weight_multiset(self) -> tuple[float, ...]:
         """Edge weights sorted descending."""
         return tuple(sorted((w for _, _, w in self.edges), reverse=True))
@@ -209,33 +202,6 @@ class WeightedGraph:
             raise GraphError(f"vertex {u} out of range for n={self.n}")
 
     # -- structure predicates --------------------------------------------
-
-    def components(self, removed: Iterable[tuple[int, int]] = ()) -> tuple[frozenset[int], ...]:
-        """Connected components after deleting ``removed`` edges, sorted by min vertex."""
-        banned = set()
-        for u, v in removed:
-            if not self.has_edge(u, v):
-                raise GraphError(f"no edge ({u}, {v})")
-            banned.add((u, v) if u < v else (v, u))
-        seen = [False] * self.n
-        blocks = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            seen[start] = True
-            stack = [start]
-            block = [start]
-            while stack:
-                x = stack.pop()
-                for y, _ in self.neighbors[x]:
-                    key = (x, y) if x < y else (y, x)
-                    if key in banned or seen[y]:
-                        continue
-                    seen[y] = True
-                    stack.append(y)
-                    block.append(y)
-            blocks.append(frozenset(block))
-        return tuple(sorted(blocks, key=min))
 
     @cached_property
     def _connected(self) -> bool:

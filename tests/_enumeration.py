@@ -1,11 +1,14 @@
 """Brute-force reference values and test-only tree helpers.
 
 Subset enumeration of spanning trees and spanning 2-forests (graphs of
-at most ENUM_EDGE_MAX edges), and the tree edge-cut closed forms with
-both side volumes summed directly by math.fsum. None of it calls the
+at most ENUM_EDGE_MAX edges), and the tree edge cuts: each cut's two
+sides with their sizes and ambient volumes, summed directly by
+math.fsum, and the closed forms built from them. None of it calls the
 routes it checks. Also every labeled tree by Pruefer decoding, the
 free-tree counts, seeded random labeled and weighted trees, the star
-predicate, the partition a set of edge cuts leaves, the centres by leaf
+predicate, the components left by deleting edges (a depth-first search,
+the reference for the union-find connectivity test of WeightedGraph),
+the partition a set of edge cuts leaves, the centres by leaf
 peeling on a degree count and the recursive canonical coder, which only
 the tests use. Last, the graph corpus by enumerating every edge subset
 and by vertex extension with a scalar canonical edge list, the
@@ -129,11 +132,39 @@ def recursive_canonical_form(t):
     return min(code(c, -1, None) for c in tree_centers(t))
 
 
+def components(g, removed=()):
+    """Connected components of g less the ``removed`` edges, by depth-first search, sorted by min vertex."""
+    banned = set()
+    for u, v in removed:
+        if not g.has_edge(u, v):
+            raise GraphError(f"no edge ({u}, {v})")
+        banned.add((u, v) if u < v else (v, u))
+    seen = [False] * g.n
+    blocks = []
+    for start in range(g.n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        stack = [start]
+        block = [start]
+        while stack:
+            x = stack.pop()
+            for y, _ in g.neighbors[x]:
+                key = (x, y) if x < y else (y, x)
+                if key in banned or seen[y]:
+                    continue
+                seen[y] = True
+                stack.append(y)
+                block.append(y)
+        blocks.append(frozenset(block))
+    return tuple(sorted(blocks, key=min))
+
+
 def remove_edges_partition(t, edge_pairs):
     """Vertex partition of a tree after deleting the given edges: k cuts leave k+1 blocks."""
     t.require_tree()
     pairs = list(edge_pairs)
-    blocks = t.components(removed=pairs)
+    blocks = components(t, removed=pairs)
     assert len(blocks) == len(pairs) + 1
     return blocks
 
@@ -176,6 +207,16 @@ def _degrees(g):
     return [math.fsum(ws) for ws in incident]
 
 
+def edge_cut(t, u, v):
+    """The two sides of tree t less edge (u, v), by least vertex, with their sizes
+    and their ambient volumes: degrees taken in t, summed by math.fsum."""
+    kept = [e for e in t.edges if {e[0], e[1]} != {u, v}]
+    assert len(kept) == t.n - 2, f"({u}, {v}) is not an edge of the tree"
+    sides = tuple(map(frozenset, _components(t.n, kept)))
+    degrees = _degrees(t)
+    return sides, tuple(map(len, sides)), tuple(math.fsum(degrees[x] for x in b) for b in sides)
+
+
 def two_forest_sums(g):
     """(tau, S-weighted sum, V-weighted sum) over every spanning 2-forest."""
     assert len(g.edges) <= ENUM_EDGE_MAX
@@ -201,13 +242,12 @@ def enumerated_stats(g):
 
 def tree_stats(g):
     """(alpha, kappa) of a tree from its edge cuts, both side volumes summed directly."""
-    degrees = _degrees(g)
-    vol = math.fsum(degrees)
+    vol = math.fsum(_degrees(g))
     s_terms, v_terms = [], []
-    for cut in g.edges:
-        b1, b2 = _components(g.n, [e for e in g.edges if e is not cut])
-        s_terms.append(len(b1) * len(b2) / cut[2])
-        v_terms.append(math.fsum(degrees[x] for x in b1) * math.fsum(degrees[x] for x in b2) / cut[2])
+    for u, v, w in g.edges:
+        _, (n1, n2), (vol1, vol2) = edge_cut(g, u, v)
+        s_terms.append(n1 * n2 / w)
+        v_terms.append(vol1 * vol2 / w)
     return vol / (g.n * g.n) * math.fsum(s_terms), math.fsum(v_terms) / vol
 
 

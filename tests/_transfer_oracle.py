@@ -11,6 +11,7 @@ neighbour lists; the outputs must be equal, floats bit for bit.
 
 from graphlib import TopologicalSorter
 
+from _enumeration import components as graph_components
 from treewalk.errors import ConsistencyError, GraphError
 from treewalk.graphs import WeightedGraph, _rooted_level_sequences, canonical_form
 from treewalk.transfers import MODE_SIZE, HasseDiagram, TransferMove, _strictly_greater
@@ -19,7 +20,7 @@ from treewalk.transfers import MODE_SIZE, HasseDiagram, TransferMove, _strictly_
 def components(t, v1, v2, v3):
     """Components of T minus {(v1, v2), (v2, v3)} containing v1, v2, v3."""
     by_vertex = {}
-    for block in t.components(removed=((v1, v2), (v2, v3))):
+    for block in graph_components(t, removed=((v1, v2), (v2, v3))):
         for x in block:
             by_vertex[x] = block
     return by_vertex[v1], by_vertex[v2], by_vertex[v3]

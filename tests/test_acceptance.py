@@ -4,12 +4,13 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the
 per-criterion PASS lines.
 """
 
+import math
 import random
 import time
 
 import pytest
 
-from _enumeration import is_star_graph, random_weighted_tree
+from _enumeration import edge_cut, is_star_graph, random_weighted_tree
 from _separators import find_separator, separator_library
 from treewalk.extremal import (
     best_path_assignment,
@@ -18,7 +19,7 @@ from treewalk.extremal import (
     polarized_paths,
     star_of,
 )
-from treewalk.forests import alpha_forest, kappa_forest, tree_cut
+from treewalk.forests import alpha_forest, kappa_forest
 from treewalk.graphs import (
     canonical_form,
     enumerate_free_trees,
@@ -148,8 +149,8 @@ def test_criterion_6_transfer_monotonicity_property_suite():
             assert alpha_before > alpha_after
             lhs = (n / vol) * (alpha_before - alpha_after)
             rhs = (
-                tree_cut(t, move.v1, move.v2).s_value
-                - tree_cut(out, move.v1, move.v2).s_value
+                math.prod(edge_cut(t, move.v1, move.v2)[1])
+                - math.prod(edge_cut(out, move.v1, move.v2)[1])
             ) / (n * t.weight(move.v1, move.v2))
             assert abs(lhs - rhs) <= IDENTITY_RTOL * max(abs(lhs), abs(rhs))
             size_moves += 1
@@ -159,8 +160,8 @@ def test_criterion_6_transfer_monotonicity_property_suite():
             assert kappa_before > kappa_after
             lhs = kappa_before - kappa_after
             rhs = (
-                tree_cut(t, move.v1, move.v2).v_value
-                - tree_cut(out, move.v1, move.v2).v_value
+                math.prod(edge_cut(t, move.v1, move.v2)[2])
+                - math.prod(edge_cut(out, move.v1, move.v2)[2])
             ) / (vol * t.weight(move.v1, move.v2))
             assert abs(lhs - rhs) <= IDENTITY_RTOL * max(abs(lhs), abs(rhs))
             volume_moves += 1

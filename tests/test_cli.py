@@ -124,6 +124,18 @@ class TestCompute:
             assert untimed(again.out) == untimed(out) and again.err == err == ""
         assert len(shapes) == 6
 
+    def test_memory_error_exit_4_in_one_line(self, twg, capsys, monkeypatch):
+        from treewalk import cli
+
+        msg = "Unable to allocate 74.5 GiB for an array with shape (100000, 100000) and data type float64"
+
+        def unaffordable(g):
+            raise MemoryError(msg)
+
+        monkeypatch.setitem(cli.METHODS, "exact", unaffordable)
+        assert main(["compute", "--input", twg(PATH3)]) == 4
+        assert capsys.readouterr() == ("", f"cannot allocate: {msg}\n")
+
 
 @pytest.mark.parametrize("subcommand", [["compute"], ["simulate", "--from", "0", "--to", "2"]])
 class TestUnreadableInput:
@@ -340,6 +352,26 @@ class TestSimulate:
 
 
 class TestParserReuse:
+    def test_first_call_finds_a_rebound_command_by_subcommand_name(self, twg):
+        """A tracer may rebind cmd_compute to a closure named ``wrapper`` before the
+        first main call of a process builds the one parser."""
+        code = (
+            "import sys\n"
+            "from treewalk import cli\n"
+            "def traced(fn):\n"
+            "    def wrapper(args):\n"
+            "        print('traced', fn.__name__, file=sys.stderr)\n"
+            "        return fn(args)\n"
+            "    return wrapper\n"
+            "cli.cmd_compute = traced(cli.cmd_compute)\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(treewalk.__file__).parents[1])}
+        argv = ["compute", "--method", "forest", "--input", twg(W21)]
+        child = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, env=env, timeout=120)
+        assert (child.returncode, child.stderr) == (0, b"traced cmd_compute\n")
+        assert child.stdout.decode().startswith("n=3 edges=2")
+
     def test_one_process_matches_fresh_interpreters(self, twg, monkeypatch, capsys):
         """Every subcommand, a usage error and --help through main, one after
         another on the one parser: each call writes what a fresh interpreter writes."""

@@ -117,13 +117,6 @@ class TestBasics:
         assert g.volume({1, 2}) == 4.0
         assert g.volume({2}) == 1.0
 
-    def test_subgraph_weight(self):
-        g = path_graph([2, 1])
-        assert g.subgraph_weight([]) == 1.0
-        assert g.subgraph_weight([(0, 1), (1, 2)]) == 2.0
-        with pytest.raises(GraphError):
-            g.subgraph_weight([(0, 2)])
-
     def test_handshake_over_random_graphs(self):
         rng = random.Random(7)
         for _ in range(20):

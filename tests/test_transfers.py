@@ -1,13 +1,14 @@
 import functools
+import math
 import random
 
 import pytest
 
 import _transfer_oracle as oracle
-from _enumeration import is_star_graph, random_weighted_tree
+from _enumeration import edge_cut, is_star_graph, random_weighted_tree
 from treewalk.errors import ConsistencyError, GraphError, NotATreeError
 from treewalk.extremal import tree_family
-from treewalk.forests import alpha_forest, kappa_forest, tree_cut
+from treewalk.forests import alpha_forest, kappa_forest
 from treewalk.graphs import (
     canonical_form,
     cycle_graph,
@@ -143,8 +144,8 @@ class TestMonotonicity:
             for move in legal_moves(t, "size"):
                 out = apply_move(t, move)
                 lhs = (n / vol) * (alpha_forest(t) - alpha_forest(out))
-                s_t = tree_cut(t, move.v1, move.v2).s_value
-                s_out = tree_cut(out, move.v1, move.v2).s_value
+                s_t = math.prod(edge_cut(t, move.v1, move.v2)[1])
+                s_out = math.prod(edge_cut(out, move.v1, move.v2)[1])
                 rhs = (s_t - s_out) / (n * t.weight(move.v1, move.v2))
                 assert lhs == pytest.approx(rhs, rel=1e-9)
 
@@ -157,8 +158,8 @@ class TestMonotonicity:
             for move in legal_moves(t, "volume"):
                 out = apply_move(t, move)
                 lhs = kappa_forest(t) - kappa_forest(out)
-                v_t = tree_cut(t, move.v1, move.v2).v_value
-                v_out = tree_cut(out, move.v1, move.v2).v_value
+                v_t = math.prod(edge_cut(t, move.v1, move.v2)[2])
+                v_out = math.prod(edge_cut(out, move.v1, move.v2)[2])
                 rhs = (v_t - v_out) / (vol * t.weight(move.v1, move.v2))
                 assert lhs == pytest.approx(rhs, rel=1e-9)
 
