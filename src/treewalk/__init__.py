@@ -26,7 +26,6 @@ from .extremal import (
     tree_family,
     weight_multiset,
 )
-from .forests import alpha_forest, kappa_forest
 from .graphs import (
     WeightedGraph,
     canonical_form,
@@ -47,7 +46,7 @@ from .homorder import (
     hom_counts,
 )
 from .simulate import WalkEstimate, Xorshift64Star, estimate_hitting, mix64
-from .spectral import SpectrumResult, alpha_spectral, kappa_spectral, laplacian_spectra
+from .spectral import SpectrumResult, laplacian_spectra
 from .transfers import (
     HasseDiagram,
     TransferMove,
@@ -57,14 +56,6 @@ from .transfers import (
     legal_moves,
     verify_monotonicity,
 )
-from .walks import (
-    ScalarStats,
-    average_hitting_time,
-    hitting_matrix,
-    kemeny,
-    stationary,
-    transition_matrix,
-    walk_stats,
-)
+from .walks import hitting_matrix, stationary, transition_matrix, walk_stats
 
 __all__ = [name for name in dir() if not name.startswith("_")]

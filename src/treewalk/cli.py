@@ -37,15 +37,10 @@ EXIT_ASSERTION = 4
 METHOD_AGREEMENT_RTOL = 1e-6
 
 
-def _exact(g: WeightedGraph, h: np.ndarray | None = None) -> tuple[float, float]:
-    s = walk_stats(g, h)
-    return s.alpha, s.kappa
-
-
 # Each route computes (alpha, kappa) from one factorization. Names are looked
 # up per call, so rebinding a route function elsewhere takes effect here too.
 METHODS = {
-    "exact": _exact,
+    "exact": lambda g: walk_stats(g),
     "forest": lambda g: forests.stats(g),
     "spectral": lambda g: spectral.stats(g),
 }
@@ -60,7 +55,7 @@ def _read_graph(path: str) -> tuple[WeightedGraph, str]:
     try:
         with open(path, "rb") as fh:
             data = fh.read()
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")  # a leading byte order mark is not part of the text
     except (OSError, UnicodeDecodeError) as exc:
         raise _Unreadable(exc) from exc
     return parse_twg(text), hashlib.sha256(data).hexdigest()
@@ -143,7 +138,7 @@ def cmd_compute(args) -> int:
     # with --hitting, the exact route (always the first to run) takes the
     # matrix it prints: one inverse serves both
     h = hitting_matrix(g) if args.hitting and "exact" in selected else None
-    routes = METHODS if h is None else {**METHODS, "exact": lambda g: _exact(g, h)}
+    routes = METHODS if h is None else {**METHODS, "exact": lambda g: walk_stats(g, h)}
     raw = {name: routes[name](g) for name in selected}
     results = {name: {"alpha": sig12(a), "kappa": sig12(k)} for name, (a, k) in raw.items()}
     vals = np.array(list(raw.values()))  # one row per route: alpha, kappa

@@ -30,8 +30,9 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import forests
 from .errors import ConsistencyError, GraphError
-from .forests import alpha_forest, tree_stats
+from .forests import tree_stats
 from .graphs import (
     WeightedGraph,
     _peel,
@@ -325,7 +326,7 @@ def extremal_scan(weights: Sequence[float], stat: str) -> FamilyReport:
         pol_codes = sorted(canonical_form(path_graph(p)) for p in layouts)
         if sorted(argmax_codes) != pol_codes:
             raise ConsistencyError(f"alpha argmax set differs from the polarized paths for W={ws}")
-        pol_vals = [alpha_forest(path_graph(p)) for p in layouts]
+        pol_vals = [forests.stats(path_graph(p))[0] for p in layouts]
         spread = max(pol_vals) - min(pol_vals)
         if not spread <= EXTREME_GROUP_RTOL * abs(max_value):
             raise ConsistencyError(f"polarized paths do not share one alpha for W={ws}")

@@ -107,13 +107,3 @@ def stats(g: WeightedGraph) -> tuple[float, float]:
     check_finite(alpha, "forest-route alpha")
     check_finite(kappa, "forest-route kappa")
     return alpha, kappa
-
-
-def alpha_forest(g: WeightedGraph) -> float:
-    """Average hitting time from the 2-forest sum."""
-    return stats(g)[0]
-
-
-def kappa_forest(g: WeightedGraph) -> float:
-    """Kemeny's constant from the 2-forest sum."""
-    return stats(g)[1]

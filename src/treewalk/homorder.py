@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import GraphError
 from .graphs import WeightedGraph, canonical_form, enumerate_free_trees, rooted_order, sig12
-from .walks import average_hitting_time
+from .walks import walk_stats
 
 CORPUS_VERTEX_MAX = 6
 SCAN_TREE_MAX = 8
@@ -276,7 +276,7 @@ def conjecture_scan(n: int, corpus: list[WeightedGraph] | None = None) -> HomDom
         corpus = connected_graph_corpus()
     trees = enumerate_free_trees(n)
     codes = [canonical_form(t) for t in trees]
-    alphas = [average_hitting_time(t) if t.n > 1 else 0.0 for t in trees]
+    alphas = [walk_stats(t)[0] for t in trees]
 
     pairs = []
     violations = []

@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import GraphError
 from .graphs import WeightedGraph
+from .walks import check_finite
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -104,6 +105,8 @@ def estimate_hitting(
     if start == target:
         return WalkEstimate(mean=0.0, stderr=0.0, trials=trials, seed=seed)
 
+    # an infinite total would send every draw to the last neighbour
+    check_finite(g.degrees, "weighted degrees")
     walk = _Tables(g)
     base = np.uint64(mix64(seed & _MASK))
     total = 0

@@ -92,13 +92,3 @@ def stats(g: WeightedGraph) -> tuple[float, float]:
     check_finite(alpha, "spectral alpha")
     check_finite(kappa, "spectral kappa")
     return alpha, kappa
-
-
-def alpha_spectral(g: WeightedGraph) -> float:
-    """Average hitting time as (vol/n) * sum of reciprocal nonzero eigenvalues."""
-    return stats(g)[0]
-
-
-def kappa_spectral(g: WeightedGraph) -> float:
-    """Kemeny's constant as the reciprocal sum over the normalized spectrum."""
-    return stats(g)[1]

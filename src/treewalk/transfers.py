@@ -26,7 +26,7 @@ from graphlib import CycleError, TopologicalSorter
 
 from .errors import ConsistencyError, GraphError
 from .graphs import WeightedGraph, _tree_code, canonical_form, format_weight, rooted_order
-from .forests import alpha_forest, kappa_forest
+from .forests import stats
 
 MODE_SIZE = "size"
 MODE_VOLUME = "volume"
@@ -188,9 +188,9 @@ def verify_monotonicity(t: WeightedGraph, move: TransferMove) -> tuple[float, fl
     Kemeny's constant for volume moves; both are theorems, so a
     violation is an implementation bug.
     """
-    stat = alpha_forest if move.mode == MODE_SIZE else kappa_forest
-    before = stat(t)
-    after = stat(apply_move(t, move))
+    k = 0 if move.mode == MODE_SIZE else 1  # alpha or kappa
+    before = stats(t)[k]
+    after = stats(apply_move(t, move))[k]
     if not before - after > MONOTONE_MARGIN_RTOL * abs(before):
         raise ConsistencyError(
             f"{move.mode} move failed to strictly decrease its statistic: "

@@ -9,8 +9,6 @@ modules are checked against it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConsistencyError, DisconnectedError
@@ -22,16 +20,6 @@ ONE_STEP_RESIDUAL_RTOL = 1e-9
 # every route refuses a result whose a-priori relative error bound exceeds this
 ERROR_BOUND_RTOL = 1e-8
 EPS = float(np.finfo(float).eps)
-
-
-@dataclass(frozen=True)
-class ScalarStats:
-    """Scalar summary of the walk on one graph."""
-
-    alpha: float
-    kappa: float
-    vol: float
-    n: int
 
 
 def check_error_bound(bound: float, what: str) -> None:
@@ -128,27 +116,17 @@ def hitting_matrix(g: WeightedGraph) -> np.ndarray:
     return h
 
 
-def average_hitting_time(g: WeightedGraph) -> float:
-    """Mean of h[u][v] over all ordered pairs, zero diagonal included."""
-    h = hitting_matrix(g)
-    return float(h.sum()) / (g.n * g.n)
-
-
-def kemeny(g: WeightedGraph) -> float:
-    """Expected time to a stationary-random destination, start-independent."""
-    return walk_stats(g).kappa
-
-
-def walk_stats(g: WeightedGraph, h: np.ndarray | None = None) -> ScalarStats:
-    """alpha and kappa from one hitting matrix: ``h``, when the caller
+def walk_stats(g: WeightedGraph, h: np.ndarray | None = None) -> tuple[float, float]:
+    """The tuple (alpha, kappa) from one hitting matrix: ``h``, when the caller
     already holds ``hitting_matrix(g)``, else computed here.
 
-    kappa is sum_v h[u][v] pi[v] for every start u; the values must agree
-    before their mean is returned.
+    alpha is the mean of h[u][v] over all ordered pairs, zero diagonal
+    included. kappa is sum_v h[u][v] pi[v] for every start u; the values
+    must agree before their mean is returned.
     """
     if g.n == 1:
         g.require_connected()
-        return ScalarStats(alpha=0.0, kappa=0.0, vol=g.vol, n=1)
+        return 0.0, 0.0
     if h is None:
         h = hitting_matrix(g)
     d = np.array(g.degrees)
@@ -159,9 +137,4 @@ def walk_stats(g: WeightedGraph, h: np.ndarray | None = None) -> ScalarStats:
         raise ConsistencyError(
             f"Kemeny start-independence violated: spread {spread:.3e} at value {kap:.6g}"
         )
-    return ScalarStats(
-        alpha=float(h.sum()) / (g.n * g.n),
-        kappa=kap,
-        vol=g.vol,
-        n=g.n,
-    )
+    return float(h.sum()) / (g.n * g.n), kap

@@ -12,6 +12,7 @@ import pytest
 
 from _enumeration import edge_cut, is_star_graph, random_weighted_tree
 from _separators import find_separator, separator_library
+from treewalk import forests, spectral
 from treewalk.extremal import (
     best_path_assignment,
     extremal_scan,
@@ -19,7 +20,6 @@ from treewalk.extremal import (
     polarized_paths,
     star_of,
 )
-from treewalk.forests import alpha_forest, kappa_forest
 from treewalk.graphs import (
     canonical_form,
     enumerate_free_trees,
@@ -29,9 +29,9 @@ from treewalk.graphs import (
 )
 from treewalk.homorder import conjecture_scan, connected_graph_corpus
 from treewalk.simulate import estimate_hitting
-from treewalk.spectral import alpha_spectral, kappa_spectral, laplacian_spectra
+from treewalk.spectral import laplacian_spectra
 from treewalk.transfers import apply_move, build_hasse, legal_moves
-from treewalk.walks import average_hitting_time, hitting_matrix, kemeny
+from treewalk.walks import hitting_matrix, walk_stats
 
 AGREEMENT_RTOL = 1e-7
 HAND_RTOL = 1e-10
@@ -58,12 +58,9 @@ def test_criterion_1_triple_method_agreement(agreement_corpus):
     start = time.perf_counter()
     assert len(agreement_corpus) == 106 + 47 + 23 + 11 + 500
     for g in agreement_corpus:
-        alpha = average_hitting_time(g)
-        kappa = kemeny(g)
-        assert alpha_forest(g) == pytest.approx(alpha, rel=AGREEMENT_RTOL)
-        assert alpha_spectral(g) == pytest.approx(alpha, rel=AGREEMENT_RTOL)
-        assert kappa_forest(g) == pytest.approx(kappa, rel=AGREEMENT_RTOL)
-        assert kappa_spectral(g) == pytest.approx(kappa, rel=AGREEMENT_RTOL)
+        exact = walk_stats(g)
+        assert forests.stats(g) == pytest.approx(exact, rel=AGREEMENT_RTOL)
+        assert spectral.stats(g) == pytest.approx(exact, rel=AGREEMENT_RTOL)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     _report(1, f"exact/forest/spectral agree to {AGREEMENT_RTOL} on "
@@ -78,10 +75,8 @@ def test_criterion_2_hand_oracles():
         ("w21", path_graph([2, 1]), 2.0, 3 / 2),
     ]
     for name, g, alpha, kappa in cases:
-        for fn in (average_hitting_time, alpha_forest, alpha_spectral):
-            assert fn(g) == pytest.approx(alpha, rel=HAND_RTOL), (name, fn.__name__)
-        for fn in (kemeny, kappa_forest, kappa_spectral):
-            assert fn(g) == pytest.approx(kappa, rel=HAND_RTOL), (name, fn.__name__)
+        for route in (walk_stats, forests.stats, spectral.stats):
+            assert route(g) == pytest.approx((alpha, kappa), rel=HAND_RTOL), (name, route.__module__)
     _report(2, "all hand-derived alpha/kappa values reproduced to 1e-10 by all methods")
 
 
@@ -89,9 +84,7 @@ def test_criterion_3_path_max_star_min_simple_trees():
     start = time.perf_counter()
     for n in range(5, 9):
         trees = enumerate_free_trees(n)
-        alphas = [alpha_forest(t) for t in trees]
-        kappas = [kappa_forest(t) for t in trees]
-        for values in (alphas, kappas):
+        for values in zip(*map(forests.stats, trees)):  # alphas, then kappas
             order = sorted(range(len(trees)), key=lambda i: values[i])
             assert is_star_graph(trees[order[0]])
             assert is_path_graph(trees[order[-1]])
@@ -116,7 +109,7 @@ def test_criterion_4_alpha_extremes_weighted():
         report = extremal_scan(weights, "alpha")
         polarized = {canonical_form(path_graph(p)) for p in polarized_paths(weights)}
         assert set(report.argmax_codes) == polarized
-        values = [alpha_forest(path_graph(p)) for p in polarized_paths(weights)]
+        values = [forests.stats(path_graph(p))[0] for p in polarized_paths(weights)]
         assert max(values) - min(values) <= 1e-10 * abs(max(values))
         assert report.argmin_codes == (canonical_form(star_of(weights)),)
         assert report.runner_up_min - report.min_value > 1e-10 * report.min_value
@@ -141,11 +134,10 @@ def test_criterion_6_transfer_monotonicity_property_suite():
     for _ in range(1000):
         t = random_weighted_tree(rng, rng.randint(3, 10))
         n, vol = t.n, t.vol
-        alpha_before = alpha_forest(t)
-        kappa_before = kappa_forest(t)
+        alpha_before, kappa_before = forests.stats(t)
         for move in legal_moves(t, "size"):
             out = apply_move(t, move)
-            alpha_after = alpha_forest(out)
+            alpha_after = forests.stats(out)[0]
             assert alpha_before > alpha_after
             lhs = (n / vol) * (alpha_before - alpha_after)
             rhs = (
@@ -156,7 +148,7 @@ def test_criterion_6_transfer_monotonicity_property_suite():
             size_moves += 1
         for move in legal_moves(t, "volume"):
             out = apply_move(t, move)
-            kappa_after = kappa_forest(out)
+            kappa_after = forests.stats(out)[1]
             assert kappa_before > kappa_after
             lhs = kappa_before - kappa_after
             rhs = (

@@ -90,6 +90,18 @@ class TestCompute:
         assert payload["input_digest"] == hashlib.sha256(parsed[0].encode()).hexdigest()
         assert payload["input_digest"] == hashlib.sha256(path.read_bytes()).hexdigest()
 
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        plain, bom = tmp_path / "plain.twg", tmp_path / "bom.twg"
+        plain.write_bytes(CYCLE4.encode())
+        bom.write_bytes(b"\xef\xbb\xbf" + CYCLE4.encode())
+        payloads = []
+        for path in (plain, bom):
+            assert main(["compute", "--input", str(path), "--json"]) == 0
+            payloads.append(json.loads(capsys.readouterr().out))
+        for key in ("n", "edge_count", "methods"):
+            assert payloads[1][key] == payloads[0][key]
+        assert payloads[1]["input_digest"] == hashlib.sha256(bom.read_bytes()).hexdigest()
+
     def test_delta_from_unrounded_values(self, twg, capsys, monkeypatch):
         from treewalk import cli
 

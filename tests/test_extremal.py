@@ -26,13 +26,13 @@ from treewalk.extremal import (
     tree_family,
     weight_multiset,
 )
-from treewalk.forests import alpha_forest, kappa_forest, stats, tree_stats
+from treewalk.forests import stats, tree_stats
 from treewalk.graphs import (
     canonical_form,
     is_path_graph,
     path_graph,
 )
-from treewalk.walks import average_hitting_time, kemeny
+from treewalk.walks import walk_stats
 
 
 class TestPolarized:
@@ -80,7 +80,7 @@ class TestPolarized:
 
     def test_polarized_layouts_share_alpha(self):
         for ws in ([7, 5, 4, 2, 2, 1], [3, 2, 1, 0.5], [2, 2, 1, 1]):
-            vals = [alpha_forest(path_graph(p)) for p in polarized_paths(ws)]
+            vals = [stats(path_graph(p))[0] for p in polarized_paths(ws)]
             assert max(vals) - min(vals) <= 1e-10 * abs(max(vals))
 
     def test_empty_rejected(self):
@@ -164,7 +164,7 @@ class TestObjective:
             closed = (2 * s / n**2) * sum(
                 (i + 1) * (n - i - 1) / w for i, w in enumerate(ws)
             )
-            assert average_hitting_time(path_graph(ws)) == pytest.approx(closed, rel=1e-9)
+            assert walk_stats(path_graph(ws))[0] == pytest.approx(closed, rel=1e-9)
 
     def test_kappa_objective_affine_identity(self):
         # 2 S kappa(P) - 4 J = (2n-3) S holds for every ordering of a multiset
@@ -174,7 +174,7 @@ class TestObjective:
             n = len(ws) + 1
             s = sum(ws)
             for perm in permutations(ws):
-                kap = kemeny(path_graph(perm))
+                kap = walk_stats(path_graph(perm))[1]
                 j = path_kappa_objective(perm)
                 assert 2 * s * kap - 4 * j == pytest.approx((2 * n - 3) * s, rel=1e-9)
 
@@ -224,7 +224,7 @@ class TestScan:
     def test_values_bracket_family(self):
         report = extremal_scan([2, 2, 1, 1], "alpha")
         for t in tree_family([2, 2, 1, 1]):
-            v = alpha_forest(t)
+            v = stats(t)[0]
             assert report.min_value - 1e-12 <= v <= report.max_value + 1e-12
 
     def test_six_weight_family_scan(self):
@@ -248,7 +248,7 @@ class TestBestPath:
     def test_small_brute_force(self):
         result = best_path_assignment([3, 2, 1])
         by_kappa = max(
-            ((perm, kappa_forest(path_graph(perm))) for perm in permutations((3.0, 2.0, 1.0))),
+            ((perm, stats(path_graph(perm))[1]) for perm in permutations((3.0, 2.0, 1.0))),
             key=lambda e: e[1],
         )
         assert result.kappa == pytest.approx(by_kappa[1], rel=1e-12)

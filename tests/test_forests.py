@@ -13,7 +13,7 @@ from _enumeration import (
 from _family_oracle import tree_sums
 from treewalk.cli import METHODS
 from treewalk.errors import ConsistencyError
-from treewalk.forests import _resistance_sums, alpha_forest, kappa_forest, stats, tree_stats
+from treewalk.forests import _resistance_sums, stats, tree_stats
 from treewalk.graphs import (
     WeightedGraph,
     cycle_graph,
@@ -22,7 +22,7 @@ from treewalk.graphs import (
     path_graph,
     star_graph,
 )
-from treewalk.walks import average_hitting_time, kemeny, laplacian
+from treewalk.walks import laplacian, walk_stats
 
 P3 = path_graph([1, 1])
 P4 = path_graph([1, 1, 1])
@@ -94,27 +94,23 @@ class TestScalars:
         ],
     )
     def test_hand_values(self, g, alpha, kappa_val):
-        assert alpha_forest(g) == pytest.approx(alpha, rel=1e-12)
-        assert kappa_forest(g) == pytest.approx(kappa_val, rel=1e-12)
+        assert stats(g) == pytest.approx((alpha, kappa_val), rel=1e-12)
 
     def test_agrees_with_walk_on_free_trees(self):
         for n in range(2, 8):
             for t in enumerate_free_trees(n):
-                assert alpha_forest(t) == pytest.approx(average_hitting_time(t), rel=1e-8)
-                assert kappa_forest(t) == pytest.approx(kemeny(t), rel=1e-8)
+                assert stats(t) == pytest.approx(walk_stats(t), rel=1e-8)
 
     def test_agrees_with_walk_on_cycles(self):
         for n in range(3, 8):
             c = cycle_graph(n)
-            assert alpha_forest(c) == pytest.approx(average_hitting_time(c), rel=1e-8)
-            assert kappa_forest(c) == pytest.approx(kemeny(c), rel=1e-8)
+            assert stats(c) == pytest.approx(walk_stats(c), rel=1e-8)
 
     def test_agrees_with_walk_on_random_connected(self):
         rng = random.Random(41)
         for _ in range(8):
             g = random_connected_graph(rng, rng.randint(4, 7), rng.randint(1, 3))
-            assert alpha_forest(g) == pytest.approx(average_hitting_time(g), rel=1e-8)
-            assert kappa_forest(g) == pytest.approx(kemeny(g), rel=1e-8)
+            assert stats(g) == pytest.approx(walk_stats(g), rel=1e-8)
 
     def test_wiener_index_identity(self):
         # sum of cut size-products equals sum of pairwise path lengths

@@ -21,6 +21,7 @@ from treewalk.cli import METHODS, main
 from treewalk.errors import ConsistencyError
 from treewalk.extremal import _check_rankings_agree, best_path_assignment, extremal_scan
 from treewalk.graphs import parse_twg
+from treewalk.simulate import estimate_hitting
 from treewalk.walks import hitting_matrix, walk_stats
 
 HUGE = "3\n0 1 1e308\n1 2 1e308\n"
@@ -82,6 +83,9 @@ def test_library_entry_points_raise():
         hitting_matrix(wide)
     with pytest.raises(ConsistencyError, match="hitting times: not finite"):
         walk_stats(wide)
+    # an infinite weighted degree would send every step to the last neighbour
+    with pytest.raises(ConsistencyError, match="weighted degrees: not finite"):
+        estimate_hitting(huge, 0, 2, 1000, 0)
     for text in (HUGE_WEIGHTS, WIDE_WEIGHTS):
         ws = [float(w) for w in text.split(",")]
         with pytest.raises(ConsistencyError, match="not finite"):
@@ -113,8 +117,9 @@ def test_nan_route_fails_the_agreement_check(tmp_path, monkeypatch, capsys):
         ["compute", "--method", "forest", "--input", "wide.twg"],
         ["search-path", "--weights", HUGE_WEIGHTS],
         ["search-path", "--weights", WIDE_WEIGHTS],
+        ["simulate", "--input", "huge.twg", "--from", "0", "--to", "2", "--trials", "1000"],
     ],
-    ids=["huge-forest", "wide-exact", "wide-forest", "huge-search", "wide-search"],
+    ids=["huge-forest", "wide-exact", "wide-forest", "huge-search", "wide-search", "huge-simulate"],
 )
 def test_console_prints_only_the_refusal(tmp_path, argv):
     """In a fresh interpreter, with Python's default warning filters: no

@@ -16,7 +16,7 @@ from treewalk import forests, spectral
 from treewalk.cli import METHODS, main
 from treewalk.errors import ConsistencyError
 from treewalk.graphs import WeightedGraph, complete_graph
-from treewalk.walks import hitting_matrix
+from treewalk.walks import hitting_matrix, walk_stats
 
 ORACLE_RTOL = 1e-7
 
@@ -73,13 +73,20 @@ def test_wide_weight_general_graphs_refuse_or_match_enumeration():
             _outcomes(g, enumerated_stats(g))
 
 
-@pytest.mark.parametrize("name", ["K_8", "dense n=30"])
+@pytest.mark.parametrize("name", ["K_8", "dense n=30", "tree n=30"])
 def test_forest_route_beyond_enumeration_limit(name):
-    g = complete_graph(8, 2.5) if name == "K_8" else _dense_graph(random.Random(30), 30, 0.4)
+    g = {
+        "K_8": lambda: complete_graph(8, 2.5),
+        "dense n=30": lambda: _dense_graph(random.Random(30), 30, 0.4),
+        "tree n=30": lambda: random_weighted_tree(random.Random(31), 30),
+    }[name]()
     assert len(g.edges) > 20
-    exact = METHODS["exact"](g)
-    for other in (forests.stats(g), spectral.stats(g)):
-        assert other == pytest.approx(exact, rel=ORACLE_RTOL)
+    exact = walk_stats(g)
+    # each CLI method is its route's function, which returns two floats
+    for method, route in (("exact", walk_stats), ("forest", forests.stats), ("spectral", spectral.stats)):
+        got = route(g)
+        assert type(got) is tuple and [type(x) for x in got] == [float, float]
+        assert METHODS[method](g) == got == pytest.approx(exact, rel=ORACLE_RTOL)
     if name == "K_8":
         assert exact == pytest.approx((49 / 8, 49 / 8), rel=1e-12)  # (n-1)^2/n for both
 

@@ -3,15 +3,15 @@ import random
 import pytest
 
 from _enumeration import random_weighted_tree
-from treewalk.forests import alpha_forest, kappa_forest
+from treewalk import forests
 from treewalk.graphs import (
     cycle_graph,
     enumerate_free_trees,
     path_graph,
     star_graph,
 )
-from treewalk.spectral import alpha_spectral, kappa_spectral, laplacian_spectra
-from treewalk.walks import average_hitting_time, kemeny
+from treewalk.spectral import laplacian_spectra, stats
+from treewalk.walks import walk_stats
 
 P3 = path_graph([1, 1])
 K2 = path_graph([1])
@@ -52,48 +52,41 @@ class TestSpectra:
 
 class TestScalars:
     def test_unit_path_alpha(self):
-        assert alpha_spectral(P3) == pytest.approx(16 / 9, rel=1e-10)
+        assert stats(P3)[0] == pytest.approx(16 / 9, rel=1e-10)
 
     def test_k2_alpha(self):
-        assert alpha_spectral(K2) == pytest.approx(0.5, rel=1e-12)
+        assert stats(K2)[0] == pytest.approx(0.5, rel=1e-12)
 
     def test_star_alpha(self):
-        assert alpha_spectral(STAR4) == pytest.approx(27 / 8, rel=1e-10)
+        assert stats(STAR4)[0] == pytest.approx(27 / 8, rel=1e-10)
 
     def test_unit_path_kappa(self):
-        assert kappa_spectral(P3) == pytest.approx(3 / 2, rel=1e-10)
+        assert stats(P3)[1] == pytest.approx(3 / 2, rel=1e-10)
 
     def test_k2_kappa(self):
-        assert kappa_spectral(K2) == pytest.approx(0.5, rel=1e-12)
+        assert stats(K2)[1] == pytest.approx(0.5, rel=1e-12)
 
     def test_p4_kappa_matches_forest(self):
         p4 = path_graph([1, 1, 1])
-        assert kappa_spectral(p4) == pytest.approx(19 / 6, rel=1e-10)
-        assert kappa_spectral(p4) == pytest.approx(kappa_forest(p4), rel=1e-10)
+        assert stats(p4)[1] == pytest.approx(19 / 6, rel=1e-10)
+        assert stats(p4)[1] == pytest.approx(forests.stats(p4)[1], rel=1e-10)
 
     def test_triple_agreement_free_trees(self):
         for n in range(2, 8):
             for t in enumerate_free_trees(n):
-                a = average_hitting_time(t)
-                k = kemeny(t)
-                assert alpha_forest(t) == pytest.approx(a, rel=1e-7)
-                assert alpha_spectral(t) == pytest.approx(a, rel=1e-7)
-                assert kappa_forest(t) == pytest.approx(k, rel=1e-7)
-                assert kappa_spectral(t) == pytest.approx(k, rel=1e-7)
+                exact = walk_stats(t)
+                assert forests.stats(t) == pytest.approx(exact, rel=1e-7)
+                assert stats(t) == pytest.approx(exact, rel=1e-7)
 
     def test_triple_agreement_random_weighted(self):
         rng = random.Random(53)
         for _ in range(30):
             t = random_weighted_tree(rng, rng.randint(2, 10))
-            a = average_hitting_time(t)
-            k = kemeny(t)
-            assert alpha_forest(t) == pytest.approx(a, rel=1e-7)
-            assert alpha_spectral(t) == pytest.approx(a, rel=1e-7)
-            assert kappa_forest(t) == pytest.approx(k, rel=1e-7)
-            assert kappa_spectral(t) == pytest.approx(k, rel=1e-7)
+            exact = walk_stats(t)
+            assert forests.stats(t) == pytest.approx(exact, rel=1e-7)
+            assert stats(t) == pytest.approx(exact, rel=1e-7)
 
     def test_agreement_on_cycles(self):
         for n in range(3, 7):
             c = cycle_graph(n)
-            assert alpha_spectral(c) == pytest.approx(average_hitting_time(c), rel=1e-7)
-            assert kappa_spectral(c) == pytest.approx(kemeny(c), rel=1e-7)
+            assert stats(c) == pytest.approx(walk_stats(c), rel=1e-7)

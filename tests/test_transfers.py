@@ -8,7 +8,7 @@ import _transfer_oracle as oracle
 from _enumeration import edge_cut, is_star_graph, random_weighted_tree
 from treewalk.errors import ConsistencyError, GraphError, NotATreeError
 from treewalk.extremal import tree_family
-from treewalk.forests import alpha_forest, kappa_forest
+from treewalk.forests import stats
 from treewalk.graphs import (
     canonical_form,
     cycle_graph,
@@ -143,7 +143,7 @@ class TestMonotonicity:
             n, vol = t.n, t.vol
             for move in legal_moves(t, "size"):
                 out = apply_move(t, move)
-                lhs = (n / vol) * (alpha_forest(t) - alpha_forest(out))
+                lhs = (n / vol) * (stats(t)[0] - stats(out)[0])
                 s_t = math.prod(edge_cut(t, move.v1, move.v2)[1])
                 s_out = math.prod(edge_cut(out, move.v1, move.v2)[1])
                 rhs = (s_t - s_out) / (n * t.weight(move.v1, move.v2))
@@ -157,7 +157,7 @@ class TestMonotonicity:
             vol = t.vol
             for move in legal_moves(t, "volume"):
                 out = apply_move(t, move)
-                lhs = kappa_forest(t) - kappa_forest(out)
+                lhs = stats(t)[1] - stats(out)[1]
                 v_t = math.prod(edge_cut(t, move.v1, move.v2)[2])
                 v_out = math.prod(edge_cut(out, move.v1, move.v2)[2])
                 rhs = (v_t - v_out) / (vol * t.weight(move.v1, move.v2))
@@ -288,14 +288,14 @@ class TestHasse:
         h = build_hasse(trees, "size")
         # alpha must strictly decrease along every cover
         for i, j in h.covers:
-            assert alpha_forest(h.representatives[i]) > alpha_forest(h.representatives[j])
+            assert stats(h.representatives[i])[0] > stats(h.representatives[j])[0]
 
     def test_weighted_family_extremes(self):
         # maximal elements are exactly the weighted paths; the star is the
         # unique minimal element, in both modes
         trees = tree_family([3.0, 2.0, 1.0, 0.5])
         path_indices = {i for i, t in enumerate(trees) if is_path_graph(t)}
-        for mode, stat in (("size", alpha_forest), ("volume", kappa_forest)):
+        for mode, k in (("size", 0), ("volume", 1)):  # alpha, then kappa
             h = build_hasse(trees, mode)
             reordered = {i for i, t in enumerate(h.representatives) if is_path_graph(t)}
             assert set(h.maximal()) == reordered
@@ -303,7 +303,7 @@ class TestHasse:
             (bottom,) = h.minimal()
             assert is_star_graph(h.representatives[bottom])
             for i, j in h.covers:
-                assert stat(h.representatives[i]) > stat(h.representatives[j])
+                assert stats(h.representatives[i])[k] > stats(h.representatives[j])[k]
 
     def test_dot_output_deterministic(self):
         trees = enumerate_free_trees(5)
