@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import time
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -87,13 +88,69 @@ _SCALAR_TEXT = {
 }
 
 
+def _column_texts(col: list, pad: str) -> list[str]:
+    """The text of every value in one column of a record list, nested at ``pad``.
+
+    A column of one scalar type, or of nonempty float lists, is written
+    by one map; a column of dicts and None is written as a record list
+    of its own.
+    """
+    kinds = set(map(type, col))
+    if kinds == {float}:
+        texts = list(map(float.__repr__, col))
+        return list(map(_float_text, col)) if any(map(str.__contains__, texts, repeat("n"))) else texts
+    if kinds == {str}:
+        return list(map(encode_basestring_ascii, col))
+    if kinds == {int}:
+        return list(map(int.__repr__, col))
+    if kinds == {list} and all(col):
+        inner = pad + "  "
+        wrap = ("[\n" + inner + "%s\n" + pad + "]").__mod__
+        try:
+            texts = list(map(wrap, map((",\n" + inner).join, map(functools.partial(map, float.__repr__), col))))
+        except TypeError:  # not all floats
+            pass
+        else:
+            if not any(map(str.__contains__, texts, repeat("n"))):  # ... or nan or inf among them
+                return texts
+    elif kinds <= {dict, type(None)}:
+        rows = [v for v in col if v is not None]
+        texts = iter((rows and _record_texts(rows, pad)) or [_json_text(v, pad) for v in rows])
+        return ["null" if v is None else next(texts) for v in col]
+    return [_json_text(v, pad) for v in col]
+
+
+def _record_texts(rows: list | tuple, pad: str) -> list[str] | None:
+    """The text of every row of a nonempty list of plain dicts with one set of
+    str keys, nested at ``pad``, written one column at a time; None for any
+    other list, or when a column raises (the caller then writes row by row,
+    so an error is json.dumps' own, in row order).
+    """
+    first = rows[0]
+    if not first or set(map(type, rows)) != {dict}:
+        return None
+    keys = first.keys()
+    if not all(map(keys.__eq__, map(dict.keys, rows))):
+        return None
+    inner = pad + "  "
+    try:
+        names = sorted(keys)
+        labels = [encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in names]
+        columns = [_column_texts([r[k] for r in rows], inner) for k in names]
+    except (TypeError, ValueError):
+        return None
+    template = "{\n" + inner + (",\n" + inner).join(labels) + "\n" + pad + "}"
+    return list(map(template.__mod__, zip(*columns)))
+
+
 def _json_text(x, pad: str = "") -> str:
     """``json.dumps(x, indent=2, sort_keys=True)`` byte for byte, for a value
     nested at indent ``pad``.
 
     With ``indent`` set, the stdlib runs its pure-Python encoder, one
-    generator step per token. This writes each dict and list with one join
-    and a flat list of floats with one ``map(float.__repr__, ...)``. Empty
+    generator step per token. This writes each dict and list with one join,
+    a flat list of floats with one ``map(float.__repr__, ...)`` and a list
+    of same-key dicts column by column (``_record_texts``). Empty
     containers, dicts with non-str keys and values of any other type are
     written by json.dumps itself, re-indented.
     """
@@ -115,9 +172,11 @@ def _json_text(x, pad: str = "") -> str:
     elif (kind is list or kind is tuple) and x:
         try:
             body = sep.join(map(float.__repr__, x))
-        except TypeError:  # not all floats
-            body = None
-        if body is None or "n" in body:  # ... or nan or inf among them
+            if "n" in body:  # nan or inf among the floats
+                body = ""
+        except TypeError:  # not all floats: a record list, or any other list
+            body = sep.join(_record_texts(x, inner) or ())
+        if not body:
             body = sep.join([_json_text(v, inner) for v in x])
         return "[\n" + inner + body + "\n" + pad + "]"
     return json.dumps(x, indent=2, sort_keys=True).replace("\n", "\n" + pad)

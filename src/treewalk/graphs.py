@@ -507,25 +507,56 @@ def _level_parents(levels: Sequence[int]) -> list[int]:
     return parents
 
 
-def enumerate_free_trees(n: int) -> list[WeightedGraph]:
-    """One unit-weight representative per isomorphism class of trees on n vertices.
+def _height_is_diameter(parents: Sequence[int]) -> bool:
+    """Whether the root of a rooted tree is as high as the tree is long.
 
-    Each rooted level sequence is coded from its neighbour lists; only
-    the first sequence of each class becomes a ``WeightedGraph``.
+    ``parents`` lists each vertex's parent (-1 for the root, vertex 0),
+    every parent before its children. One pass from the last vertex back
+    gives each vertex its height and the longest path through it.
+    """
+    height = [0] * len(parents)
+    diameter = 0
+    for x in range(len(parents) - 1, 0, -1):
+        p, h = parents[x], height[x] + 1
+        diameter = max(diameter, height[p] + h)
+        height[p] = max(height[p], h)
+    return height[0] == diameter
+
+
+def _free_tree_classes(n: int) -> list[tuple[str, WeightedGraph]]:
+    """(canonical code, unit-weight tree) for every tree class on n vertices, by code.
+
+    Each class keeps its first rooted level sequence in generation order,
+    which is decreasing lexicographic order: its largest. A canonical
+    sequence starts 1, 2, ..., h + 1 for a root of height h, so the
+    largest is rooted at a vertex as high as the diameter, a leaf when
+    n >= 3. Only sequences that can come first are coded: the sequences
+    on n - 1 vertices under a new root (the sequences rooted at a leaf,
+    in the same order) whose root is as high as the diameter.
     """
     if not 1 <= n <= FREE_TREE_MAX:
         raise GraphError(f"free-tree enumeration supports 1 <= n <= {FREE_TREE_MAX}")
-    if n == 1:
-        return [WeightedGraph(1, ())]
     reps: dict[str, list[int]] = {}
-    for levels in _rooted_level_sequences(n):
-        parents = _level_parents(levels)
+    for levels in _rooted_level_sequences(n - 1):  # n = 1: the one empty sequence
+        parents = _level_parents((1, *(level + 1 for level in levels)))
+        if not _height_is_diameter(parents):
+            continue
         neighbors: list[list[tuple[int, float]]] = [[] for _ in range(n)]
         for i, p in enumerate(parents[1:], start=1):
             neighbors[p].append((i, 1.0))
             neighbors[i].append((p, 1.0))
         reps.setdefault(_tree_code(n, neighbors), parents)
     return [
-        WeightedGraph(n, tuple((p, i, 1.0) for i, p in enumerate(reps[c][1:], start=1)))
+        (c, WeightedGraph(n, tuple((p, i, 1.0) for i, p in enumerate(reps[c][1:], start=1))))
         for c in sorted(reps)
     ]
+
+
+def enumerate_free_trees(n: int) -> list[WeightedGraph]:
+    """One unit-weight representative per isomorphism class of trees on n vertices.
+
+    Sorted by canonical code. Each is its class's first rooted level
+    sequence; only the sequences that can come first are coded (see
+    ``_free_tree_classes``).
+    """
+    return [t for _, t in _free_tree_classes(n)]

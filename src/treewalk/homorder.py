@@ -35,7 +35,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import GraphError
-from .graphs import WeightedGraph, canonical_form, enumerate_free_trees, rooted_order, sig12
+from .graphs import WeightedGraph, _free_tree_classes, rooted_order, sig12
 from .walks import walk_stats
 
 CORPUS_VERTEX_MAX = 6
@@ -274,8 +274,7 @@ def conjecture_scan(n: int, corpus: list[WeightedGraph] | None = None) -> HomDom
     require_scan_size(n)
     if corpus is None:
         corpus = connected_graph_corpus()
-    trees = enumerate_free_trees(n)
-    codes = [canonical_form(t) for t in trees]
+    codes, trees = zip(*_free_tree_classes(n))  # the codes the enumeration sorted by
     alphas = [walk_stats(t)[0] for t in trees]
 
     pairs = []

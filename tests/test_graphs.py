@@ -14,11 +14,14 @@ from _enumeration import (
     recursive_canonical_form,
     remove_edges_partition,
 )
+from treewalk import graphs
 from treewalk.errors import ConsistencyError, GraphError, NotATreeError, TwgParseError
 from treewalk.extremal import tree_family
 from treewalk.graphs import (
     FREE_TREE_MAX,
     WeightedGraph,
+    _free_tree_classes,
+    _height_is_diameter,
     _peel,
     _tree_code,
     canonical_form,
@@ -347,6 +350,42 @@ class TestEnumeration:
     @pytest.mark.parametrize("n", range(1, FREE_TREE_MAX + 1))
     def test_free_trees_match_graph_per_sequence_dedup(self, n):
         assert enumerate_free_trees(n) == oracle.free_trees(n)
+
+    @pytest.mark.parametrize(
+        "parents, expected",
+        [
+            ([-1], True),  # one vertex
+            ([-1, 0, 1, 2, 3], True),  # path rooted at an end
+            ([-1, 0, 1, 0, 3], False),  # path rooted at its middle
+            ([-1, 0, 1, 1, 1], True),  # star rooted at a leaf
+            ([-1, 0, 0, 0, 0], False),  # star rooted at its centre
+            ([-1, 0, 1, 2, 3, 2], True),  # spider with legs 2, 2, 1 from the end of a long leg
+            ([-1, 0, 1, 2, 1, 4], False),  # ... from the end of its short leg
+            ([-1, 0, 1, 0, 3, 0], False),  # ... from its centre
+        ],
+    )
+    def test_height_is_diameter(self, parents, expected):
+        assert _height_is_diameter(parents) is expected
+
+    @pytest.mark.parametrize("n", range(1, FREE_TREE_MAX + 1))
+    def test_class_codes_are_canonical_and_increasing(self, n):
+        classes = _free_tree_classes(n)
+        codes = [c for c, _ in classes]
+        assert codes == [canonical_form(t) for _, t in classes]
+        assert all(a < b for a, b in zip(codes, codes[1:]))
+
+    @pytest.mark.parametrize("n, coded", [(8, 37), (10, 195)])
+    def test_codes_only_peripheral_roots(self, n, coded, monkeypatch):
+        calls = []
+        tree_code = graphs._tree_code
+        monkeypatch.setattr(graphs, "_tree_code", lambda *args: calls.append(1) or tree_code(*args))
+        assert len(enumerate_free_trees(n)) == FREE_TREE_COUNTS[n - 1]
+        assert len(calls) <= coded
+
+    @pytest.mark.parametrize("n", [0, -1, FREE_TREE_MAX + 1])
+    def test_class_guard(self, n):
+        with pytest.raises(GraphError, match=r"^free-tree enumeration supports 1 <= n <= 10$"):
+            _free_tree_classes(n)
 
     def test_prufer_decode_example(self):
         t = prufer_tree((3, 3, 3, 4), 6)

@@ -138,3 +138,92 @@ def test_same_errors(x):
     expected = _outcome(_stdlib, x)
     assert isinstance(expected, tuple)
     assert _outcome(_json_text, x) == expected
+
+
+# -- record lists: the column-by-column path ------------------------------------
+
+RECORD_KEYS = ["a", "b", "code", "witness", "k%", "%s", "x%sy", "%%d"]
+
+
+class Row(dict):
+    pass
+
+
+def _cell(rng, kind, depth):
+    """One value of a column of this kind, sometimes an odd one out."""
+    if rng.random() < 0.05:
+        return _value(rng, 1)
+    if kind == 0:
+        if rng.random() < 0.2:
+            return rng.choice((math.nan, math.inf, -math.inf, -0.0, 0.0))
+        return rng.choice((1, -1)) * 10 ** rng.uniform(-30, 30)
+    if kind == 1:
+        return rng.choice((*STRINGS, "%s", "50%", "%(a)s"))
+    if kind == 2:
+        return rng.choice((0, 3, -12, 7**20)) if rng.random() < 0.8 else rng.choice((True, False, 2**64))
+    if kind == 3:  # a nonempty float list, sometimes empty or with an odd item
+        floats = [rng.uniform(-5, 5) for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.2:
+            return []
+        if rng.random() < 0.2:
+            floats[rng.randrange(len(floats))] = rng.choice((1, True, "x", None, np.float64(0.5), math.nan))
+        return floats
+    if kind == 4:  # nested dicts or None, like the conjecture report's witnesses
+        if depth == 0 or rng.random() < 0.3:
+            return None
+        return _record(rng, ["graph", "hom_a", "hom_b"], [2, 2, rng.choice((2, 0, 4))], depth - 1)
+    return _value(rng, 2)
+
+
+def _record(rng, keys, kinds, depth):
+    return {k: _cell(rng, kind, depth) for k, kind in zip(keys, kinds)}
+
+
+def _records(rng):
+    """A list of dicts with one set of keys, sometimes broken in one row."""
+    keys = rng.sample(RECORD_KEYS, rng.randint(1, 4))
+    kinds = [rng.randrange(6) for _ in keys]
+    rows = [_record(rng, keys, kinds, 2) for _ in range(rng.choice((1, 2, 3, 8)))]
+    at = rng.randrange(len(rows))
+    twist = rng.randrange(10)
+    if twist == 0:
+        rows[at].pop(rng.choice(keys))
+    elif twist == 1:
+        rows[at]["extra"] = 1.5
+    elif twist == 2:
+        rows[at] = dict(reversed(list(rows[at].items())))
+    elif twist == 3:
+        rows[at] = Row(rows[at])
+    elif twist == 4:
+        rows[at] = {}
+    if rng.random() < 0.2:
+        return tuple(rows)
+    return rows if rng.random() < 0.5 else {"rows": rows, "n": len(rows)}
+
+
+def test_seeded_record_fuzz():
+    rng = random.Random(20261020)
+    refused = 0
+    for trial in range(2000):
+        x = _records(rng)
+        expected = _outcome(_stdlib, x)
+        assert _outcome(_json_text, x) == expected, (trial, x)
+        refused += isinstance(expected, tuple)
+    assert 100 < refused < 1900
+
+
+def test_record_error_is_the_first_rows():
+    # column by column, column a's bytes (row 1) would come before column b's set (row 0)
+    x = [{"a": 1, "b": {1, 2}}, {"a": b"raw", "b": 2}]
+    expected = _outcome(_stdlib, x)
+    assert expected == (TypeError, "Object of type set is not JSON serializable")
+    assert _outcome(_json_text, x) == expected
+
+
+def test_record_columns():
+    assert cli._record_texts([{"a": 1.5, "%s": [0.5]}, {"%s": [2.0], "a": -0.0}], "") == [
+        '{\n  "%s": [\n    0.5\n  ],\n  "a": 1.5\n}',
+        '{\n  "%s": [\n    2.0\n  ],\n  "a": -0.0\n}',
+    ]
+    assert cli._record_texts([{"a": 1}, {"b": 1}], "") is None
+    assert cli._record_texts([{"a": 1}, Row(a=1)], "") is None
