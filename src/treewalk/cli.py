@@ -16,7 +16,7 @@ import json
 import os
 import sys
 import time
-from itertools import repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -92,8 +92,8 @@ def _column_texts(col: list, pad: str) -> list[str]:
     """The text of every value in one column of a record list, nested at ``pad``.
 
     A column of one scalar type, or of nonempty float lists, is written
-    by one map; a column of dicts and None is written as a record list
-    of its own.
+    by one map; a float-list column writes each distinct float once. A
+    column of dicts and None is written as a record list of its own.
     """
     kinds = set(map(type, col))
     if kinds == {float}:
@@ -106,8 +106,16 @@ def _column_texts(col: list, pad: str) -> list[str]:
     if kinds == {list} and all(col):
         inner = pad + "  "
         wrap = ("[\n" + inner + "%s\n" + pad + "]").__mod__
+        join = (",\n" + inner).join
+        flat = functools.partial(chain.from_iterable, col)  # not one list: 26 MB at 9! orders of 9
+        if set(map(type, flat())) == {float} and all(flat()):
+            # one text per distinct value; only for exact floats and no zero,
+            # as 1, True and 1.0 are one dict key, and so are 0.0 and -0.0
+            text = {x: float.__repr__(x) for x in set(flat())}
+            if not any(map(str.__contains__, text.values(), repeat("n"))):  # nan or inf
+                return list(map(wrap, map(join, map(functools.partial(map, text.__getitem__), col))))
         try:
-            texts = list(map(wrap, map((",\n" + inner).join, map(functools.partial(map, float.__repr__), col))))
+            texts = list(map(wrap, map(join, map(functools.partial(map, float.__repr__), col))))
         except TypeError:  # not all floats
             pass
         else:

@@ -36,9 +36,9 @@ from .forests import tree_stats
 from .graphs import (
     WeightedGraph,
     _peel,
+    _weight_labels,
     canonical_form,
     enumerate_free_trees,
-    format_weight,
     is_path_graph,
     path_graph,
     sig12,
@@ -147,6 +147,11 @@ def polarized_paths(weights: Sequence[float]) -> list[tuple[float, ...]]:
     orders, the next two to the second class, and so on; an odd count
     leaves the single middle edge with the smallest weight.
     """
+    return list(_polarized_by_code(weights).values())
+
+
+def _polarized_by_code(weights: Sequence[float]) -> dict[str, tuple[float, ...]]:
+    """The polarized layouts keyed by their paths' canonical codes, in code order."""
     ws = weight_multiset(weights)
     pairs = len(ws) // 2
     classes = [ws[k : k + 2] for k in range(0, len(ws), 2)]
@@ -155,7 +160,7 @@ def polarized_paths(weights: Sequence[float]) -> list[tuple[float, ...]]:
         # edge c takes a class's first weight, edge n - c its second
         layout = tuple(o[0] for o in orders) + tuple(o[1] for o in reversed(orders[:pairs]))
         unique.setdefault(canonical_form(path_graph(layout)), layout)
-    return [unique[c] for c in sorted(unique)]
+    return {c: unique[c] for c in sorted(unique)}
 
 
 def star_of(weights: Sequence[float]) -> WeightedGraph:
@@ -163,26 +168,24 @@ def star_of(weights: Sequence[float]) -> WeightedGraph:
     return star_graph(weight_multiset(weights))
 
 
-def distinct_permutations(items: Sequence[float]) -> Iterator[tuple[float, ...]]:
-    """Distinct multiset permutations in lexicographic order.
+def _distinct_orders(items: Sequence[float]) -> tuple[list[float], np.ndarray]:
+    """The distinct items ascending, and every distinct ordering of the items
+    as one int8 row of indices into them, rows in lexicographic order.
 
-    Knuth's Algorithm L (TAOCP 4A, 7.2.1.2) on NaN-free items. Equal
-    weights count as equal only when equal as floats after parsing, so a
-    multiset with r repeats yields len!/r! permutations, not len! of them.
+    Built one position at a time: each row so far is followed by every
+    value it has left, in increasing order. So the rows stay in order and
+    no ordering is made twice, however many items repeat.
     """
-    a = sorted(items)
-    while True:
-        yield tuple(a)
-        j = len(a) - 2
-        while j >= 0 and a[j] >= a[j + 1]:
-            j -= 1
-        if j < 0:
-            return
-        k = len(a) - 1
-        while a[j] >= a[k]:
-            k -= 1
-        a[j], a[k] = a[k], a[j]
-        a[j + 1 :] = reversed(a[j + 1 :])
+    values = sorted(set(items))
+    index = {w: i for i, w in enumerate(values)}
+    left = np.bincount([index[w] for w in items], minlength=len(values)).astype(np.int8)[None, :]
+    rows = np.empty((1, 0), np.int8)
+    for _ in items:
+        at, value = np.nonzero(left)  # row by row, values ascending
+        rows = np.column_stack((rows[at], value.astype(np.int8)))
+        left = left[at]
+        left[np.arange(len(at)), value] -= 1
+    return values, rows
 
 
 def _shape_keys(shape: WeightedGraph, ids: np.ndarray) -> np.ndarray:
@@ -246,11 +249,8 @@ def _family_rows(ws: tuple[float, ...]) -> Iterator[tuple[WeightedGraph, np.ndar
     """
     if len(ws) > FAMILY_WEIGHT_MAX:
         raise GraphError(f"family enumeration guarded to {FAMILY_WEIGHT_MAX} weights, got m={len(ws)}")
-    values = sorted(set(ws))
-    rank = {w: i for i, w in enumerate(values)}
-    perms = np.array(list(distinct_permutations([rank[w] for w in ws])))
-    names: dict[str, int] = {}
-    labels = np.array([names.setdefault(format_weight(w), len(names)) for w in values])[perms]
+    values, perms = _distinct_orders(ws)
+    labels = np.array(list(_weight_labels(values).values()))[perms]
     weights = np.array(values)[perms]
     for shape in enumerate_free_trees(len(ws) + 1):
         _, first = np.unique(_shape_keys(shape, labels), return_index=True)
@@ -321,12 +321,11 @@ def extremal_scan(weights: Sequence[float], stat: str) -> FamilyReport:
     pol_layouts: tuple[tuple[float, ...], ...] = ()
     pol_value: float | None = None
     if stat == STAT_ALPHA:
-        layouts = polarized_paths(ws)
-        pol_layouts = tuple(layouts)
-        pol_codes = sorted(canonical_form(path_graph(p)) for p in layouts)
-        if sorted(argmax_codes) != pol_codes:
+        polarized = _polarized_by_code(ws)
+        pol_layouts = tuple(polarized.values())
+        if argmax_codes != tuple(polarized):  # both in code order
             raise ConsistencyError(f"alpha argmax set differs from the polarized paths for W={ws}")
-        pol_vals = [forests.stats(path_graph(p))[0] for p in layouts]
+        pol_vals = [forests.stats(path_graph(p))[0] for p in pol_layouts]
         spread = max(pol_vals) - min(pol_vals)
         if not spread <= EXTREME_GROUP_RTOL * abs(max_value):
             raise ConsistencyError(f"polarized paths do not share one alpha for W={ws}")
@@ -388,8 +387,11 @@ def best_path_assignment(weights: Sequence[float]) -> PathSearchResult:
     ws = weight_multiset(weights)
     if len(ws) > PATH_SEARCH_MAX:
         raise GraphError(f"path search guarded to {PATH_SEARCH_MAX} weights, got m={len(ws)}")
-    orders = list(distinct_permutations(ws))
-    columns = np.array(orders).T
+    values, rows = _distinct_orders(ws)
+    columns = np.array(values)[rows.T]
+    # each order holds the weights' own float objects, one tuple per row
+    orders = list(zip(*np.array(values, dtype=object)[rows.T].tolist()))
+    del rows  # held in the orders now; at m = 10 the rows take 36 MB
     objectives = path_kappa_objective(columns)
     kappas = tree_stats(path_graph([1.0] * len(ws)), columns)[1]
     check_finite(objectives, "path objective J")

@@ -73,7 +73,8 @@ class WeightedGraph:
     ``edges`` is normalized at construction to a sorted tuple of
     ``(u, v, w)`` with ``u < v``. Connectivity is deliberately not an
     invariant; operations that need it call :meth:`require_connected`.
-    It is computed at most once per graph, like the neighbour lists.
+    It is computed at most once per graph, like the neighbour lists and
+    a tree's canonical code.
     """
 
     n: int
@@ -196,6 +197,13 @@ class WeightedGraph:
     def weight_multiset(self) -> tuple[float, ...]:
         """Edge weights sorted descending."""
         return tuple(sorted((w for _, _, w in self.edges), reverse=True))
+
+    @cached_property
+    def _code(self) -> str:
+        """The canonical code of a tree (see ``canonical_form``). Code that
+        already holds it, like the free-tree enumeration, sets it instead."""
+        self.require_tree()
+        return _tree_code(self.n, self.neighbors)
 
     def _check_vertex(self, u: int) -> None:
         if not 0 <= u < self.n:
@@ -470,10 +478,44 @@ def canonical_form(t: WeightedGraph) -> str:
     center is an edge, both rootings are encoded and the lexicographic
     minimum taken. Weights enter the code with 12 significant digits.
     Codes are built bottom-up over the leaf layers that find the
-    center(s), so a deep tree needs no deep stack.
+    center(s), so a deep tree needs no deep stack. The graph keeps its
+    code: it is immutable, so the code cannot go stale.
     """
-    t.require_tree()
-    return _tree_code(t.n, t.neighbors)
+    return t._code
+
+
+def _weight_labels(weights: Iterable[float]) -> dict[float, int]:
+    """A small integer per weight, equal for weights equal to 12 significant digits."""
+    names: dict[str, int] = {}
+    return {w: names.setdefault(format_weight(w), len(names)) for w in weights}
+
+
+def _tree_key(
+    n: int, neighbors: Sequence[Sequence[tuple[int, float]]], labels: dict[float, int], table: dict[tuple, int]
+) -> int:
+    """An integer for the tree with these neighbour lists that is equal for two
+    trees keyed with one ``labels`` and ``table`` iff their canonical codes are.
+
+    AHU relabelling (Aho, Hopcroft & Ullman 1974) over the leaf layers of
+    ``_tree_code``, with no text: ``table`` numbers every rooted subtree
+    by (its edge's label, its children's sorted numbers). One centre is
+    numbered with label -1; two centres by the sorted pair of their sides
+    of the central edge, under -2.
+    """
+    layers, parent, above = _peel(n, neighbors)
+    kids: list[list[int]] = [[] for _ in range(n)]
+    for layer in layers[:-1]:
+        for x in layer:
+            below = kids[x]
+            below.sort()
+            kids[parent[x]].append(table.setdefault((labels[above[x]], *below), len(table)))
+    centres = layers[-1]
+    if len(centres) == 1:
+        below = sorted(kids[centres[0]])
+        return table.setdefault((-1, *below), len(table))
+    label = labels[above[centres[0]]]
+    sides = sorted(table.setdefault((label, *sorted(kids[c])), len(table)) for c in centres)
+    return table.setdefault((-2, *sides), len(table))
 
 
 # -- enumeration -------------------------------------------------------------
@@ -546,10 +588,12 @@ def _free_tree_classes(n: int) -> list[tuple[str, WeightedGraph]]:
             neighbors[p].append((i, 1.0))
             neighbors[i].append((p, 1.0))
         reps.setdefault(_tree_code(n, neighbors), parents)
-    return [
-        (c, WeightedGraph(n, tuple((p, i, 1.0) for i, p in enumerate(reps[c][1:], start=1))))
-        for c in sorted(reps)
-    ]
+    classes = []
+    for c in sorted(reps):
+        t = WeightedGraph(n, tuple((p, i, 1.0) for i, p in enumerate(reps[c][1:], start=1)))
+        object.__setattr__(t, "_code", c)  # handed over: the tree's code is the class's
+        classes.append((c, t))
+    return classes
 
 
 def enumerate_free_trees(n: int) -> list[WeightedGraph]:

@@ -14,9 +14,10 @@ One rooted pass per tree gives, for every tree edge xy, the bitmask of
 the vertices on y's side. T1 is v1's side of (v1, v2) and T3 is v3's
 side of (v2, v3), both seen from v2; T2 is the rest. Every move of a
 tree, its legality and its components come from that one pass, and
-each block's volume is summed once per tree. ``build_hasse`` codes a
-move's result from the tree's neighbour lists with the moved edge
-swapped, without building the result as a graph.
+each block's volume is summed once per tree. ``build_hasse`` finds a
+move's result by an integer AHU key of the tree's neighbour lists with
+the moved edge swapped, without building the result as a graph or its
+canonical code as text.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
 
 from .errors import ConsistencyError, GraphError
-from .graphs import WeightedGraph, _tree_code, canonical_form, format_weight, rooted_order
+from .graphs import WeightedGraph, _tree_key, _weight_labels, canonical_form, format_weight, rooted_order
 from .forests import stats
 
 MODE_SIZE = "size"
@@ -172,13 +173,13 @@ def _moved_neighbors(t: WeightedGraph, move: TransferMove) -> list[tuple[tuple[i
     return neighbors
 
 
-def _moved_code(t: WeightedGraph, move: TransferMove) -> str:
-    """Canonical code of ``apply_move(t, move)`` for a move of ``legal_moves(t)``.
+def _moved_key(t: WeightedGraph, move: TransferMove, labels: dict[float, int], table: dict[tuple, int]) -> int:
+    """``_tree_key`` of ``apply_move(t, move)`` for a move of ``legal_moves(t)``.
 
     The result is a tree because v1 lies outside v3's side of (v2, v3),
-    so it is coded without building or checking a graph.
+    so it is keyed without building or checking a graph.
     """
-    return _tree_code(t.n, _moved_neighbors(t, move))
+    return _tree_key(t.n, _moved_neighbors(t, move), labels, table)
 
 
 def verify_monotonicity(t: WeightedGraph, move: TransferMove) -> tuple[float, float]:
@@ -214,20 +215,23 @@ def build_hasse(trees: list[WeightedGraph], mode: str) -> HasseDiagram:
     for t in trees[1:]:
         if t.weight_multiset() != multiset:
             raise GraphError("trees do not share one weight multiset")
-    codes = [canonical_form(t) for t in trees]
+    codes = [canonical_form(t) for t in trees]  # kept by trees that were coded before
     if len(set(codes)) != len(codes):
         raise GraphError("trees are not pairwise non-isomorphic")
 
-    order = sorted(range(len(trees)), key=lambda i: codes[i])
+    order = sorted(range(len(trees)), key=codes.__getitem__)
     nodes = tuple(codes[i] for i in order)
     reps = tuple(trees[i] for i in order)
-    index = {code: i for i, code in enumerate(nodes)}
+    # every tree and move result is looked up by its integer key, not its code
+    labels = _weight_labels(multiset)
+    table: dict[tuple, int] = {}
+    index = {_tree_key(t.n, t.neighbors, labels, table): i for i, t in enumerate(reps)}
 
     successors: list[set[int]] = []
     for i, t in enumerate(reps):
         succ = set()
         for move in legal_moves(t, mode):
-            j = index.get(_moved_code(t, move))
+            j = index.get(_moved_key(t, move, labels, table))
             if j is None:
                 raise GraphError("move left the provided family; family is incomplete")
             if j != i:

@@ -7,15 +7,38 @@ array scans in treewalk.extremal must give the same families, values
 and extremes. Also the scalar tree closed form that forests.stats ran
 before forests.tree_stats, which must match it bit for bit, and the
 per-order path ranking that best_path_assignment ran before it worked on
-columns.
+columns, over the distinct orders that Knuth's Algorithm L lists one at
+a time.
 """
 
 import sys
 
 from treewalk.errors import ConsistencyError
-from treewalk.extremal import EXTREME_GROUP_RTOL, STAT_ALPHA, distinct_permutations, weight_multiset
+from treewalk.extremal import EXTREME_GROUP_RTOL, STAT_ALPHA, weight_multiset
 from treewalk.forests import stats, tree_stats
 from treewalk.graphs import WeightedGraph, canonical_form, enumerate_free_trees, path_graph, rooted_order
+
+
+def distinct_permutations(items):
+    """Distinct multiset permutations in lexicographic order.
+
+    Knuth's Algorithm L (TAOCP 4A, 7.2.1.2) on NaN-free items. Equal
+    weights count as equal only when equal as floats after parsing, so a
+    multiset with r repeats yields len!/r! permutations, not len! of them.
+    """
+    a = sorted(items)
+    while True:
+        yield tuple(a)
+        j = len(a) - 2
+        while j >= 0 and a[j] >= a[j + 1]:
+            j -= 1
+        if j < 0:
+            return
+        k = len(a) - 1
+        while a[j] >= a[k]:
+            k -= 1
+        a[j], a[k] = a[k], a[j]
+        a[j + 1 :] = reversed(a[j + 1 :])
 
 
 def family(weights):

@@ -13,11 +13,11 @@ from treewalk.errors import ConsistencyError, GraphError
 from treewalk.extremal import (
     EXTREME_GROUP_RTOL,
     _check_rankings_agree,
+    _distinct_orders,
     _family_rows,
     _weighted,
     best_path_assignment,
     centrality,
-    distinct_permutations,
     extremal_scan,
     is_polarized,
     path_kappa_objective,
@@ -179,15 +179,32 @@ class TestObjective:
                 assert 2 * s * kap - 4 * j == pytest.approx((2 * n - 3) * s, rel=1e-9)
 
 
+def distinct_orders(items):
+    """The rows of ``_distinct_orders`` as tuples of the items."""
+    values, rows = _distinct_orders(items)
+    assert rows.dtype == np.int8
+    return [tuple(values[i] for i in row) for row in rows.tolist()]
+
+
 class TestDistinctPermutations:
     def test_counts_respect_multiplicity(self):
-        assert len(list(distinct_permutations([10, 8, 1, 1, 0.1]))) == 60
-        assert len(list(distinct_permutations([2, 2, 1, 1]))) == 6
-        assert len(list(distinct_permutations([1, 1, 1]))) == 1
+        assert len(distinct_orders([10, 8, 1, 1, 0.1])) == 60
+        assert len(distinct_orders([2, 2, 1, 1])) == 6
+        assert len(distinct_orders([1, 1, 1])) == 1
+        assert len(distinct_orders([1.0] * 10)) == 1
 
     def test_lexicographic_and_unique(self):
         for ws in ([3, 1, 1], [2, 2, 1, 1], [10, 8, 1, 1, 0.1], [1, 2, 3], [5], []):
-            assert list(distinct_permutations(ws)) == sorted(set(permutations(ws)))
+            assert distinct_orders(ws) == sorted(set(permutations(ws)))
+        for ws in ([5, 5, 5, 2, 2, 2, 1, 0.5], [8, 7, 6, 5, 4, 3, 2, 1], [3, 3, 3, 3, 3, 3, 3, 1]):
+            assert distinct_orders(ws) == list(oracle.distinct_permutations(ws))
+
+    def test_orders_hold_the_weights_own_floats(self):
+        ws = weight_multiset([9.5, 3.25, 3.25, 2.0])
+        result = best_path_assignment(ws)
+        assert len(result.evaluations) == 12
+        own = set(map(id, ws))  # no new float objects per order
+        assert all(id(w) in own for order, _, _ in result.evaluations for w in order)
 
 
 class TestScan:

@@ -7,6 +7,7 @@ import pytest
 import _transfer_oracle as oracle
 from _enumeration import (
     FREE_TREE_COUNTS,
+    assert_same_partition,
     enumerate_labeled_trees,
     peeled_centres,
     prufer_tree,
@@ -24,6 +25,8 @@ from treewalk.graphs import (
     _height_is_diameter,
     _peel,
     _tree_code,
+    _tree_key,
+    _weight_labels,
     canonical_form,
     complete_graph,
     cycle_graph,
@@ -272,6 +275,57 @@ class TestCanonicalForm:
             _tree_code(g.n, g.neighbors)
         with pytest.raises(NotATreeError):
             canonical_form(g)
+
+
+class TestTreeKey:
+    """Integer AHU keys against canonical codes: equal keys exactly when equal codes."""
+
+    @staticmethod
+    def keys_and_codes(trees):
+        labels = _weight_labels({w for t in trees for _, _, w in t.edges})
+        table = {}
+        return [(_tree_key(t.n, t.neighbors, labels, table), canonical_form(t)) for t in trees]
+
+    @staticmethod
+    def shuffled(rng, t):
+        mapping = list(range(t.n))
+        rng.shuffle(mapping)
+        return t.relabeled(mapping)
+
+    def test_free_trees(self):
+        rng = random.Random(23)
+        trees = [t for n in range(1, FREE_TREE_MAX + 1) for t in enumerate_free_trees(n)]
+        pairs = self.keys_and_codes(trees + [self.shuffled(rng, t) for t in trees])
+        assert_same_partition(pairs)
+        assert len(set(pairs)) == len(trees)
+
+    def test_random_weighted_trees(self):
+        rng = random.Random(29)
+        trees = []
+        for _ in range(300):  # few distinct weights, so equal subtrees and ties in the sort occur
+            t = random_weighted_tree(rng, rng.randint(1, 12))
+            t = WeightedGraph(t.n, tuple((u, v, float(round(w) % 3 + 1)) for u, v, w in t.edges))
+            trees += [t, self.shuffled(rng, t)]
+        assert_same_partition(self.keys_and_codes(trees))
+
+    def test_twelve_digit_ties(self):
+        # 1 + 1e-13 and 1 + 1e-12 print as 1 at 12 significant digits; 1 + 1e-11 does not
+        ws = (1.0, 1.0000000000001, 1.000000000001, 1.00000000001)
+        assert _weight_labels(ws) == {1.0: 0, 1.0000000000001: 0, 1.000000000001: 0, 1.00000000001: 1}
+        trees = [g(w) for g in (lambda w: path_graph([w, 2.0, 3.0]), lambda w: star_graph([w, 2.0])) for w in ws]
+        pairs = self.keys_and_codes(trees)
+        assert_same_partition(pairs)
+        keys = [k for k, _ in pairs]
+        assert keys[0] == keys[1] == keys[2] != keys[3] and keys[4] == keys[5] == keys[6] != keys[7]
+
+    def test_deep_path(self):
+        # 5,000 vertices in one chain of layers: no recursion, no nested values
+        rng = random.Random(31)
+        path = path_graph([1.0] * 4999)
+        heavy_end = path_graph([1.0] * 4998 + [2.0])
+        pairs = self.keys_and_codes([path, self.shuffled(rng, path), heavy_end, self.shuffled(rng, heavy_end)])
+        assert_same_partition(pairs)
+        assert pairs[0][0] == pairs[1][0] != pairs[2][0] == pairs[3][0]
 
 
 class TestPeel:

@@ -149,6 +149,17 @@ class Row(dict):
     pass
 
 
+class Real(float):
+    pass
+
+
+# float lists that repeat a few values, as the path search's orders do, and
+# the items a table of texts keyed by value alone would write wrongly: 0.0 and
+# -0.0 are one dict key, and so are 1, True and 1.0
+REPEATED = [2.5, 0.1, 1e16, 7.0, 1.0, 5e-324, 3.25]
+TABLE_TRAPS = [0.0, -0.0, 1, True, 1.0, False, 0, math.nan, math.inf, -math.inf, np.float64(2.5), Real(1.0), Real(0.1)]
+
+
 def _cell(rng, kind, depth):
     """One value of a column of this kind, sometimes an odd one out."""
     if rng.random() < 0.05:
@@ -172,6 +183,11 @@ def _cell(rng, kind, depth):
         if depth == 0 or rng.random() < 0.3:
             return None
         return _record(rng, ["graph", "hom_a", "hom_b"], [2, 2, rng.choice((2, 0, 4))], depth - 1)
+    if kind == 5:  # a few values repeated, sometimes with one or two traps among them
+        floats = [rng.choice(REPEATED) for _ in range(rng.randint(1, 5))]
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            floats[rng.randrange(len(floats))] = rng.choice(TABLE_TRAPS)
+        return floats
     return _value(rng, 2)
 
 
@@ -182,7 +198,7 @@ def _record(rng, keys, kinds, depth):
 def _records(rng):
     """A list of dicts with one set of keys, sometimes broken in one row."""
     keys = rng.sample(RECORD_KEYS, rng.randint(1, 4))
-    kinds = [rng.randrange(6) for _ in keys]
+    kinds = [rng.randrange(7) for _ in keys]
     rows = [_record(rng, keys, kinds, 2) for _ in range(rng.choice((1, 2, 3, 8)))]
     at = rng.randrange(len(rows))
     twist = rng.randrange(10)

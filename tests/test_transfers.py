@@ -1,15 +1,21 @@
 import functools
+import hashlib
 import math
 import random
 
 import pytest
 
 import _transfer_oracle as oracle
-from _enumeration import edge_cut, is_star_graph, random_weighted_tree
+from _enumeration import assert_same_partition, edge_cut, is_star_graph, random_weighted_tree
+from treewalk import graphs
+from treewalk.cli import main
 from treewalk.errors import ConsistencyError, GraphError, NotATreeError
 from treewalk.extremal import tree_family
 from treewalk.forests import stats
 from treewalk.graphs import (
+    WeightedGraph,
+    _tree_key,
+    _weight_labels,
     canonical_form,
     cycle_graph,
     enumerate_free_trees,
@@ -20,7 +26,7 @@ from treewalk.graphs import (
 )
 from treewalk.transfers import (
     _blocks,
-    _moved_code,
+    _moved_key,
     _sides,
     apply_move,
     build_hasse,
@@ -270,8 +276,13 @@ class TestHasse:
 
         trees = enumerate_free_trees(5)  # path, spider, star
         nxt = {canonical_form(t): trees[(k + 1) % 3] for k, t in enumerate(trees)}
+
+        def moved_key(t, move, labels, table):
+            s = nxt[canonical_form(t)]
+            return _tree_key(s.n, s.neighbors, labels, table)
+
         monkeypatch.setattr(transfers, "legal_moves", lambda t, mode: [None])
-        monkeypatch.setattr(transfers, "_moved_code", lambda t, move: canonical_form(nxt[canonical_form(t)]))
+        monkeypatch.setattr(transfers, "_moved_key", moved_key)
         with pytest.raises(ConsistencyError, match="lead back"):
             build_hasse(trees, "size")
 
@@ -314,6 +325,26 @@ class TestHasse:
         assert a.count("->") == 2
 
 
+# sha256 of hasse_to_dot(build_hasse(tree_family(W), mode)), frozen from the
+# string-coded lookups that integer keys replaced: the bytes must not move
+WEIGHTED_HASSE_SHA256 = {
+    ((3, 2, 1, 0.5), "size"): "140883ab3b629d0b89e7d2873fb279bd609c89461b2727d43d204942291ee5e9",
+    ((3, 2, 1, 0.5), "volume"): "07decfba69c02e569175027082aea39e1b859da3f0fa52911ab68c112ca58483",
+    ((2, 2, 1, 1), "size"): "c73ad8f4684944893c6e99d8c5de5e7b2b75475cb26dc6020145718330511c78",
+    ((2, 2, 1, 1), "volume"): "d9e1872f15acd73b6fed6ce67d35845daa9bbb788010ec3ce4713bef5bb7fe0f",
+    (ORACLE_FAMILIES["tie-12-digits"], "size"): "ef6eb3818caf3e03a20b34bcf31bcd9bd04dacfeee2624bb7f49a67536606756",
+    (ORACLE_FAMILIES["tie-12-digits"], "volume"): "9a2cdcb579d4ad035a19cf1e2beae6b6f4f95e625f13ea82b541c939105d3ad6",
+    (ORACLE_FAMILIES["spread"], "size"): "5d273fa3910cc8734e7c6bb3f580323137b666cbc1d32307555b3746ade14c20",
+    (ORACLE_FAMILIES["spread"], "volume"): "271023d0ff23f8becb76c6baf3e4df6afec7e4314f877cae3d8db6c6cd17c0d3",
+}
+
+
+@pytest.mark.parametrize("weights, mode", list(WEIGHTED_HASSE_SHA256), ids=str)
+def test_weighted_hasse_frozen(weights, mode):
+    dot = hasse_to_dot(build_hasse(tree_family(weights), mode))
+    assert hashlib.sha256(dot.encode()).hexdigest() == WEIGHTED_HASSE_SHA256[weights, mode]
+
+
 class TestAgainstPerPairOracle:
     """The subtree-pass moves and neighbour-list codes against one search per pair and one graph per result."""
 
@@ -348,11 +379,29 @@ class TestAgainstPerPairOracle:
     @pytest.mark.parametrize("mode", ["size", "volume"])
     @pytest.mark.parametrize("name", FAMILIES)
     def test_apply_move_and_moved_code(self, name, mode):
-        for t in oracle_family(name):
+        trees = oracle_family(name)
+        labels, table = _weight_labels(trees[0].weight_multiset()), {}
+        pairs = []
+        for t in trees:
             for move in legal_moves(t, mode):
                 moved = apply_move(t, move)
                 assert moved == oracle.apply_move(t, move)
-                assert _moved_code(t, move) == canonical_form(moved)
+                pairs.append((_moved_key(t, move, labels, table), canonical_form(moved)))
+        assert_same_partition(pairs)
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_keys_match_codes(self, name):
+        # one table for the family and every move result in both modes
+        trees = oracle_family(name)
+        labels, table = _weight_labels(trees[0].weight_multiset()), {}
+        pairs = [(_tree_key(t.n, t.neighbors, labels, table), canonical_form(t)) for t in trees]
+        for mode in ("size", "volume"):
+            for t in trees:
+                for move in legal_moves(t, mode):
+                    moved = apply_move(t, move)
+                    pairs.append((_tree_key(moved.n, moved.neighbors, labels, table), canonical_form(moved)))
+        assert_same_partition(pairs)
+        assert len({k for k, _ in pairs}) == len(trees)  # every result lands in the family
 
     def test_transfer_components(self):
         for t in oracle_family("free-8"):
@@ -367,3 +416,45 @@ class TestAgainstPerPairOracle:
         for v1, v2, v3 in ((0, 1, 0), (0, 2, 3), (0, 1, 3)):
             with pytest.raises(GraphError, match="not present"):
                 transfer_components(P4, v1, v2, v3)
+
+
+class TestCodedOnce:
+    """Each tree gets its string code once, counted at the string coder."""
+
+    @pytest.fixture
+    def coded(self, monkeypatch):
+        calls = []
+        tree_code = graphs._tree_code
+        monkeypatch.setattr(graphs, "_tree_code", lambda *args: calls.append(1) or tree_code(*args))
+        return calls
+
+    @pytest.mark.parametrize("mode", ["size", "volume"])
+    @pytest.mark.parametrize("weights", [(3, 2, 1, 0.5), (2, 2, 1, 1), (5.5, 3.25, 2.0, 1.75, 0.5)])
+    def test_build_hasse_of_tree_family(self, coded, weights, mode):
+        enumerate_free_trees(len(weights) + 1)
+        shapes = len(coded)  # what the enumeration of the family's shapes codes
+        coded.clear()
+        family = tree_family(weights)
+        assert len(coded) == shapes + len(family)
+        build_hasse(family, mode)
+        assert len(coded) == shapes + len(family)
+
+    def test_hasse_codes_only_the_enumeration(self, coded, capsys):
+        enumerate_free_trees(8)
+        enumerated = len(coded)
+        coded.clear()
+        assert main(["hasse", "--n", "8"]) == 0
+        assert len(coded) == enumerated
+        assert capsys.readouterr().out.startswith("digraph hasse {")
+
+    def test_code_is_kept(self, coded):
+        t = path_graph([2.0, 1.0, 3.0])
+        assert canonical_form(t) is canonical_form(t)
+        assert len(coded) == 1
+
+    @pytest.mark.parametrize("g", [cycle_graph(4), WeightedGraph(4, ((0, 1, 1.0), (2, 3, 1.0)))])
+    def test_non_tree_still_refused(self, coded, g):
+        for _ in range(2):  # a refusal is not kept as a code
+            with pytest.raises(NotATreeError):
+                canonical_form(g)
+        assert not coded
