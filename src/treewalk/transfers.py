@@ -15,9 +15,9 @@ the vertices on y's side. T1 is v1's side of (v1, v2) and T3 is v3's
 side of (v2, v3), both seen from v2; T2 is the rest. Every move of a
 tree, its legality and its components come from that one pass, and
 each block's volume is summed once per tree. ``build_hasse`` finds a
-move's result by an integer AHU key of the tree's neighbour lists with
-the moved edge swapped, without building the result as a graph or its
-canonical code as text.
+move's result by its canonical code, made from the tree's neighbour
+lists with the moved edge swapped, not from a graph, through one table
+of subtree codes per call, so subtrees met before are looked up.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
 
 from .errors import ConsistencyError, GraphError
-from .graphs import WeightedGraph, _tree_key, _weight_labels, canonical_form, format_weight, rooted_order
+from .graphs import WeightedGraph, _tree_code, canonical_form, format_weight, rooted_order
 from .forests import stats
 
 MODE_SIZE = "size"
@@ -163,7 +163,8 @@ def apply_move(t: WeightedGraph, move: TransferMove) -> WeightedGraph:
 
 
 def _moved_neighbors(t: WeightedGraph, move: TransferMove) -> list[tuple[tuple[int, float], ...]]:
-    """The neighbour lists of ``t`` with e2 = (v2, v3) moved to (v1, v3); only v1, v2 and v3 change."""
+    """The neighbour lists of ``t`` with e2 = (v2, v3) moved to (v1, v3); only v1, v2 and v3 change.
+    For a move of ``legal_moves(t)`` they form a tree: v1 lies outside v3's side of (v2, v3)."""
     v1, v2, v3 = move.v1, move.v2, move.v3
     w2 = t.weight(v2, v3)
     neighbors = list(t.neighbors)
@@ -171,15 +172,6 @@ def _moved_neighbors(t: WeightedGraph, move: TransferMove) -> list[tuple[tuple[i
     neighbors[v2] = tuple(p for p in neighbors[v2] if p[0] != v3)
     neighbors[v3] = tuple(p for p in neighbors[v3] if p[0] != v2) + ((v1, w2),)
     return neighbors
-
-
-def _moved_key(t: WeightedGraph, move: TransferMove, labels: dict[float, int], table: dict[tuple, int]) -> int:
-    """``_tree_key`` of ``apply_move(t, move)`` for a move of ``legal_moves(t)``.
-
-    The result is a tree because v1 lies outside v3's side of (v2, v3),
-    so it is keyed without building or checking a graph.
-    """
-    return _tree_key(t.n, _moved_neighbors(t, move), labels, table)
 
 
 def verify_monotonicity(t: WeightedGraph, move: TransferMove) -> tuple[float, float]:
@@ -222,16 +214,14 @@ def build_hasse(trees: list[WeightedGraph], mode: str) -> HasseDiagram:
     order = sorted(range(len(trees)), key=codes.__getitem__)
     nodes = tuple(codes[i] for i in order)
     reps = tuple(trees[i] for i in order)
-    # every tree and move result is looked up by its integer key, not its code
-    labels = _weight_labels(multiset)
-    table: dict[tuple, int] = {}
-    index = {_tree_key(t.n, t.neighbors, labels, table): i for i, t in enumerate(reps)}
+    index = {c: i for i, c in enumerate(nodes)}
+    table: dict[tuple, str] = {}  # subtree codes shared by all move results
 
     successors: list[set[int]] = []
     for i, t in enumerate(reps):
         succ = set()
         for move in legal_moves(t, mode):
-            j = index.get(_moved_key(t, move, labels, table))
+            j = index.get(_tree_code(t.n, _moved_neighbors(t, move), table))
             if j is None:
                 raise GraphError("move left the provided family; family is incomplete")
             if j != i:

@@ -132,12 +132,6 @@ def recursive_canonical_form(t):
     return min(code(c, -1, None) for c in tree_centers(t))
 
 
-def assert_same_partition(pairs):
-    """(key, code) pairs: equal keys exactly when equal codes."""
-    pairs = set(pairs)
-    assert len(pairs) == len({k for k, _ in pairs}) == len({c for _, c in pairs})
-
-
 def components(g, removed=()):
     """Connected components of g less the ``removed`` edges, by depth-first search, sorted by min vertex."""
     banned = set()

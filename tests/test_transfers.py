@@ -6,16 +6,15 @@ import random
 import pytest
 
 import _transfer_oracle as oracle
-from _enumeration import assert_same_partition, edge_cut, is_star_graph, random_weighted_tree
-from treewalk import graphs
+from _enumeration import edge_cut, is_star_graph, random_weighted_tree
+from treewalk import graphs, transfers
 from treewalk.cli import main
 from treewalk.errors import ConsistencyError, GraphError, NotATreeError
 from treewalk.extremal import tree_family
 from treewalk.forests import stats
 from treewalk.graphs import (
     WeightedGraph,
-    _tree_key,
-    _weight_labels,
+    _tree_code,
     canonical_form,
     cycle_graph,
     enumerate_free_trees,
@@ -26,7 +25,7 @@ from treewalk.graphs import (
 )
 from treewalk.transfers import (
     _blocks,
-    _moved_key,
+    _moved_neighbors,
     _sides,
     apply_move,
     build_hasse,
@@ -99,8 +98,6 @@ class TestMoves:
             apply_move(moved, legal)
 
     def test_non_tree_result_refused(self, monkeypatch):
-        from treewalk import transfers
-
         # drop the moved edge, so the result is a disconnected forest
         real = transfers.WeightedGraph
         monkeypatch.setattr(transfers, "WeightedGraph", lambda n, edges: real(n, edges[:-1]))
@@ -272,17 +269,11 @@ class TestHasse:
 
     def test_move_cycle_is_a_consistency_error(self, monkeypatch):
         # a move back to a tree it left would contradict strict monotonicity
-        from treewalk import transfers
-
         trees = enumerate_free_trees(5)  # path, spider, star
         nxt = {canonical_form(t): trees[(k + 1) % 3] for k, t in enumerate(trees)}
 
-        def moved_key(t, move, labels, table):
-            s = nxt[canonical_form(t)]
-            return _tree_key(s.n, s.neighbors, labels, table)
-
         monkeypatch.setattr(transfers, "legal_moves", lambda t, mode: [None])
-        monkeypatch.setattr(transfers, "_moved_key", moved_key)
+        monkeypatch.setattr(transfers, "_moved_neighbors", lambda t, move: nxt[canonical_form(t)].neighbors)
         with pytest.raises(ConsistencyError, match="lead back"):
             build_hasse(trees, "size")
 
@@ -380,28 +371,26 @@ class TestAgainstPerPairOracle:
     @pytest.mark.parametrize("name", FAMILIES)
     def test_apply_move_and_moved_code(self, name, mode):
         trees = oracle_family(name)
-        labels, table = _weight_labels(trees[0].weight_multiset()), {}
-        pairs = []
+        table = {}
         for t in trees:
             for move in legal_moves(t, mode):
                 moved = apply_move(t, move)
                 assert moved == oracle.apply_move(t, move)
-                pairs.append((_moved_key(t, move, labels, table), canonical_form(moved)))
-        assert_same_partition(pairs)
+                assert _tree_code(t.n, _moved_neighbors(t, move), table) == canonical_form(moved)
 
     @pytest.mark.parametrize("name", FAMILIES)
     def test_keys_match_codes(self, name):
         # one table for the family and every move result in both modes
         trees = oracle_family(name)
-        labels, table = _weight_labels(trees[0].weight_multiset()), {}
-        pairs = [(_tree_key(t.n, t.neighbors, labels, table), canonical_form(t)) for t in trees]
+        table = {}
+        codes = [_tree_code(t.n, t.neighbors, table) for t in trees]
+        assert codes == [canonical_form(t) for t in trees]
         for mode in ("size", "volume"):
             for t in trees:
                 for move in legal_moves(t, mode):
                     moved = apply_move(t, move)
-                    pairs.append((_tree_key(moved.n, moved.neighbors, labels, table), canonical_form(moved)))
-        assert_same_partition(pairs)
-        assert len({k for k, _ in pairs}) == len(trees)  # every result lands in the family
+                    code = _tree_code(moved.n, moved.neighbors, table)
+                    assert code == canonical_form(moved) and code in codes  # every result lands in the family
 
     def test_transfer_components(self):
         for t in oracle_family("free-8"):
@@ -419,13 +408,16 @@ class TestAgainstPerPairOracle:
 
 
 class TestCodedOnce:
-    """Each tree gets its string code once, counted at the string coder."""
+    """Each tree gets its code once, counted at the coder through both module bindings:
+    ``graphs._tree_code`` codes single trees and the enumeration, and ``transfers._tree_code``
+    (bound at import) the move results of ``build_hasse``."""
 
     @pytest.fixture
     def coded(self, monkeypatch):
         calls = []
-        tree_code = graphs._tree_code
-        monkeypatch.setattr(graphs, "_tree_code", lambda *args: calls.append(1) or tree_code(*args))
+        for module in (graphs, transfers):
+            tree_code = module._tree_code
+            monkeypatch.setattr(module, "_tree_code", lambda *args, m=module, f=tree_code: calls.append(m) or f(*args))
         return calls
 
     @pytest.mark.parametrize("mode", ["size", "volume"])
@@ -435,16 +427,20 @@ class TestCodedOnce:
         shapes = len(coded)  # what the enumeration of the family's shapes codes
         coded.clear()
         family = tree_family(weights)
-        assert len(coded) == shapes + len(family)
+        assert coded == [graphs] * (shapes + len(family))
+        coded.clear()
         build_hasse(family, mode)
-        assert len(coded) == shapes + len(family)
+        # each legal move's result once, and no family tree
+        assert coded == [transfers] * sum(len(legal_moves(t, mode)) for t in family)
 
     def test_hasse_codes_only_the_enumeration(self, coded, capsys):
-        enumerate_free_trees(8)
+        trees = enumerate_free_trees(8)
         enumerated = len(coded)
+        moves = sum(len(legal_moves(t, "size")) for t in trees)
         coded.clear()
         assert main(["hasse", "--n", "8"]) == 0
-        assert len(coded) == enumerated
+        # the enumeration, then each legal move's result once through build_hasse's table
+        assert coded == [graphs] * enumerated + [transfers] * moves
         assert capsys.readouterr().out.startswith("digraph hasse {")
 
     def test_code_is_kept(self, coded):
