@@ -445,45 +445,31 @@ def tree_centers(t: WeightedGraph) -> tuple[int, ...]:
     return tuple(sorted(_peel(t.n, t.neighbors)[0][-1]))
 
 
-def _tree_code(
-    n: int, neighbors: Sequence[Sequence[tuple[int, float]]], table: dict[tuple, str] | None = None
-) -> str:
+def _tree_code(n: int, neighbors: Sequence[Sequence[tuple[int, float]]]) -> str:
     """The canonical code of the tree with these neighbour lists (see ``canonical_form``).
 
-    The lists need not be sorted. A graph that is not a tree raises
-    ``ConsistencyError`` (see ``_peel``) before ``table`` is touched.
-    ``table`` keeps the code of every rooted subtree under (the float
-    weight of the edge above it, None at the root, its sorted child
-    codes): trees coded through one table share their subtrees' text,
-    and a subtree met before is looked up, not written again.
+    The one tree coder: it codes single trees, the free-tree enumeration
+    and the move results of ``transfers.build_hasse``. The lists need not
+    be sorted. A graph that is not a tree raises ``ConsistencyError``
+    (see ``_peel``).
     """
     layers, parent, above = _peel(n, neighbors)
     kids: list[list[str]] = [[] for _ in range(n)]
 
-    def text(w: float | None, below: list[str]) -> str:
-        return "(" + ("" if w is None else format_weight(w)) + "|" + "".join(below) + ")"
-
-    def code(x: int, w: float | None) -> str:
-        below = kids[x]
-        below.sort()
-        if table is None:
-            return text(w, below)
-        key = (w, *below)
-        found = table.get(key)
-        if found is None:
-            found = table[key] = text(w, below)
-        return found
+    def code(x: int, label: str) -> str:
+        return "(" + label + "|" + "".join(sorted(kids[x])) + ")"
 
     for layer in layers[:-1]:
         for x in layer:
-            kids[parent[x]].append(code(x, above[x]))
-            kids[x] = []  # frees the subtree's codes when no table keeps them: O(n) text for a path
+            kids[parent[x]].append(code(x, format_weight(above[x])))
+            kids[x] = []  # frees the subtree's codes: a path keeps O(n) text alive, not O(n^2)
     centres = layers[-1]
     if len(centres) == 1:
-        return code(centres[0], None)
+        return code(centres[0], "")
     a, b = centres
-    kids[a], kids[b] = kids[a] + [code(b, above[a])], kids[b] + [code(a, above[a])]
-    return min(code(a, None), code(b, None))
+    centre_edge = format_weight(above[a])
+    kids[a], kids[b] = kids[a] + [code(b, centre_edge)], kids[b] + [code(a, centre_edge)]
+    return min(code(a, ""), code(b, ""))
 
 
 def canonical_form(t: WeightedGraph) -> str:
@@ -494,9 +480,8 @@ def canonical_form(t: WeightedGraph) -> str:
     center is an edge, both rootings are encoded and the lexicographic
     minimum taken. Weights enter the code with 12 significant digits.
     Codes are built bottom-up over the leaf layers that find the
-    center(s), so a deep tree needs no deep stack; one tree is coded with
-    no table of subtree codes, so a path keeps O(n) text alive. The graph
-    keeps its code: it is immutable, so the code cannot go stale.
+    center(s), so a deep tree needs no deep stack. The graph keeps its
+    code: it is immutable, so the code cannot go stale.
     """
     return t._code
 
@@ -557,13 +542,11 @@ def _free_tree_classes(n: int) -> list[tuple[str, WeightedGraph]]:
     largest is rooted at a vertex as high as the diameter, a leaf when
     n >= 3. Only sequences that can come first are coded: the sequences
     on n - 1 vertices under a new root (the sequences rooted at a leaf,
-    in the same order) whose root is as high as the diameter. They are
-    coded through one table, so their shared subtrees are written once.
+    in the same order) whose root is as high as the diameter.
     """
     if not 1 <= n <= FREE_TREE_MAX:
         raise GraphError(f"free-tree enumeration supports 1 <= n <= {FREE_TREE_MAX}")
     reps: dict[str, list[int]] = {}
-    table: dict[tuple, str] = {}
     for levels in _rooted_level_sequences(n - 1):  # n = 1: the one empty sequence
         parents = _level_parents((1, *(level + 1 for level in levels)))
         if not _height_is_diameter(parents):
@@ -572,7 +555,7 @@ def _free_tree_classes(n: int) -> list[tuple[str, WeightedGraph]]:
         for i, p in enumerate(parents[1:], start=1):
             neighbors[p].append((i, 1.0))
             neighbors[i].append((p, 1.0))
-        reps.setdefault(_tree_code(n, neighbors, table), parents)
+        reps.setdefault(_tree_code(n, neighbors), parents)
     classes = []
     for c in sorted(reps):
         t = WeightedGraph(n, tuple((p, i, 1.0) for i, p in enumerate(reps[c][1:], start=1)))

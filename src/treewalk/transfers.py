@@ -16,8 +16,7 @@ side of (v2, v3), both seen from v2; T2 is the rest. Every move of a
 tree, its legality and its components come from that one pass, and
 each block's volume is summed once per tree. ``build_hasse`` finds a
 move's result by its canonical code, made from the tree's neighbour
-lists with the moved edge swapped, not from a graph, through one table
-of subtree codes per call, so subtrees met before are looked up.
+lists with the moved edge swapped, not from a graph.
 """
 
 from __future__ import annotations
@@ -215,13 +214,12 @@ def build_hasse(trees: list[WeightedGraph], mode: str) -> HasseDiagram:
     nodes = tuple(codes[i] for i in order)
     reps = tuple(trees[i] for i in order)
     index = {c: i for i, c in enumerate(nodes)}
-    table: dict[tuple, str] = {}  # subtree codes shared by all move results
 
     successors: list[set[int]] = []
     for i, t in enumerate(reps):
         succ = set()
         for move in legal_moves(t, mode):
-            j = index.get(_tree_code(t.n, _moved_neighbors(t, move), table))
+            j = index.get(_tree_code(t.n, _moved_neighbors(t, move)))
             if j is None:
                 raise GraphError("move left the provided family; family is incomplete")
             if j != i:

@@ -30,7 +30,6 @@ from treewalk.graphs import (
     cycle_graph,
     enumerate_free_trees,
     format_twg,
-    format_weight,
     parse_twg,
     path_graph,
     rooted_order,
@@ -250,21 +249,11 @@ class TestCanonicalForm:
         code = canonical_form(path_graph([1.0] * 4999))
         assert code.count("(") == 5000
 
-    @staticmethod
-    def assert_table_unchanged(g, match):
-        table = {}
-        _tree_code(5, path_graph([1.0, 2.0, 1.0, 3.0]).neighbors, table)
-        kept = dict(table)
-        with pytest.raises(ConsistencyError, match=match):
-            _tree_code(g.n, g.neighbors, table)
-        assert table == kept
-
     def test_code_builder_refuses_a_cycle(self):
         # a 4-cycle with a pendant vertex: peeling takes the pendant, then finds no leaf
         g = WeightedGraph(5, ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0), (3, 4, 1.0)))
         with pytest.raises(ConsistencyError, match="peeling stalled"):
             _tree_code(g.n, g.neighbors)
-        self.assert_table_unchanged(g, "peeling stalled")
         with pytest.raises(NotATreeError):
             canonical_form(g)
 
@@ -282,25 +271,21 @@ class TestCanonicalForm:
         g = WeightedGraph(n, tuple((u, v, 1.0) for u, v in edges))
         with pytest.raises(ConsistencyError, match="not a tree"):
             _tree_code(g.n, g.neighbors)
-        self.assert_table_unchanged(g, "not a tree")
         with pytest.raises(NotATreeError):
             canonical_form(g)
 
 
 class TestTreeKey:
-    """Codes made through one shared table of subtree codes, keyed by (edge weight, child codes),
-    against the codes of ``canonical_form``, made with no table, and the recursive reference."""
+    """Codes made by ``_tree_code`` from neighbour lists, the one tree coder, against the
+    recursive reference, on relabelled copies, few distinct weights, ties and a deep path."""
 
     @staticmethod
-    def table_codes(trees, recursive=True):
-        table = {}
-        codes = [_tree_code(t.n, t.neighbors, table) for t in trees]
+    def codes(trees, recursive=True):
+        codes = [_tree_code(t.n, t.neighbors) for t in trees]
         assert codes == [canonical_form(t) for t in trees]
         if recursive:
             assert codes == [recursive_canonical_form(t) for t in trees]
-        for (w, *below), text in table.items():  # a key gives its text
-            assert text == "(" + ("" if w is None else format_weight(w)) + "|" + "".join(below) + ")"
-        return codes, table
+        return codes
 
     @staticmethod
     def shuffled(rng, t):
@@ -311,7 +296,7 @@ class TestTreeKey:
     def test_free_trees(self):
         rng = random.Random(23)
         trees = [t for n in range(1, FREE_TREE_MAX + 1) for t in enumerate_free_trees(n)]
-        codes, _ = self.table_codes(trees + [self.shuffled(rng, t) for t in trees])
+        codes = self.codes(trees + [self.shuffled(rng, t) for t in trees])
         assert codes[: len(trees)] == codes[len(trees) :]
         assert len(set(codes)) == len(trees)
 
@@ -322,34 +307,35 @@ class TestTreeKey:
             t = random_weighted_tree(rng, rng.randint(1, 12))
             t = WeightedGraph(t.n, tuple((u, v, float(round(w) % 3 + 1)) for u, v, w in t.edges))
             trees += [t, self.shuffled(rng, t)]
-        codes, _ = self.table_codes(trees)
+        codes = self.codes(trees)
         assert codes[0::2] == codes[1::2]
 
     def test_twelve_digit_ties(self):
         # 1 + 1e-13 and 1 + 1e-12 print as 1 at 12 significant digits; 1 + 1e-11 does not
         ws = (1.0, 1.0000000000001, 1.000000000001, 1.00000000001)
         trees = [g(w) for g in (lambda w: path_graph([w, 2.0, 3.0]), lambda w: star_graph([w, 2.0])) for w in ws]
-        codes, table = self.table_codes(trees)
+        codes = self.codes(trees)
         assert codes[0] == codes[1] == codes[2] != codes[3] and codes[4] == codes[5] == codes[6] != codes[7]
-        # four keys, one per weight, for the leaf below it: the first three share one text
-        assert [table[w,] for w in ws] == ["(1|)"] * 3 + ["(1.00000000001|)"]
+        assert ["(1|)" in c for c in codes] == [True, True, True, False] * 2
+        assert ["(1.00000000001|)" in c for c in codes] == [False, False, False, True] * 2
 
     def test_deep_path(self):
         # 5,000 vertices in one chain of layers: no recursion, no nested values
         rng = random.Random(31)
         path = path_graph([1.0] * 4999)
         heavy_end = path_graph([1.0] * 4998 + [2.0])
-        trees = [path, self.shuffled(rng, path), heavy_end, self.shuffled(rng, heavy_end)]
-        codes, _ = self.table_codes(trees, recursive=False)
+        codes = self.codes([path, self.shuffled(rng, path), heavy_end, self.shuffled(rng, heavy_end)], recursive=False)
         assert codes[0] == codes[1] != codes[2] == codes[3]
+        assert codes[0].count("(") == 5000
 
     def test_one_tree_keeps_linear_text(self):
-        # the 20,000-vertex path keeps about 3 MB alive; coded through a table it would keep 204 MB
+        # the 20,000-vertex path keeps about 3 MB alive; a coder that kept the text of every
+        # subtree would keep about 204 MB
         t = path_graph([1.0] * 19999)
-        assert t.is_tree() and t.neighbors
+        neighbors = t.neighbors
         tracemalloc.start()
         try:
-            code = canonical_form(t)
+            code = _tree_code(t.n, neighbors)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

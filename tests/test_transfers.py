@@ -2,11 +2,12 @@ import functools
 import hashlib
 import math
 import random
+import tracemalloc
 
 import pytest
 
 import _transfer_oracle as oracle
-from _enumeration import edge_cut, is_star_graph, random_weighted_tree
+from _enumeration import edge_cut, is_star_graph, random_weighted_tree, recursive_canonical_form
 from treewalk import graphs, transfers
 from treewalk.cli import main
 from treewalk.errors import ConsistencyError, GraphError, NotATreeError
@@ -281,6 +282,21 @@ class TestHasse:
         with pytest.raises(NotATreeError):
             build_hasse([cycle_graph(4)], "size")
 
+    def test_one_large_tree_keeps_linear_text(self):
+        # the first move result of a 5,000-vertex path leaves the one-tree family. The moves' side
+        # masks take about 10 MB; coding the result adds O(n) text, where keeping the text of every
+        # subtree met would add about 19 MB
+        t = path_graph([1.0] * 4999)
+        assert canonical_form(t) and t.neighbors
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphError, match="left the provided family"):
+                build_hasse([t], "size")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 15e6
+
     def test_mixed_multisets_rejected(self):
         with pytest.raises(GraphError):
             build_hasse([path_graph([1, 1]), path_graph([2, 1])], "size")
@@ -316,8 +332,8 @@ class TestHasse:
         assert a.count("->") == 2
 
 
-# sha256 of hasse_to_dot(build_hasse(tree_family(W), mode)), frozen from the
-# string-coded lookups that integer keys replaced: the bytes must not move
+# sha256 of hasse_to_dot(build_hasse(tree_family(W), mode)), frozen: whichever way
+# build_hasse looks its move results up, the bytes must not move
 WEIGHTED_HASSE_SHA256 = {
     ((3, 2, 1, 0.5), "size"): "140883ab3b629d0b89e7d2873fb279bd609c89461b2727d43d204942291ee5e9",
     ((3, 2, 1, 0.5), "volume"): "07decfba69c02e569175027082aea39e1b859da3f0fa52911ab68c112ca58483",
@@ -371,26 +387,24 @@ class TestAgainstPerPairOracle:
     @pytest.mark.parametrize("name", FAMILIES)
     def test_apply_move_and_moved_code(self, name, mode):
         trees = oracle_family(name)
-        table = {}
         for t in trees:
             for move in legal_moves(t, mode):
                 moved = apply_move(t, move)
                 assert moved == oracle.apply_move(t, move)
-                assert _tree_code(t.n, _moved_neighbors(t, move), table) == canonical_form(moved)
+                assert _tree_code(t.n, _moved_neighbors(t, move)) == canonical_form(moved)
 
     @pytest.mark.parametrize("name", FAMILIES)
     def test_keys_match_codes(self, name):
-        # one table for the family and every move result in both modes
+        # the family and every move result in both modes, against the recursive reference
         trees = oracle_family(name)
-        table = {}
-        codes = [_tree_code(t.n, t.neighbors, table) for t in trees]
+        codes = [recursive_canonical_form(t) for t in trees]
         assert codes == [canonical_form(t) for t in trees]
         for mode in ("size", "volume"):
             for t in trees:
                 for move in legal_moves(t, mode):
-                    moved = apply_move(t, move)
-                    code = _tree_code(moved.n, moved.neighbors, table)
-                    assert code == canonical_form(moved) and code in codes  # every result lands in the family
+                    code = _tree_code(t.n, _moved_neighbors(t, move))
+                    assert code == recursive_canonical_form(oracle.apply_move(t, move))
+                    assert code in codes  # every result lands in the family
 
     def test_transfer_components(self):
         for t in oracle_family("free-8"):
@@ -439,7 +453,7 @@ class TestCodedOnce:
         moves = sum(len(legal_moves(t, "size")) for t in trees)
         coded.clear()
         assert main(["hasse", "--n", "8"]) == 0
-        # the enumeration, then each legal move's result once through build_hasse's table
+        # the enumeration, then each legal move's result once through build_hasse
         assert coded == [graphs] * enumerated + [transfers] * moves
         assert capsys.readouterr().out.startswith("digraph hasse {")
 
