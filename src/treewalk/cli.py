@@ -16,15 +16,15 @@ import json
 import os
 import sys
 import time
-from itertools import chain, repeat
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from . import forests, spectral
 from .errors import ConsistencyError, DisconnectedError, GraphError, NotATreeError, TwgParseError
-from .extremal import best_path_assignment, extremal_scan, weight_multiset
-from .graphs import FREE_TREE_MAX, WeightedGraph, enumerate_free_trees, parse_twg, sig12
+from .extremal import PathSearchResult, best_path_assignment, extremal_scan, weight_multiset
+from .graphs import FREE_TREE_MAX, WEIGHT_FORMAT, WeightedGraph, enumerate_free_trees, parse_twg, sig12
 from .homorder import conjecture_scan, connected_graph_corpus, require_scan_size
 from .simulate import estimate_hitting
 from .transfers import build_hasse, hasse_to_dot
@@ -36,6 +36,8 @@ EXIT_GRAPH = 3
 EXIT_ASSERTION = 4
 
 METHOD_AGREEMENT_RTOL = 1e-6
+
+_PATH_BLOCK_ROWS = 4096  # rows of the search-path report written at a time
 
 
 # Each route computes (alpha, kappa) from one factorization. Names are looked
@@ -91,9 +93,8 @@ _SCALAR_TEXT = {
 def _column_texts(col: list, pad: str) -> list[str]:
     """The text of every value in one column of a record list, nested at ``pad``.
 
-    A column of one scalar type, or of nonempty float lists, is written
-    by one map; a float-list column writes each distinct float once. A
-    column of dicts and None is written as a record list of its own.
+    A column of one scalar type is written by one map. A column of dicts
+    and None is written as a record list of its own.
     """
     kinds = set(map(type, col))
     if kinds == {float}:
@@ -103,25 +104,7 @@ def _column_texts(col: list, pad: str) -> list[str]:
         return list(map(encode_basestring_ascii, col))
     if kinds == {int}:
         return list(map(int.__repr__, col))
-    if kinds == {list} and all(col):
-        inner = pad + "  "
-        wrap = ("[\n" + inner + "%s\n" + pad + "]").__mod__
-        join = (",\n" + inner).join
-        flat = functools.partial(chain.from_iterable, col)  # not one list: 26 MB at 9! orders of 9
-        if set(map(type, flat())) == {float} and all(flat()):
-            # one text per distinct value; only for exact floats and no zero,
-            # as 1, True and 1.0 are one dict key, and so are 0.0 and -0.0
-            text = {x: float.__repr__(x) for x in set(flat())}
-            if not any(map(str.__contains__, text.values(), repeat("n"))):  # nan or inf
-                return list(map(wrap, map(join, map(functools.partial(map, text.__getitem__), col))))
-        try:
-            texts = list(map(wrap, map(join, map(functools.partial(map, float.__repr__), col))))
-        except TypeError:  # not all floats
-            pass
-        else:
-            if not any(map(str.__contains__, texts, repeat("n"))):  # ... or nan or inf among them
-                return texts
-    elif kinds <= {dict, type(None)}:
+    if kinds <= {dict, type(None)}:
         rows = [v for v in col if v is not None]
         texts = iter((rows and _record_texts(rows, pad)) or [_json_text(v, pad) for v in rows])
         return ["null" if v is None else next(texts) for v in col]
@@ -196,6 +179,36 @@ def _emit(args, payload: dict, human_lines: list[str]) -> None:
     else:
         for line in human_lines:
             print(line)
+
+
+def _sig12_texts(x: np.ndarray) -> list[str]:
+    """The JSON text of ``sig12(v)`` for every value of a float array."""
+    return list(map(float.__repr__, map(float, map(format, x.tolist(), repeat(WEIGHT_FORMAT)))))
+
+
+def _write_path_report(result: PathSearchResult) -> None:
+    """``search-path --json``: byte for byte ``json.dumps(payload, indent=2,
+    sort_keys=True)`` of ``{assignment, evaluations: [{kappa, objective,
+    order}], kappa, objective}``, written from the arrays a block of rows at a
+    time, with one text per distinct weight and one ``%`` template per row.
+    Every value is a finite float, so only the write itself can fail.
+    """
+    write = sys.stdout.write
+    weight_text = np.array(list(map(float.__repr__, result.values)), dtype=object)
+    order = ",\n        ".join(["%s"] * result.rows.shape[1])
+    row = '{\n      "kappa": %s,\n      "objective": %s,\n      "order": [\n        ' + order + "\n      ]\n    }"
+    assignment = ",\n    ".join(map(float.__repr__, result.assignment))
+    write('{\n  "assignment": [\n    ' + assignment + '\n  ],\n  "evaluations": [\n    ')
+    for start in range(0, len(result.rows), _PATH_BLOCK_ROWS):
+        block = slice(start, start + _PATH_BLOCK_ROWS)
+        cells = zip(
+            _sig12_texts(result.kappas[block]),
+            _sig12_texts(result.objectives[block]),
+            *weight_text[result.rows[block]].T.tolist(),
+        )
+        write((",\n    " if start else "") + ",\n    ".join(map(row.__mod__, cells)))
+    kappa, objective = _sig12_texts(np.array([result.kappa, result.objective]))
+    write('\n  ],\n  "kappa": ' + kappa + ',\n  "objective": ' + objective + "\n}\n")
 
 
 def cmd_compute(args) -> int:
@@ -277,12 +290,12 @@ def cmd_hasse(args) -> int:
 def cmd_search_path(args) -> int:
     weights = _parse_weights(args.weights)
     result = best_path_assignment(weights)
-    lines = [
-        f"best kappa over {len(result.evaluations)} distinct orders: {result.kappa:.12g}",
-        f"assignment: {list(result.assignment)}",
-        f"objective:  {result.objective:.12g}",
-    ]
-    _emit(args, result.to_json_dict(), lines)
+    if args.json:
+        _write_path_report(result)
+        return EXIT_OK
+    print(f"best kappa over {len(result.rows)} distinct orders: {result.kappa:.12g}")
+    print(f"assignment: {list(result.assignment)}")
+    print(f"objective:  {result.objective:.12g}")
     return EXIT_OK
 
 

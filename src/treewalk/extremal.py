@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
@@ -89,25 +90,26 @@ class FamilyReport:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathSearchResult:
-    """Best path ordering for Kemeny's constant plus the full ranking."""
+    """Best path ordering for Kemeny's constant plus the full ranking: one
+    int8 row of indices into ``values`` (the distinct weights, ascending) per
+    distinct order, rows in lexicographic order, and each row's J and kappa.
+    """
 
     assignment: tuple[float, ...]
     kappa: float
     objective: float
-    evaluations: tuple[tuple[tuple[float, ...], float, float], ...]  # (order, J, kappa)
+    values: tuple[float, ...]
+    rows: np.ndarray
+    objectives: np.ndarray
+    kappas: np.ndarray
 
-    def to_json_dict(self) -> dict:
-        return {
-            "assignment": list(self.assignment),
-            "kappa": sig12(self.kappa),
-            "objective": sig12(self.objective),
-            "evaluations": [
-                {"order": list(o), "objective": sig12(j), "kappa": sig12(k)}
-                for o, j, k in self.evaluations
-            ],
-        }
+    @cached_property
+    def evaluations(self) -> tuple[tuple[tuple[float, ...], float, float], ...]:
+        """(order, J, kappa) per row, each order a tuple of the weights' own float objects."""
+        orders = zip(*np.array(self.values, dtype=object)[self.rows.T].tolist())
+        return tuple(zip(orders, self.objectives.tolist(), self.kappas.tolist()))
 
 
 def weight_multiset(weights: Sequence[float]) -> tuple[float, ...]:
@@ -389,21 +391,21 @@ def best_path_assignment(weights: Sequence[float]) -> PathSearchResult:
         raise GraphError(f"path search guarded to {PATH_SEARCH_MAX} weights, got m={len(ws)}")
     values, rows = _distinct_orders(ws)
     columns = np.array(values)[rows.T]
-    # each order holds the weights' own float objects, one tuple per row
-    orders = list(zip(*np.array(values, dtype=object)[rows.T].tolist()))
-    del rows  # held in the orders now; at m = 10 the rows take 36 MB
     objectives = path_kappa_objective(columns)
     kappas = tree_stats(path_graph([1.0] * len(ws)), columns)[1]
     check_finite(objectives, "path objective J")
     check_finite(kappas, "path kappa")
-    _check_rankings_agree(orders[0], objectives, kappas)
-    evaluations = tuple(zip(orders, objectives.tolist(), kappas.tolist()))
-    best = max(evaluations, key=lambda e: (e[2], e[0]))
+    _check_rankings_agree(ws[::-1], objectives, kappas)  # the first row: the weights ascending
+    # rows ascend, so the last row of greatest kappa has the greatest (kappa, order)
+    best = int(np.flatnonzero(kappas == kappas.max())[-1])
     return PathSearchResult(
-        assignment=best[0],
-        kappa=best[2],
-        objective=best[1],
-        evaluations=evaluations,
+        assignment=tuple(values[i] for i in rows[best].tolist()),
+        kappa=float(kappas[best]),
+        objective=float(objectives[best]),
+        values=tuple(values),
+        rows=rows,
+        objectives=objectives,
+        kappas=kappas,
     )
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
@@ -36,6 +36,11 @@ _TWG_ROW = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
 
 def format_weight(w: float) -> str:
     return format(w, WEIGHT_FORMAT)
+
+
+# The tree coder's weight texts, bounded so that a tree of a million distinct
+# weights cannot grow it. Edge weights only: keyed by value, -0.0 is 0.0.
+_weight_label = lru_cache(maxsize=4096)(format_weight)
 
 
 def sig12(x: float) -> float:
@@ -461,13 +466,13 @@ def _tree_code(n: int, neighbors: Sequence[Sequence[tuple[int, float]]]) -> str:
 
     for layer in layers[:-1]:
         for x in layer:
-            kids[parent[x]].append(code(x, format_weight(above[x])))
+            kids[parent[x]].append(code(x, _weight_label(above[x])))
             kids[x] = []  # frees the subtree's codes: a path keeps O(n) text alive, not O(n^2)
     centres = layers[-1]
     if len(centres) == 1:
         return code(centres[0], "")
     a, b = centres
-    centre_edge = format_weight(above[a])
+    centre_edge = _weight_label(above[a])
     kids[a], kids[b] = kids[a] + [code(b, centre_edge)], kids[b] + [code(a, centre_edge)]
     return min(code(a, ""), code(b, ""))
 

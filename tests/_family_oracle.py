@@ -8,7 +8,8 @@ and extremes. Also the scalar tree closed form that forests.stats ran
 before forests.tree_stats, which must match it bit for bit, and the
 per-order path ranking that best_path_assignment ran before it worked on
 columns, over the distinct orders that Knuth's Algorithm L lists one at
-a time.
+a time, and the search-path report as one dict per order, which the CLI
+built before it wrote the report from the arrays.
 """
 
 import sys
@@ -16,7 +17,7 @@ import sys
 from treewalk.errors import ConsistencyError
 from treewalk.extremal import EXTREME_GROUP_RTOL, STAT_ALPHA, weight_multiset
 from treewalk.forests import stats, tree_stats
-from treewalk.graphs import WeightedGraph, canonical_form, enumerate_free_trees, path_graph, rooted_order
+from treewalk.graphs import WeightedGraph, canonical_form, enumerate_free_trees, path_graph, rooted_order, sig12
 
 
 def distinct_permutations(items):
@@ -133,3 +134,17 @@ def check_rankings_agree(evaluations):
 
     check(sorted(evaluations, key=lambda e: -e[1]), 1, "sorted by objective")
     check(sorted(evaluations, key=lambda e: -e[2]), 0, "sorted by kappa")
+
+
+def path_payload(result):
+    """The ``search-path --json`` payload of a PathSearchResult: one dict per
+    (order, J, kappa) evaluation, values at 12 significant digits."""
+    return {
+        "assignment": list(result.assignment),
+        "kappa": sig12(result.kappa),
+        "objective": sig12(result.objective),
+        "evaluations": [
+            {"order": list(o), "objective": sig12(j), "kappa": sig12(k)}
+            for o, j, k in result.evaluations
+        ],
+    }

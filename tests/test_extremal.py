@@ -294,6 +294,25 @@ class TestBestPath:
                     # on a path kappa is affine in J, so the two rankings are one
                     assert k == pytest.approx((2 * m - 1) / 2 + 2 * j / total, rel=1e-5)
 
+    def test_assignment_is_the_greatest_kappa_then_order(self):
+        # the last row of greatest kappa is what max over (kappa, order) chose
+        # when every order was a tuple; few distinct weights give exact ties
+        rng = random.Random(83)
+        tied = 0
+        for trial in range(120):
+            m = rng.randint(1, 7)
+            if trial % 3 == 0:
+                ws = [rng.uniform(0.1, 10) for _ in range(m)]
+            else:
+                pool = rng.sample((0.5, 1.0, 2.0, 3.0, 1e-3, 1e3), rng.randint(1, 3))
+                ws = [rng.choice(pool) for _ in range(m)]
+            result = best_path_assignment(ws)
+            order, j, k = max(result.evaluations, key=lambda e: (e[2], e[0]))
+            assert (result.assignment, result.objective, result.kappa) == (order, j, k), ws
+            assert all(type(x) is float for x in (result.objective, result.kappa))
+            tied += sum(e[2] == k for e in result.evaluations) > 1
+        assert tied > 30
+
     def test_swapped_kappas_disagree(self):
         evaluations = best_path_assignment([7, 6, 5, 4, 3]).evaluations
         _, objectives, kappas = (np.array(c) for c in zip(*evaluations))

@@ -1,14 +1,19 @@
 """The CLI's JSON writer against json.dumps(x, indent=2, sort_keys=True), byte for byte."""
 
+import hashlib
 import json
 import math
 import random
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import _family_oracle as oracle
 from treewalk import cli
 from treewalk.cli import _json_text, main
+from treewalk.extremal import best_path_assignment
 
 
 def _stdlib(x):
@@ -26,6 +31,9 @@ def _outcome(write, x):
 TREE5 = "5\n0 1 2\n1 2 0.5\n1 3 3\n3 4 1.25\n"
 GRAPH4 = "4\n0 1 1\n1 2 2.5\n2 3 0.5\n3 0 4\n0 2 1.5\n"
 PATH_WEIGHTS = "9.5,7.25,5,4.125,3,2.5,1"
+# repeated weights, a tie at 12 significant digits (1 and 1 + 1e-13 print
+# alike but are two weights) and a spread of twelve orders of magnitude
+PATH_MULTISETS = ["9.5,3.25,3.25,2,1.5,0.7,0.2", "2,2", "1,1.0000000000001,2,3", "1e-6,1e-3,1,1e3,1e6"]
 
 REPORTS = [
     ["compute", "--input", "{tree}"],
@@ -34,6 +42,7 @@ REPORTS = [
     ["verify-extremal", "--weights", "7,5,4,2,2,1", "--stat", "alpha"],
     ["verify-extremal", "--weights", "7,5,4,2,2,1", "--stat", "kappa"],
     *(["search-path", "--weights", ",".join(PATH_WEIGHTS.split(",")[:m])] for m in range(1, 8)),
+    *(["search-path", "--weights", w] for w in PATH_MULTISETS),
     ["conjecture", "--n", "8", "--corpus-max", "3"],
     ["conjecture", "--n", "8", "--corpus-max", "6"],
     ["simulate", "--input", "{tree}", "--from", "0", "--to", "4", "--trials", "2000", "--seed", "3"],
@@ -50,9 +59,72 @@ def test_every_report(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "_emit", lambda args, payload, lines: payloads.append(payload) or emit(args, payload, lines))
     argv = [a.format(tree=tree, graph=graph) for a in argv]
     assert main([*argv, "--json"]) == 0
+    if argv[0] == "search-path":
+        # written from the result's arrays, with no payload: the payload is
+        # the one dict per order that the oracle builds from the evaluations
+        assert payloads == []
+        payloads.append(oracle.path_payload(best_path_assignment(cli._parse_weights(argv[2]))))
     (payload,) = payloads
     assert _json_text(payload) == _stdlib(payload)
     assert capsys.readouterr().out == _stdlib(payload) + "\n"
+
+
+@pytest.mark.parametrize("block", [1, 2, 59, 60, 61])
+def test_path_report_blocks(block, capsys, monkeypatch):
+    # 60 orders, written in blocks that split them every way
+    monkeypatch.setattr(cli, "_PATH_BLOCK_ROWS", block)
+    assert main(["search-path", "--weights", "10,8,1,1,0.1", "--json"]) == 0
+    payload = oracle.path_payload(best_path_assignment([10, 8, 1, 1, 0.1]))
+    assert capsys.readouterr().out == _stdlib(payload) + "\n"
+
+
+class _HashSink:
+    """A stdout that keeps only the sha256 and length of what is written."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+        self.chars = 0
+
+    def write(self, text):
+        self.sha.update(text.encode())
+        self.chars += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_path_report_memory(monkeypatch):
+    # 40,320 orders of 8 distinct weights: an 8 MB report. Building it as one
+    # dict per order and one string took a 47 MB tracemalloc peak; the arrays
+    # and tree_stats' columns take about 10 MB, and the writer about 2.4 MB
+    weights = "9.5,7.25,5,4.125,3,2.5,1,0.75"
+    sink, writer_sink = _HashSink(), _HashSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        assert main(["search-path", "--weights", weights, "--json"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+        result = best_path_assignment(cli._parse_weights(weights))
+        monkeypatch.setattr(sys, "stdout", writer_sink)
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        cli._write_path_report(result)
+        writer_peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert sink.chars == writer_sink.chars > 8_000_000
+    assert peak < 20 * 2**20, peak
+    assert writer_peak < 5 * 2**20, writer_peak  # below the report's 8 MB: one block at a time
+    # the evaluations are still made on request, as tuples of the weights' own floats
+    evaluations = result.evaluations
+    assert len(evaluations) == 40320 and result.evaluations is evaluations
+    own = set(map(id, result.values))
+    assert all(type(o) is tuple and all(id(w) in own for w in o) for o, _, _ in evaluations)
+    assert all(type(j) is float and type(k) is float for _, j, k in evaluations)
+    assert [(j, k) for _, j, k in evaluations] == list(zip(result.objectives.tolist(), result.kappas.tolist()))
+    text = (_stdlib(oracle.path_payload(result)) + "\n").encode()
+    assert sink.sha.hexdigest() == writer_sink.sha.hexdigest() == hashlib.sha256(text).hexdigest()
 
 
 SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308, -1e308, 1e16, 1e-7, 0.1]
