@@ -31,9 +31,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import forests
 from .errors import ConsistencyError, GraphError
-from .forests import tree_stats
+from .forests import check_weight_products, tree_stats
 from .graphs import (
     WeightedGraph,
     _peel,
@@ -300,6 +299,8 @@ def extremal_scan(weights: Sequence[float], stat: str) -> FamilyReport:
     weight_rows = np.concatenate(rows)
     values = np.concatenate(parts)
     check_finite(values, f"{stat} values of the family")
+    if stat == STAT_KAPPA:
+        check_weight_products(ws[-1], "kappa values of the family")
 
     def trees(mask: np.ndarray) -> Iterator[WeightedGraph]:
         for i in np.flatnonzero(mask).tolist():
@@ -327,7 +328,7 @@ def extremal_scan(weights: Sequence[float], stat: str) -> FamilyReport:
         pol_layouts = tuple(polarized.values())
         if argmax_codes != tuple(polarized):  # both in code order
             raise ConsistencyError(f"alpha argmax set differs from the polarized paths for W={ws}")
-        pol_vals = [forests.stats(path_graph(p))[0] for p in pol_layouts]
+        pol_vals = [tree_stats(path_graph(p), p)[0] for p in pol_layouts]  # alpha needs no kappa products
         spread = max(pol_vals) - min(pol_vals)
         if not spread <= EXTREME_GROUP_RTOL * abs(max_value):
             raise ConsistencyError(f"polarized paths do not share one alpha for W={ws}")
@@ -361,7 +362,9 @@ def path_kappa_objective(weights_in_order: Sequence[float] | np.ndarray) -> floa
     ranks them by kappa. ``weights_in_order`` holds floats for one order,
     or numpy arrays with each position's weight in many orders, which give
     an array of values; as in ``tree_stats``, the same statements do both,
-    bit for bit alike.
+    bit for bit alike. Its products of two partial sums need the least
+    weight checked by ``forests.check_weight_products``, as
+    ``best_path_assignment`` does.
     """
     low = float(np.asarray(weights_in_order, dtype=float).min(initial=math.inf))
     if not low > 0.0:
@@ -395,6 +398,7 @@ def best_path_assignment(weights: Sequence[float]) -> PathSearchResult:
     kappas = tree_stats(path_graph([1.0] * len(ws)), columns)[1]
     check_finite(objectives, "path objective J")
     check_finite(kappas, "path kappa")
+    check_weight_products(ws[-1], "path objective J and kappa")
     _check_rankings_agree(ws[::-1], objectives, kappas)  # the first row: the weights ascending
     # rows ascend, so the last row of greatest kappa has the greatest (kappa, order)
     best = int(np.flatnonzero(kappas == kappas.max())[-1])

@@ -26,6 +26,22 @@ from .errors import ConsistencyError
 from .graphs import WeightedGraph, rooted_order
 from .walks import check_error_bound, check_finite, condition_bound, laplacian
 
+TINY = float(np.finfo(float).tiny)
+
+
+def check_weight_products(w_min: float, what: str) -> None:
+    """Raise ConsistencyError when a product of two weights may fall below the normal floats.
+
+    Every product ``tree_stats`` takes for kappa, a cut's two side volumes,
+    and every nonzero product ``path_kappa_objective`` takes, of the weights
+    left and right of a position, is at least ``w_min**2``; below
+    ``np.finfo(float).tiny`` such a product can lose its digits or round to 0.
+    """
+    if not w_min * w_min >= TINY:
+        raise ConsistencyError(
+            f"{what}: weights down to {w_min:.3e} put products of two weights below the float range"
+        )
+
 
 def tree_stats(shape: WeightedGraph, weights: Sequence[float] | np.ndarray) -> tuple:
     """(alpha, kappa) of a tree on two or more vertices from its O(n) closed form.
@@ -36,7 +52,9 @@ def tree_stats(shape: WeightedGraph, weights: Sequence[float] | np.ndarray) -> t
     update builds a new value (``a = a + b``), so the same statements do
     both, bit for bit alike. Deleting edge e leaves a 2-forest of weight
     tau / w(e); for the cut above vertex c, the child side has ambient
-    volume 2*(weight inside the subtree) + w(edge).
+    volume 2*(weight inside the subtree) + w(edge). Kappa is only as good
+    as its products: callers check the least weight with
+    ``check_weight_products``.
     """
     n = shape.n
     order, parent = rooted_order(shape)
@@ -92,7 +110,8 @@ def stats(g: WeightedGraph) -> tuple[float, float]:
     alpha = vol * sum S(F) w(F) / (n^2 tau) and kappa = sum V_G(F) w(F) /
     (vol tau). For general graphs tau cancels against the resistance sums,
     so the route never forms it (tau overflows on large dense graphs).
-    A result that is not finite is refused.
+    A result that is not finite is refused, and so is a tree whose least
+    weight squared falls below the normal floats (``check_weight_products``).
     """
     g.require_connected()
     n = g.n
@@ -106,4 +125,6 @@ def stats(g: WeightedGraph) -> tuple[float, float]:
         alpha, kappa = (vol / (n * n)) * r_sum, dr_sum / vol
     check_finite(alpha, "forest-route alpha")
     check_finite(kappa, "forest-route kappa")
+    if g.is_tree():
+        check_weight_products(min(w for _, _, w in g.edges), "forest-route kappa")
     return alpha, kappa

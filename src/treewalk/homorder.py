@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import GraphError
 from .graphs import WeightedGraph, _free_tree_classes, rooted_order, sig12
-from .walks import walk_stats
+from .walks import stack_walk_stats
 
 CORPUS_VERTEX_MAX = 6
 SCAN_TREE_MAX = 8
@@ -275,7 +275,7 @@ def conjecture_scan(n: int, corpus: list[WeightedGraph] | None = None) -> HomDom
     if corpus is None:
         corpus = connected_graph_corpus()
     codes, trees = zip(*_free_tree_classes(n))  # the codes the enumeration sorted by
-    alphas = [walk_stats(t)[0] for t in trees]
+    alphas = stack_walk_stats(trees)[0].tolist()  # one batched inverse for all the trees
 
     pairs = []
     violations = []
