@@ -25,7 +25,9 @@ from . import forests, spectral
 from .errors import ConsistencyError, DisconnectedError, GraphError, NotATreeError, TwgParseError
 from .extremal import PathSearchResult, best_path_assignment, extremal_scan, weight_multiset
 from .graphs import FREE_TREE_MAX, WEIGHT_FORMAT, WeightedGraph, enumerate_free_trees, parse_twg, sig12
-from .homorder import conjecture_scan, connected_graph_corpus, require_scan_size
+from .homorder import (
+    DOMINATES, EQUAL, VERDICTS, HomDominanceReport, conjecture_scan, connected_graph_corpus, require_scan_size,
+)
 from .simulate import estimate_hitting
 from .transfers import build_hasse, hasse_to_dot
 from .walks import hitting_matrix, walk_stats
@@ -90,58 +92,13 @@ _SCALAR_TEXT = {
 }
 
 
-def _column_texts(col: list, pad: str) -> list[str]:
-    """The text of every value in one column of a record list, nested at ``pad``.
-
-    A column of one scalar type is written by one map. A column of dicts
-    and None is written as a record list of its own.
-    """
-    kinds = set(map(type, col))
-    if kinds == {float}:
-        texts = list(map(float.__repr__, col))
-        return list(map(_float_text, col)) if any(map(str.__contains__, texts, repeat("n"))) else texts
-    if kinds == {str}:
-        return list(map(encode_basestring_ascii, col))
-    if kinds == {int}:
-        return list(map(int.__repr__, col))
-    if kinds <= {dict, type(None)}:
-        rows = [v for v in col if v is not None]
-        texts = iter((rows and _record_texts(rows, pad)) or [_json_text(v, pad) for v in rows])
-        return ["null" if v is None else next(texts) for v in col]
-    return [_json_text(v, pad) for v in col]
-
-
-def _record_texts(rows: list | tuple, pad: str) -> list[str] | None:
-    """The text of every row of a nonempty list of plain dicts with one set of
-    str keys, nested at ``pad``, written one column at a time; None for any
-    other list, or when a column raises (the caller then writes row by row,
-    so an error is json.dumps' own, in row order).
-    """
-    first = rows[0]
-    if not first or set(map(type, rows)) != {dict}:
-        return None
-    keys = first.keys()
-    if not all(map(keys.__eq__, map(dict.keys, rows))):
-        return None
-    inner = pad + "  "
-    try:
-        names = sorted(keys)
-        labels = [encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in names]
-        columns = [_column_texts([r[k] for r in rows], inner) for k in names]
-    except (TypeError, ValueError):
-        return None
-    template = "{\n" + inner + (",\n" + inner).join(labels) + "\n" + pad + "}"
-    return list(map(template.__mod__, zip(*columns)))
-
-
 def _json_text(x, pad: str = "") -> str:
     """``json.dumps(x, indent=2, sort_keys=True)`` byte for byte, for a value
     nested at indent ``pad``.
 
     With ``indent`` set, the stdlib runs its pure-Python encoder, one
-    generator step per token. This writes each dict and list with one join,
-    a flat list of floats with one ``map(float.__repr__, ...)`` and a list
-    of same-key dicts column by column (``_record_texts``). Empty
+    generator step per token. This writes each dict and list with one join
+    and a flat list of floats with one ``map(float.__repr__, ...)``. Empty
     containers, dicts with non-str keys and values of any other type are
     written by json.dumps itself, re-indented.
     """
@@ -165,8 +122,8 @@ def _json_text(x, pad: str = "") -> str:
             body = sep.join(map(float.__repr__, x))
             if "n" in body:  # nan or inf among the floats
                 body = ""
-        except TypeError:  # not all floats: a record list, or any other list
-            body = sep.join(_record_texts(x, inner) or ())
+        except TypeError:  # not all floats
+            body = ""
         if not body:
             body = sep.join([_json_text(v, inner) for v in x])
         return "[\n" + inner + body + "\n" + pad + "]"
@@ -211,6 +168,60 @@ def _write_path_report(result: PathSearchResult) -> None:
     write('\n  ],\n  "kappa": ' + kappa + ',\n  "objective": ' + objective + "\n}\n")
 
 
+def _write_hitting_report(payload: dict, h: np.ndarray) -> None:
+    """``compute --hitting --json``: byte for byte ``json.dumps`` of the payload
+    plus ``hitting`` (values at 12 significant digits), the matrix written one
+    row at a time between the keys that sort before it and those after it.
+    The exact route refused a matrix that is not finite, so only the write
+    itself can fail.
+    """
+    write = sys.stdout.write
+    before = _json_text({k: v for k, v in payload.items() if k < "hitting"})
+    after = _json_text({k: v for k, v in payload.items() if k > "hitting"})
+    write(before[:-2] + ',\n  "hitting": [')  # the keys before, less the closing brace
+    for i, row in enumerate(h):
+        write((",\n    [\n      " if i else "\n    [\n      ") + ",\n      ".join(_sig12_texts(row)) + "\n    ]")
+    write("\n  ],\n" + after[2:] + "\n")  # the keys after, less the opening brace
+
+
+def _write_conjecture_report(report: HomDominanceReport) -> None:
+    """``conjecture --json``: byte for byte ``json.dumps(report.to_json_dict(),
+    indent=2, sort_keys=True)``, written from the verdict arrays as one string,
+    with one text per tree code and one ``%`` template per pair row (another
+    for a pair without witness). Every value is a str, an int or a finite
+    float, so only the write itself can fail.
+    """
+
+    def records(texts: list[str]) -> str:
+        return "[\n    " + ",\n    ".join(texts) + "\n  ]" if texts else "[]"
+
+    code = list(map(encode_basestring_ascii, report.codes))
+    verdict = list(map(encode_basestring_ascii, VERDICTS))
+    head = '{\n      "a": %s,\n      "b": %s,\n      "verdict": '
+    witness = '{\n        "graph": %d,\n        "hom_a": %d,\n        "hom_b": %d\n      }'
+    decided = head + '%s,\n      "witness": ' + witness + "\n    }"
+    equal = head + encode_basestring_ascii(EQUAL) + ',\n      "witness": null\n    }'
+    cells = zip(*(x.tolist() for x in (report.a, report.b, report.kind, report.graph, report.hom_a, report.hom_b)))
+    pairs = [
+        decided % (code[i], code[j], verdict[k], g, x, y) if k else equal % (code[i], code[j])
+        for i, j, k, g, x, y in cells
+    ]
+    alphas = list(map('{\n      "alpha": %s,\n      "code": %s\n    }'.__mod__, zip(_sig12_texts(report.alpha), code)))
+    violations = [
+        '{\n      "a": %s,\n      "alpha_a": %r,\n      "alpha_b": %r,\n      "b": %s\n    }'
+        % (encode_basestring_ascii(a), alpha_a, alpha_b, encode_basestring_ascii(b))
+        for a, b, alpha_a, alpha_b in report.violations
+    ]
+    # print writes the newline on its own: when stdout is unbuffered, a short
+    # write into a pipe whose reader has gone goes unreported, the next fails
+    print(
+        '{\n  "alphas": ' + records(alphas)
+        + ',\n  "corpus_size": %d,\n  "pairs": ' % report.corpus_size + records(pairs)
+        + ',\n  "tree_size": %d,\n  "violations": ' % report.tree_size + records(violations)
+        + "\n}"
+    )
+
+
 def cmd_compute(args) -> int:
     t0 = time.perf_counter()
     g, digest = _read_graph(args.input)
@@ -244,12 +255,14 @@ def cmd_compute(args) -> int:
         lines.append(f"max relative delta across methods: {delta:.3e}")
     if args.hitting:
         h = hitting_matrix(g) if h is None else h
-        payload["hitting"] = [[sig12(x) for x in row] for row in h.tolist()]
-        if not args.json:
+    if args.hitting and args.json:
+        _write_hitting_report(payload, h)
+    else:
+        if args.hitting:
             lines.append("hitting matrix:")
             for row in h:
                 lines.append("  " + " ".join(f"{x:12.6g}" for x in row))
-    _emit(args, payload, lines)
+        _emit(args, payload, lines)
     if not delta <= METHOD_AGREEMENT_RTOL:
         print(f"method disagreement {delta:.3e} exceeds {METHOD_AGREEMENT_RTOL}", file=sys.stderr)
         return EXIT_ASSERTION
@@ -303,15 +316,15 @@ def cmd_conjecture(args) -> int:
     require_scan_size(args.n)  # before the corpus, which checks its own range first
     corpus = connected_graph_corpus(2, args.corpus_max)
     report = conjecture_scan(args.n, corpus=corpus)
-    dominant = sum(1 for p in report.pairs if p.verdict == "dominates")
-    lines = [
-        f"trees of size {args.n}: {len(report.alphas)}; corpus graphs: {report.corpus_size}",
-        f"ordered pairs: {len(report.pairs)}; corpus-dominant: {dominant}",
-        f"violations: {len(report.violations)}",
-    ]
-    for a, b, aa, ab in report.violations:
-        lines.append(f"  violation: alpha {aa:.9g} -> {ab:.9g} (corpus false positive suspected)")
-    _emit(args, report.to_json_dict(), lines)
+    if args.json:
+        _write_conjecture_report(report)
+        return EXIT_OK
+    dominant = int((report.kind == VERDICTS.index(DOMINATES)).sum())
+    print(f"trees of size {args.n}: {len(report.codes)}; corpus graphs: {report.corpus_size}")
+    print(f"ordered pairs: {len(report.kind)}; corpus-dominant: {dominant}")
+    print(f"violations: {len(report.violations)}")
+    for _, _, aa, ab in report.violations:
+        print(f"  violation: alpha {aa:.9g} -> {ab:.9g} (corpus false positive suspected)")
     return EXIT_OK
 
 

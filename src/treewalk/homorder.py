@@ -23,14 +23,17 @@ verdicts here are necessary-condition semantics: corpus dominance is
 implied by true dominance but does not certify it. The conjecture scan
 checks that corpus-dominant trees never have a larger average hitting
 time, and reports violations as data rather than failing, since a
-violation may be a corpus false positive.
+violation may be a corpus false positive. Its report holds the verdicts
+as arrays, one entry per ordered pair of trees; the per-pair tuples are
+built only when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, compress, permutations, product
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -46,6 +49,7 @@ DOMINATES = "dominates"
 DOMINATED = "dominated"
 EQUAL = "equal-on-corpus"
 INCOMPARABLE = "incomparable-on-corpus"
+VERDICTS = (EQUAL, DOMINATES, DOMINATED, INCOMPARABLE)  # verdict kinds, in index order
 
 
 @dataclass(frozen=True)
@@ -57,13 +61,46 @@ class PairVerdict:
     witness: tuple[int, int, int] | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HomDominanceReport:
+    """A conjecture scan as arrays: each tree's code and alpha, then per
+    ordered pair of distinct trees, row by row, both tree indices, the
+    verdict (an index into VERDICTS), the witness corpus graph and both hom
+    counts there (0 on equal-on-corpus pairs, which have no witness), and
+    the mask of the pairs that violate the alpha order.
+    """
+
     tree_size: int
     corpus_size: int
-    pairs: tuple[PairVerdict, ...]
-    alphas: tuple[tuple[str, float], ...]
-    violations: tuple[tuple[str, str, float, float], ...]  # (code_a, code_b, alpha_a, alpha_b)
+    codes: tuple[str, ...]
+    alpha: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    kind: np.ndarray
+    graph: np.ndarray
+    hom_a: np.ndarray
+    hom_b: np.ndarray
+    violating: np.ndarray
+
+    @cached_property
+    def pairs(self) -> tuple[PairVerdict, ...]:
+        codes = self.codes
+        cells = zip(*(x.tolist() for x in (self.a, self.b, self.kind, self.graph, self.hom_a, self.hom_b)))
+        return tuple(
+            PairVerdict(codes[i], codes[j], VERDICTS[k], (g, x, y) if k else None)
+            for i, j, k, g, x, y in cells
+        )
+
+    @cached_property
+    def alphas(self) -> tuple[tuple[str, float], ...]:
+        return tuple(zip(self.codes, self.alpha.tolist()))
+
+    @cached_property
+    def violations(self) -> tuple[tuple[str, str, float, float], ...]:
+        """(code_a, code_b, alpha_a, alpha_b) per violating pair, in pair order."""
+        alpha, codes = self.alpha.tolist(), self.codes
+        rows = zip(self.a[self.violating].tolist(), self.b[self.violating].tolist())
+        return tuple((codes[i], codes[j], alpha[i], alpha[j]) for i, j in rows)
 
     def to_json_dict(self) -> dict:
         return {
@@ -146,9 +183,10 @@ def _next_level(prev: np.ndarray) -> tuple[list[tuple], np.ndarray]:
     prev holds the adjacency matrices of the classes on n - 1 vertices.
     Every (class, nonempty subset) candidate gets the largest edge mask
     over the relabelings that sort its degrees descending. Candidates
-    with the same degree-block sizes and edge count share one array of
-    such relabelings (permutations within blocks), read as the new
-    label of each place in the candidate's own descending-degree order.
+    with the same degree-block sizes share one array of such relabelings
+    (permutations within blocks), read as the new label of each place in
+    the candidate's own descending-degree order; a candidate's mask sums
+    the bits of the relabeled pairs that it holds as edges.
     The masks are decoded to edge lists and the classes sorted by those,
     not by mask: mask order follows list order only between edge sets
     of one size.
@@ -174,7 +212,7 @@ def _next_level(prev: np.ndarray) -> tuple[list[tuple], np.ndarray]:
     earlier = np.arange(n) < np.arange(n)[:, None]
     rank = start + ((other == mine) & earlier).sum(axis=2)  # ties keep label order
     opens = (start[:, :, None] == np.arange(n)).any(axis=1)  # a block opens at this place
-    keys = (opens * [1 << p for p in range(n)]).sum(axis=1) * (len(pairs) + 1) + present.sum(axis=1)
+    keys = (opens * [1 << p for p in range(n)]).sum(axis=1)
 
     masks = np.empty(len(adj), dtype=np.int64)
     relabelings = {}
@@ -187,11 +225,8 @@ def _next_level(prev: np.ndarray) -> tuple[list[tuple], np.ndarray]:
                 sum(parts, ())
                 for parts in product(*(permutations(range(a, b)) for a, b in blocks))
             ])
-        places = relabelings[blocks]
-        edges = present[rows].nonzero()[1].reshape(len(rows), -1)
-        ends_u = np.take_along_axis(rank[rows], lo[edges], axis=1)
-        ends_v = np.take_along_axis(rank[rows], hi[edges], axis=1)
-        masks[rows] = bit[places[:, ends_u], places[:, ends_v]].sum(axis=2).max(axis=0)
+        places, r = relabelings[blocks], rank[rows]
+        masks[rows] = (bit[places[:, r[:, lo]], places[:, r[:, hi]]] * present[rows]).sum(axis=2).max(axis=0)
 
     found = ([m >> (top - p) & 1 for p in range(len(pairs))] for m in set(masks.tolist()))
     decoded = sorted((tuple(compress(pairs, row)), row) for row in found)
@@ -229,29 +264,25 @@ def connected_graph_corpus(min_n: int = 2, max_n: int = 5) -> list[WeightedGraph
     return corpus
 
 
-def _pair_verdicts(counts: np.ndarray) -> Iterator[tuple[int, int, str, tuple[int, int, int] | None]]:
-    """(i, j, verdict, witness) for every ordered pair of distinct rows, row by row.
+def _verdicts(counts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per ordered pair of distinct rows of the count matrix, row by row: both
+    row indices, the verdict (an index into VERDICTS), and the corpus index
+    and both counts at the first difference (0 where the rows are equal).
 
     Both comparisons and the first difference come from broadcasting the
     count matrix against itself over the corpus axis.
     """
-    a, b = counts[:, None], counts[None]
-    differ = a != b
-    # an empty corpus separates nothing, and argmax cannot search an empty axis
-    at = differ.argmax(axis=2) if counts.shape[1] else np.zeros(differ.shape[:2], dtype=np.intp)
+    x, y = counts[:, None], counts[None]
+    differ = x != y
+    off = ~np.eye(len(counts), dtype=bool)
+    a, b = off.nonzero()
     kind = np.select(
-        [~differ.any(axis=2), (a >= b).all(axis=2), (a <= b).all(axis=2)], [0, 1, 2], default=3
-    ).tolist()
-    at = at.tolist()
-    rows = counts.tolist()
-    names = (EQUAL, DOMINATES, DOMINATED, INCOMPARABLE)
-    for i, row in enumerate(rows):
-        for j, other in enumerate(rows):
-            if i == j:
-                continue
-            k = kind[i][j]
-            f = at[i][j]
-            yield i, j, names[k], None if k == 0 else (f, row[f], other[f])
+        [~differ.any(axis=2), (x >= y).all(axis=2), (x <= y).all(axis=2)], [0, 1, 2], default=3
+    )[off]
+    if not counts.shape[1]:  # an empty corpus separates nothing, and has no counts to gather
+        return a, b, kind, *np.zeros((3, len(a)), dtype=np.intp)
+    graph = differ.argmax(axis=2)[off]
+    return a, b, kind, graph, counts[a, graph], counts[b, graph]
 
 
 def corpus_dominates(
@@ -260,8 +291,7 @@ def corpus_dominates(
     """Verdict of t against t2 over the corpus (necessary-condition semantics)."""
     if t.n != t2.n:
         raise GraphError("trees must have equal size")
-    _, _, verdict, _ = next(_pair_verdicts(_hom_matrix([t, t2], corpus)))
-    return verdict
+    return VERDICTS[_verdicts(_hom_matrix([t, t2], corpus))[2][0]]
 
 
 def conjecture_scan(n: int, corpus: list[WeightedGraph] | None = None) -> HomDominanceReport:
@@ -275,18 +305,8 @@ def conjecture_scan(n: int, corpus: list[WeightedGraph] | None = None) -> HomDom
     if corpus is None:
         corpus = connected_graph_corpus()
     codes, trees = zip(*_free_tree_classes(n))  # the codes the enumeration sorted by
-    alphas = stack_walk_stats(trees)[0].tolist()  # one batched inverse for all the trees
-
-    pairs = []
-    violations = []
-    for i, j, verdict, witness in _pair_verdicts(_hom_matrix(trees, corpus)):
-        pairs.append(PairVerdict(codes[i], codes[j], verdict, witness))
-        if verdict == DOMINATES and alphas[j] < alphas[i] - ALPHA_SLACK:
-            violations.append((codes[i], codes[j], alphas[i], alphas[j]))
-    return HomDominanceReport(
-        tree_size=n,
-        corpus_size=len(corpus),
-        pairs=tuple(pairs),
-        alphas=tuple(zip(codes, alphas)),
-        violations=tuple(violations),
-    )
+    alpha = stack_walk_stats(trees)[0]  # one batched inverse for all the trees
+    verdicts = _verdicts(_hom_matrix(trees, corpus))
+    a, b, kind = verdicts[:3]
+    violating = (kind == VERDICTS.index(DOMINATES)) & (alpha[b] < alpha[a] - ALPHA_SLACK)
+    return HomDominanceReport(n, len(corpus), codes, alpha, *verdicts, violating)

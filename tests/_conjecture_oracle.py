@@ -1,0 +1,98 @@
+"""The conjecture scan and its reports as they were built before the CLI
+wrote them from the verdict arrays: one (i, j, verdict, witness) per
+ordered pair of trees from the broadcast count matrix, one PairVerdict
+per pair, the payload dict that ``HomDominanceReport.to_json_dict``
+gave, written by ``json.dumps(indent=2, sort_keys=True)``, and the text
+report's lines.
+"""
+
+import json
+
+import numpy as np
+
+from treewalk.graphs import _free_tree_classes, sig12
+from treewalk.homorder import (
+    ALPHA_SLACK,
+    DOMINATED,
+    DOMINATES,
+    EQUAL,
+    INCOMPARABLE,
+    PairVerdict,
+    _hom_matrix,
+)
+from treewalk.walks import stack_walk_stats
+
+
+def pair_verdicts(counts):
+    """(i, j, verdict, witness) for every ordered pair of distinct rows, row by row."""
+    a, b = counts[:, None], counts[None]
+    differ = a != b
+    # an empty corpus separates nothing, and argmax cannot search an empty axis
+    at = differ.argmax(axis=2) if counts.shape[1] else np.zeros(differ.shape[:2], dtype=np.intp)
+    kind = np.select(
+        [~differ.any(axis=2), (a >= b).all(axis=2), (a <= b).all(axis=2)], [0, 1, 2], default=3
+    ).tolist()
+    at = at.tolist()
+    rows = counts.tolist()
+    names = (EQUAL, DOMINATES, DOMINATED, INCOMPARABLE)
+    for i, row in enumerate(rows):
+        for j, other in enumerate(rows):
+            if i == j:
+                continue
+            k = kind[i][j]
+            f = at[i][j]
+            yield i, j, names[k], None if k == 0 else (f, row[f], other[f])
+
+
+def scan(n, corpus):
+    """(pairs, alphas, violations) of the scan of the free trees on n vertices, pair by pair."""
+    codes, trees = zip(*_free_tree_classes(n))
+    alphas = stack_walk_stats(trees)[0].tolist()
+    pairs = []
+    violations = []
+    for i, j, verdict, witness in pair_verdicts(_hom_matrix(trees, corpus)):
+        pairs.append(PairVerdict(codes[i], codes[j], verdict, witness))
+        if verdict == DOMINATES and alphas[j] < alphas[i] - ALPHA_SLACK:
+            violations.append((codes[i], codes[j], alphas[i], alphas[j]))
+    return tuple(pairs), tuple(zip(codes, alphas)), tuple(violations)
+
+
+def payload(n, corpus):
+    """The ``conjecture --json`` payload, one dict per pair."""
+    pairs, alphas, violations = scan(n, corpus)
+    return {
+        "tree_size": n,
+        "corpus_size": len(corpus),
+        "alphas": [{"code": c, "alpha": sig12(a)} for c, a in alphas],
+        "pairs": [
+            {
+                "a": p.code_a,
+                "b": p.code_b,
+                "verdict": p.verdict,
+                "witness": None
+                if p.witness is None
+                else {"graph": p.witness[0], "hom_a": p.witness[1], "hom_b": p.witness[2]},
+            }
+            for p in pairs
+        ],
+        "violations": [{"a": a, "b": b, "alpha_a": aa, "alpha_b": ab} for a, b, aa, ab in violations],
+    }
+
+
+def json_report(n, corpus):
+    """The ``conjecture --json`` stdout."""
+    return json.dumps(payload(n, corpus), indent=2, sort_keys=True) + "\n"
+
+
+def text_report(n, corpus):
+    """The ``conjecture`` text stdout."""
+    pairs, alphas, violations = scan(n, corpus)
+    dominant = sum(1 for p in pairs if p.verdict == "dominates")
+    lines = [
+        f"trees of size {n}: {len(alphas)}; corpus graphs: {len(corpus)}",
+        f"ordered pairs: {len(pairs)}; corpus-dominant: {dominant}",
+        f"violations: {len(violations)}",
+    ]
+    for a, b, aa, ab in violations:
+        lines.append(f"  violation: alpha {aa:.9g} -> {ab:.9g} (corpus false positive suspected)")
+    return "".join(line + "\n" for line in lines)

@@ -191,10 +191,28 @@ class TestUnwritableOutput:
         assert child.wait(timeout=120) == 2
         assert err == "cannot write output: [Errno 32] Broken pipe\n"
 
+    def test_closed_pipe_conjecture_exit_2_without_traceback(self):
+        # the report is about 120 KB, written as one string: more than a pipe holds
+        child = _console("conjecture", "--n", "8", "--corpus-max", "5", "--json", stdout=subprocess.PIPE)
+        assert child.stdout.read(10) == b'{\n  "alpha'
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        child.stderr.close()
+        assert child.wait(timeout=120) == 2
+        assert err == "cannot write output: [Errno 32] Broken pipe\n"
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_full_device_exit_2_without_traceback(self):
         with open("/dev/full", "wb") as full:
             child = _console("search-path", "--weights", "3,2,1", stdout=full)
+            err = child.communicate(timeout=120)[1].decode()
+        assert child.returncode == 2
+        assert err == "cannot write output: [Errno 28] No space left on device\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device_conjecture_exit_2_without_traceback(self):
+        with open("/dev/full", "wb") as full:
+            child = _console("conjecture", "--n", "8", "--corpus-max", "5", "--json", stdout=full)
             err = child.communicate(timeout=120)[1].decode()
         assert child.returncode == 2
         assert err == "cannot write output: [Errno 28] No space left on device\n"

@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+import _conjecture_oracle
 from _enumeration import (
     _simple_canonical,
     compare_counts,
@@ -297,6 +298,17 @@ class TestConjectureScan:
         assert a == hom_bruteforce(near_end, separator)
         assert b == hom_bruteforce(central, separator)
         assert a < b
+
+    def test_readers_match_pair_by_pair_oracle(self):
+        corpora = [[], *(connected_graph_corpus(2, c) for c in range(2, 7))]
+        for corpus in corpora:
+            for n in range(1, 9):
+                report = conjecture_scan(n, corpus=corpus)
+                want = _conjecture_oracle.scan(n, corpus)
+                assert (report.pairs, report.alphas, report.violations) == want
+                assert all(type(a) is float for _, a in report.alphas)
+                assert all(type(v) is int for p in report.pairs if p.witness for v in p.witness)
+                assert report.pairs is report.pairs  # built once, on first read
 
     def test_json_roundtrip(self):
         import json

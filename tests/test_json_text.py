@@ -6,14 +6,19 @@ import math
 import random
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import _conjecture_oracle
 import _family_oracle as oracle
 from treewalk import cli
 from treewalk.cli import _json_text, main
 from treewalk.extremal import best_path_assignment
+from treewalk.graphs import sig12
+from treewalk.homorder import connected_graph_corpus
+from treewalk.walks import hitting_matrix
 
 
 def _stdlib(x):
@@ -49,24 +54,91 @@ REPORTS = [
 ]
 
 
+def _capture_emit(monkeypatch):
+    """The payloads that ``_emit`` writes from now on, with every wall time 0.0."""
+    payloads = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda args, payload, lines: payloads.append(payload) or emit(args, payload, lines))
+    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    return payloads
+
+
+def _hitting_payload(argv, capsys, payloads):
+    """The ``compute --hitting --json`` payload as it was built before the
+    matrix was written a row at a time: the payload of the same command
+    without ``--hitting``, plus the matrix as nested lists."""
+    assert main([a for a in argv if a != "--hitting"] + ["--json"]) == 0
+    capsys.readouterr()
+    (payload,) = payloads
+    g, _ = cli._read_graph(argv[argv.index("--input") + 1])
+    return {**payload, "hitting": [[sig12(x) for x in row] for row in hitting_matrix(g).tolist()]}
+
+
 @pytest.mark.parametrize("argv", REPORTS, ids=" ".join)
 def test_every_report(argv, tmp_path, capsys, monkeypatch):
     tree, graph = tmp_path / "tree.twg", tmp_path / "graph.twg"
     tree.write_text(TREE5)
     graph.write_text(GRAPH4)
-    payloads = []
-    emit = cli._emit
-    monkeypatch.setattr(cli, "_emit", lambda args, payload, lines: payloads.append(payload) or emit(args, payload, lines))
+    payloads = _capture_emit(monkeypatch)
     argv = [a.format(tree=tree, graph=graph) for a in argv]
     assert main([*argv, "--json"]) == 0
+    out = capsys.readouterr().out
+    # search-path, conjecture and compute --hitting write their reports from
+    # arrays, with no payload: the payload is the one the oracles build
     if argv[0] == "search-path":
-        # written from the result's arrays, with no payload: the payload is
-        # the one dict per order that the oracle builds from the evaluations
         assert payloads == []
         payloads.append(oracle.path_payload(best_path_assignment(cli._parse_weights(argv[2]))))
+    elif argv[0] == "conjecture":
+        assert payloads == []
+        payloads.append(_conjecture_oracle.payload(int(argv[2]), connected_graph_corpus(2, int(argv[4]))))
+    elif "--hitting" in argv:
+        assert payloads == []
+        payloads[:] = [_hitting_payload(argv, capsys, payloads)]
     (payload,) = payloads
     assert _json_text(payload) == _stdlib(payload)
-    assert capsys.readouterr().out == _stdlib(payload) + "\n"
+    assert out == _stdlib(payload) + "\n"
+
+
+@pytest.mark.parametrize("corpus_max", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_conjecture_report(n, corpus_max, capsys):
+    corpus = connected_graph_corpus(2, corpus_max)
+    assert main(["conjecture", "--n", str(n), "--corpus-max", str(corpus_max), "--json"]) == 0
+    assert capsys.readouterr().out == _conjecture_oracle.json_report(n, corpus)
+    assert main(["conjecture", "--n", str(n), "--corpus-max", str(corpus_max)]) == 0
+    assert capsys.readouterr().out == _conjecture_oracle.text_report(n, corpus)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_conjecture_report_on_empty_corpus(n, capsys, monkeypatch):
+    # every pair is equal-on-corpus, with a null witness
+    monkeypatch.setattr(cli, "connected_graph_corpus", lambda min_n, max_n: [])
+    assert main(["conjecture", "--n", str(n), "--json"]) == 0
+    assert capsys.readouterr().out == _conjecture_oracle.json_report(n, [])
+    assert main(["conjecture", "--n", str(n)]) == 0
+    assert capsys.readouterr().out == _conjecture_oracle.text_report(n, [])
+
+
+def _graph_with_cycles(n, extra, seed):
+    """A seeded connected TWG text: a random tree plus ``extra`` more edges."""
+    rng = random.Random(seed)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < n - 1 + extra:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return f"{n}\n" + "".join(f"{u} {v} {rng.uniform(0.1, 10)!r}\n" for u, v in sorted(edges))
+
+
+@pytest.mark.parametrize("method", ["exact", "forest", "all"])
+@pytest.mark.parametrize("text", ["1\n", "2\n0 1 2.5\n", _graph_with_cycles(40, 25, 20261020)], ids=["n1", "n2", "n40"])
+def test_hitting_report(text, method, tmp_path, capsys, monkeypatch):
+    path = tmp_path / "g.twg"
+    path.write_text(text)
+    payloads = _capture_emit(monkeypatch)
+    argv = ["compute", "--method", method, "--hitting", "--input", str(path)]
+    assert main([*argv, "--json"]) == 0
+    out = capsys.readouterr().out
+    assert payloads == []
+    assert out == _stdlib(_hitting_payload(argv, capsys, payloads)) + "\n"
 
 
 @pytest.mark.parametrize("block", [1, 2, 59, 60, 61])
@@ -212,7 +284,7 @@ def test_same_errors(x):
     assert _outcome(_json_text, x) == expected
 
 
-# -- record lists: the column-by-column path ------------------------------------
+# -- record lists: lists of dicts with one set of keys ---------------------------
 
 RECORD_KEYS = ["a", "b", "code", "witness", "k%", "%s", "x%sy", "%%d"]
 
@@ -301,17 +373,8 @@ def test_seeded_record_fuzz():
 
 
 def test_record_error_is_the_first_rows():
-    # column by column, column a's bytes (row 1) would come before column b's set (row 0)
+    # row 0's set is refused before row 1's bytes, in json.dumps' own order
     x = [{"a": 1, "b": {1, 2}}, {"a": b"raw", "b": 2}]
     expected = _outcome(_stdlib, x)
     assert expected == (TypeError, "Object of type set is not JSON serializable")
     assert _outcome(_json_text, x) == expected
-
-
-def test_record_columns():
-    assert cli._record_texts([{"a": 1.5, "%s": [0.5]}, {"%s": [2.0], "a": -0.0}], "") == [
-        '{\n  "%s": [\n    0.5\n  ],\n  "a": 1.5\n}',
-        '{\n  "%s": [\n    2.0\n  ],\n  "a": -0.0\n}',
-    ]
-    assert cli._record_texts([{"a": 1}, {"b": 1}], "") is None
-    assert cli._record_texts([{"a": 1}, Row(a=1)], "") is None
