@@ -1,17 +1,23 @@
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from _enumeration import random_weighted_tree
-from treewalk import forests
+import _exact_stats
+from _enumeration import random_labeled_tree, random_weighted_tree
+from treewalk import forests, spectral
+from treewalk.errors import ConsistencyError
 from treewalk.graphs import (
+    WeightedGraph,
+    complete_graph,
     cycle_graph,
     enumerate_free_trees,
     path_graph,
     star_graph,
 )
-from treewalk.spectral import laplacian_spectra, stats
-from treewalk.walks import walk_stats
+from treewalk.spectral import laplacian_matrices, laplacian_spectra, stats
+from treewalk.walks import ERROR_BOUND_RTOL, walk_stats
 
 P3 = path_graph([1, 1])
 K2 = path_graph([1])
@@ -90,3 +96,72 @@ class TestScalars:
         for n in range(3, 7):
             c = cycle_graph(n)
             assert stats(c) == pytest.approx(walk_stats(c), rel=1e-7)
+
+
+def _light_edge_tree(rng):
+    """20 vertices, one edge of weight 1e-6, the others log-uniform in [1, 1e6]."""
+    t = random_weighted_tree(rng, 20, 1.0, 1e6)
+    light = rng.randrange(len(t.edges))
+    return WeightedGraph(20, tuple((u, v, 1e-6 if i == light else w) for i, (u, v, w) in enumerate(t.edges)))
+
+
+def _wide_graph(rng):
+    """14 vertices and 30 edges, weights log-uniform in [1e-4, 1e4]."""
+    pairs = {(u, v) for u, v, _ in random_labeled_tree(rng, 14).edges}
+    rest = [(u, v) for u in range(14) for v in range(u + 1, 14) if (u, v) not in pairs]
+    pairs |= set(rng.sample(rest, 30 - 13))
+    return WeightedGraph(14, tuple((u, v, 10.0 ** rng.uniform(-4, 4)) for u, v in sorted(pairs)))
+
+
+def _accuracy_corpus():
+    rng = random.Random(2024)
+    makers = (
+        _light_edge_tree,
+        _wide_graph,
+        lambda rng: path_graph([10.0 ** rng.uniform(-3, 3) for _ in range(39)]),
+        lambda rng: random_weighted_tree(rng, 60, 1e-2, 1e2),
+    )
+    return [make(rng) for make in makers for _ in range(10)]
+
+
+class TestOneEigendecomposition:
+    def test_stats_calls_eigh_once_per_graph(self, monkeypatch):
+        shapes = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
+        graphs = [K2, STAR4, cycle_graph(5), complete_graph(6), random_weighted_tree(random.Random(3), 9)]
+        for g in graphs:
+            stats(g)
+        assert shapes == [(g.n, g.n) for g in graphs]
+        shapes.clear()
+        laplacian_spectra(STAR4)  # one per Laplacian
+        assert shapes == [(4, 4), (4, 4)]
+
+    def test_laplacian_spectra_returns_both_spectra(self):
+        g = random_weighted_tree(random.Random(5), 12)
+        lap, norm = laplacian_matrices(g)
+        s = laplacian_spectra(g)
+        assert s.combinatorial == tuple(np.linalg.eigh(lap)[0].tolist())
+        assert s.normalized == tuple(np.linalg.eigh(norm)[0].tolist())
+
+    def test_answers_within_the_residual_bound(self, monkeypatch):
+        """Light-edge trees, wide general graphs, weighted paths and 60-vertex
+        trees against exact rational values: every answer lies within the bound
+        the route checked, and the route refuses only where that bound is above
+        ERROR_BOUND_RTOL."""
+        bounds = []
+        check = spectral.check_error_bound
+        monkeypatch.setattr(spectral, "check_error_bound", lambda b, what: bounds.append(float(b)) or check(b, what))
+        answered = 0
+        for g in _accuracy_corpus():
+            try:
+                got = stats(g)
+            except ConsistencyError as exc:
+                assert "normalized spectrum: a-priori error bound" in str(exc)
+                assert bounds[-1] > ERROR_BOUND_RTOL
+                continue
+            exact = _exact_stats.tree_stats(g) if g.is_tree() else _exact_stats.graph_stats(g)
+            for value, want in zip(got, exact):
+                assert abs(Fraction(value) - want) <= Fraction(bounds[-1]) * want
+            answered += 1
+        assert answered >= 30  # only light-edge trees may be refused
