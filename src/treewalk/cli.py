@@ -73,66 +73,37 @@ def _parse_weights(text: str) -> tuple[float, ...]:
         raise GraphError(f"bad weights list {text!r}: {exc}") from exc
 
 
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+def _write_json(payload: dict, lists: dict | None = None) -> None:
+    """Write ``json.dumps({**payload, **lists}, indent=2, sort_keys=True)`` and
+    a newline, byte for byte, one piece at a time: every ``--json`` report.
 
-
-def _float_text(x: float) -> str:
-    text = float.__repr__(x)
-    return _NON_FINITE.get(text, text)
-
-
-# The scalar types json.dumps writes itself, by exact type: any other type,
-# subclasses included, goes to json.dumps with its own rules and errors.
-_SCALAR_TEXT = {
-    float: _float_text,
-    int: int.__repr__,
-    str: encode_basestring_ascii,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): lambda _: "null",
-}
-
-
-def _json_text(x, pad: str = "") -> str:
-    """``json.dumps(x, indent=2, sort_keys=True)`` byte for byte, for a value
-    nested at indent ``pad``.
-
-    With ``indent`` set, the stdlib runs its pure-Python encoder, one
-    generator step per token. This writes each dict and list with one join
-    and a flat list of floats with one ``map(float.__repr__, ...)``. Empty
-    containers, dicts with non-str keys and values of any other type are
-    written by json.dumps itself, re-indented.
+    Each value of ``payload`` is written by json.dumps itself. Each value of
+    ``lists`` is an iterable of blocks, each a list of item texts already
+    indented to sit in a top-level list, so only one block's text exists at
+    once. The closing brace is a write of its own: on unbuffered stdout a
+    short write into a closed pipe goes unreported, and only the next fails.
     """
-    kind = type(x)
-    scalar = _SCALAR_TEXT.get(kind)
-    if scalar is not None:
-        return scalar(x)
-    inner = pad + "  "
-    sep = ",\n" + inner
-    if kind is dict and x:
-        try:
-            keys = sorted(x)
-            names = list(map(encode_basestring_ascii, keys))
-        except TypeError:  # keys that are not all str: json.dumps converts or refuses them
-            pass
-        else:
-            body = sep.join([name + ": " + _json_text(x[k], inner) for name, k in zip(names, keys)])
-            return "{\n" + inner + body + "\n" + pad + "}"
-    elif (kind is list or kind is tuple) and x:
-        try:
-            body = sep.join(map(float.__repr__, x))
-            if "n" in body:  # nan or inf among the floats
-                body = ""
-        except TypeError:  # not all floats
-            body = ""
-        if not body:
-            body = sep.join([_json_text(v, inner) for v in x])
-        return "[\n" + inner + body + "\n" + pad + "]"
-    return json.dumps(x, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+    write = sys.stdout.write
+    lists = lists or {}
+    values = {**payload, **lists}
+    sep = "{"
+    for key in sorted(values):
+        write(sep + "\n  " + json.dumps(key) + ": ")
+        sep = ","
+        if key not in lists:
+            write(json.dumps(values[key], indent=2, sort_keys=True).replace("\n", "\n  "))
+            continue
+        opening = "["
+        for block in filter(None, lists[key]):
+            write(opening + "\n    " + ",\n    ".join(block))
+            opening = ","
+        write("[]" if opening == "[" else "\n  ]")
+    write("\n}\n" if values else "{}\n")
 
 
 def _emit(args, payload: dict, human_lines: list[str]) -> None:
     if args.json:
-        print(_json_text(payload))
+        _write_json(payload)
     else:
         for line in human_lines:
             print(line)
@@ -144,57 +115,43 @@ def _sig12_texts(x: np.ndarray) -> list[str]:
 
 
 def _write_path_report(result: PathSearchResult) -> None:
-    """``search-path --json``: byte for byte ``json.dumps(payload, indent=2,
-    sort_keys=True)`` of ``{assignment, evaluations: [{kappa, objective,
-    order}], kappa, objective}``, written from the arrays a block of rows at a
-    time, with one text per distinct weight and one ``%`` template per row.
-    Every value is a finite float, so only the write itself can fail.
+    """``search-path --json``: ``{assignment, evaluations: [{kappa, objective,
+    order}], kappa, objective}`` through ``_write_json``, the evaluations
+    made from the arrays a block of rows at a time, with one text per
+    distinct weight and one ``%`` template per row.
     """
-    write = sys.stdout.write
     weight_text = np.array(list(map(float.__repr__, result.values)), dtype=object)
     order = ",\n        ".join(["%s"] * result.rows.shape[1])
     row = '{\n      "kappa": %s,\n      "objective": %s,\n      "order": [\n        ' + order + "\n      ]\n    }"
-    assignment = ",\n    ".join(map(float.__repr__, result.assignment))
-    write('{\n  "assignment": [\n    ' + assignment + '\n  ],\n  "evaluations": [\n    ')
-    for start in range(0, len(result.rows), _PATH_BLOCK_ROWS):
-        block = slice(start, start + _PATH_BLOCK_ROWS)
-        cells = zip(
-            _sig12_texts(result.kappas[block]),
-            _sig12_texts(result.objectives[block]),
-            *weight_text[result.rows[block]].T.tolist(),
-        )
-        write((",\n    " if start else "") + ",\n    ".join(map(row.__mod__, cells)))
-    kappa, objective = _sig12_texts(np.array([result.kappa, result.objective]))
-    write('\n  ],\n  "kappa": ' + kappa + ',\n  "objective": ' + objective + "\n}\n")
+
+    def blocks():
+        for start in range(0, len(result.rows), _PATH_BLOCK_ROWS):
+            block = slice(start, start + _PATH_BLOCK_ROWS)
+            cells = zip(
+                _sig12_texts(result.kappas[block]),
+                _sig12_texts(result.objectives[block]),
+                *weight_text[result.rows[block]].T.tolist(),
+            )
+            yield list(map(row.__mod__, cells))
+
+    head = {"assignment": result.assignment, "kappa": sig12(result.kappa), "objective": sig12(result.objective)}
+    _write_json(head, {"evaluations": blocks()})
 
 
 def _write_hitting_report(payload: dict, h: np.ndarray) -> None:
-    """``compute --hitting --json``: byte for byte ``json.dumps`` of the payload
-    plus ``hitting`` (values at 12 significant digits), the matrix written one
-    row at a time between the keys that sort before it and those after it.
-    The exact route refused a matrix that is not finite, so only the write
-    itself can fail.
+    """``compute --hitting --json``: the payload plus ``hitting`` (values at 12
+    significant digits) through ``_write_json``, one block per matrix row.
     """
-    write = sys.stdout.write
-    before = _json_text({k: v for k, v in payload.items() if k < "hitting"})
-    after = _json_text({k: v for k, v in payload.items() if k > "hitting"})
-    write(before[:-2] + ',\n  "hitting": [')  # the keys before, less the closing brace
-    for i, row in enumerate(h):
-        write((",\n    [\n      " if i else "\n    [\n      ") + ",\n      ".join(_sig12_texts(row)) + "\n    ]")
-    write("\n  ],\n" + after[2:] + "\n")  # the keys after, less the opening brace
+    rows = (["[\n      " + ",\n      ".join(_sig12_texts(row)) + "\n    ]"] for row in h)
+    _write_json(payload, {"hitting": rows})
 
 
 def _write_conjecture_report(report: HomDominanceReport) -> None:
-    """``conjecture --json``: byte for byte ``json.dumps(report.to_json_dict(),
-    indent=2, sort_keys=True)``, written from the verdict arrays as one string,
-    with one text per tree code and one ``%`` template per pair row (another
-    for a pair without witness). Every value is a str, an int or a finite
-    float, so only the write itself can fail.
+    """``conjecture --json``: ``report.to_json_dict()`` through ``_write_json``,
+    its three record lists made from the verdict arrays, with one text per
+    tree code and one ``%`` template per pair row (another for a pair
+    without witness).
     """
-
-    def records(texts: list[str]) -> str:
-        return "[\n    " + ",\n    ".join(texts) + "\n  ]" if texts else "[]"
-
     code = list(map(encode_basestring_ascii, report.codes))
     verdict = list(map(encode_basestring_ascii, VERDICTS))
     head = '{\n      "a": %s,\n      "b": %s,\n      "verdict": '
@@ -212,13 +169,9 @@ def _write_conjecture_report(report: HomDominanceReport) -> None:
         % (encode_basestring_ascii(a), alpha_a, alpha_b, encode_basestring_ascii(b))
         for a, b, alpha_a, alpha_b in report.violations
     ]
-    # print writes the newline on its own: when stdout is unbuffered, a short
-    # write into a pipe whose reader has gone goes unreported, the next fails
-    print(
-        '{\n  "alphas": ' + records(alphas)
-        + ',\n  "corpus_size": %d,\n  "pairs": ' % report.corpus_size + records(pairs)
-        + ',\n  "tree_size": %d,\n  "violations": ' % report.tree_size + records(violations)
-        + "\n}"
+    _write_json(
+        {"corpus_size": report.corpus_size, "tree_size": report.tree_size},
+        {"alphas": [alphas], "pairs": [pairs], "violations": [violations]},
     )
 
 
@@ -248,9 +201,7 @@ def cmd_compute(args) -> int:
     }
     lines = [f"n={g.n} edges={len(g.edges)} vol={g.vol:.12g}"]
     for name in selected:
-        lines.append(
-            f"{name:>9}: alpha={results[name]['alpha']:.12g} kappa={results[name]['kappa']:.12g}"
-        )
+        lines.append(f"{name:>9}: alpha={results[name]['alpha']:.12g} kappa={results[name]['kappa']:.12g}")
     if len(selected) > 1:
         lines.append(f"max relative delta across methods: {delta:.3e}")
     if args.hitting:
@@ -260,8 +211,7 @@ def cmd_compute(args) -> int:
     else:
         if args.hitting:
             lines.append("hitting matrix:")
-            for row in h:
-                lines.append("  " + " ".join(f"{x:12.6g}" for x in row))
+            lines.extend("  " + " ".join(f"{x:12.6g}" for x in row) for row in h)
         _emit(args, payload, lines)
     if not delta <= METHOD_AGREEMENT_RTOL:
         print(f"method disagreement {delta:.3e} exceeds {METHOD_AGREEMENT_RTOL}", file=sys.stderr)
@@ -331,12 +281,7 @@ def cmd_conjecture(args) -> int:
 def cmd_simulate(args) -> int:
     g, _ = _read_graph(args.input)
     est = estimate_hitting(g, args.src, args.dst, args.trials, args.seed)
-    payload = {
-        "mean": est.mean,
-        "stderr": est.stderr,
-        "trials": est.trials,
-        "seed": est.seed,
-    }
+    payload = {"mean": est.mean, "stderr": est.stderr, "trials": est.trials, "seed": est.seed}
     lines = [
         f"estimated hitting time {args.src} -> {args.dst}: "
         f"{est.mean:.6g} (stderr {est.stderr:.3g}, trials {est.trials}, seed {est.seed})"

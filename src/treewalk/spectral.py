@@ -67,12 +67,18 @@ def _checked_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     return vals, vecs, worst
 
 
-def _check_normalized(nrm: np.ndarray) -> None:
-    """The normalized spectrum of a connected graph: 0 first, then positive, within [0, 2]."""
-    if abs(nrm[0]) > ZERO_EIGENVALUE_ATOL:
+def _check_spectrum(vals: np.ndarray, scale: float = 1.0) -> None:
+    """A connected graph's Laplacian spectrum, ascending: 0 first (within
+    ZERO_EIGENVALUE_ATOL * scale), then positive."""
+    if abs(vals[0]) > ZERO_EIGENVALUE_ATOL * scale:
         raise ConsistencyError("smallest Laplacian eigenvalue is not numerically zero")
-    if nrm.size >= 2 and nrm[1] <= 0.0:
+    if vals.size >= 2 and vals[1] <= 0.0:
         raise ConsistencyError("second eigenvalue not positive on a connected graph")
+
+
+def _check_normalized(nrm: np.ndarray) -> None:
+    """The normalized spectrum of a connected graph: as ``_check_spectrum``, and within [0, 2]."""
+    _check_spectrum(nrm)
     if nrm[-1] > 2.0 + NORMALIZED_RANGE_TOL or nrm[0] < -NORMALIZED_RANGE_TOL:
         raise ConsistencyError("normalized spectrum outside [0, 2]")
 
@@ -83,11 +89,7 @@ def laplacian_spectra(g: WeightedGraph) -> SpectrumResult:
     lap, norm = laplacian_matrices(g)
     comb = _checked_eigh(lap)[0]
     nrm = _checked_eigh(norm)[0]
-    scale = max(float(np.abs(comb).max()), 1.0)
-    if abs(comb[0]) > ZERO_EIGENVALUE_ATOL * scale:
-        raise ConsistencyError("smallest Laplacian eigenvalue is not numerically zero")
-    if g.n >= 2 and comb[1] <= 0.0:
-        raise ConsistencyError("second eigenvalue not positive on a connected graph")
+    _check_spectrum(comb, scale=max(float(np.abs(comb).max()), 1.0))
     _check_normalized(nrm)
     return SpectrumResult(combinatorial=tuple(map(float, comb)), normalized=tuple(map(float, nrm)))
 
@@ -95,16 +97,16 @@ def laplacian_spectra(g: WeightedGraph) -> SpectrumResult:
 def stats(g: WeightedGraph) -> tuple[float, float]:
     """(alpha, kappa) from one eigendecomposition, of the normalized Laplacian.
 
-    Refused when max_i ||N phi_i - mu_i phi_i|| / mu_2, the relative error
-    to expect in the smallest nonzero eigenvalue and in both sums, exceeds
-    ERROR_BOUND_RTOL.
+    Refused when max_i ||N phi_i - mu_i phi_i|| / mu_2, an a-posteriori
+    bound on the relative error to expect in the smallest nonzero
+    eigenvalue and in both sums, exceeds ERROR_BOUND_RTOL.
     """
     g.require_connected()
     if g.n == 1:
         return 0.0, 0.0
     mu, phi, residual = _checked_eigh(laplacian_matrices(g)[1])
     _check_normalized(mu)
-    check_error_bound(residual / mu[1], "normalized spectrum")
+    check_error_bound(residual / mu[1], "normalized spectrum", kind="a-posteriori")
     inv = 1.0 / mu[1:]
     # sqrt(vol) * psi_i, with no D^-1/2 or vol formed on its own
     chi = phi[:, 1:] * np.sqrt(g.vol / np.array(g.degrees))[:, None]

@@ -23,7 +23,7 @@ from .graphs import WeightedGraph
 STATIONARY_RTOL = 1e-10
 KEMENY_INDEPENDENCE_RTOL = 1e-8
 ONE_STEP_RESIDUAL_RTOL = 1e-9
-# every route refuses a result whose a-priori relative error bound exceeds this
+# every route refuses a result whose relative error bound exceeds this
 ERROR_BOUND_RTOL = 1e-8
 EPS = float(np.finfo(float).eps)
 
@@ -36,11 +36,12 @@ def _refuse_first(ok: np.ndarray, message: str, *values: np.ndarray) -> None:
         raise ConsistencyError(message.format(*(float(np.ravel(v)[bad[0]]) for v in values)))
 
 
-def check_error_bound(bound, what: str) -> None:
-    """Raise ConsistencyError unless the a-priori error bound (one, or one per
-    graph of a stack) is within ERROR_BOUND_RTOL; a NaN bound is refused too."""
+def check_error_bound(bound, what: str, kind: str = "a-priori") -> None:
+    """Raise ConsistencyError unless the error bound (one, or one per graph of
+    a stack) is within ERROR_BOUND_RTOL; a NaN bound is refused too. ``kind``
+    is a-priori for a condition bound, a-posteriori for one from residuals."""
     bound = np.asarray(bound)
-    message = f"{what}: a-priori error bound {{:.3e}} exceeds {ERROR_BOUND_RTOL}"
+    message = f"{what}: {kind} error bound {{:.3e}} exceeds {ERROR_BOUND_RTOL}"
     _refuse_first(bound <= ERROR_BOUND_RTOL, message, bound)
 
 

@@ -201,6 +201,20 @@ class TestUnwritableOutput:
         assert child.wait(timeout=120) == 2
         assert err == "cannot write output: [Errno 32] Broken pipe\n"
 
+    def test_closed_pipe_hitting_exit_2_without_traceback(self, tmp_path):
+        # a seeded 300-vertex tree: the matrix alone is about 1.7 MB, written a row at a time
+        rng = np.random.default_rng(5)
+        path = tmp_path / "tree300.twg"
+        path.write_text("300\n" + "".join(f"{rng.integers(v)} {v} {rng.uniform(0.1, 10)!r}\n" for v in range(1, 300)))
+        child = _console("compute", "--method", "exact", "--hitting", "--json", "--input", str(path),
+                         stdout=subprocess.PIPE)
+        assert child.stdout.read(10) == b'{\n  "comma'
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        child.stderr.close()
+        assert child.wait(timeout=120) == 2
+        assert err == "cannot write output: [Errno 32] Broken pipe\n"
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_full_device_exit_2_without_traceback(self):
         with open("/dev/full", "wb") as full:

@@ -1,6 +1,8 @@
 """The CLI's JSON writer against json.dumps(x, indent=2, sort_keys=True), byte for byte."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import random
@@ -14,7 +16,7 @@ import pytest
 import _conjecture_oracle
 import _family_oracle as oracle
 from treewalk import cli
-from treewalk.cli import _json_text, main
+from treewalk.cli import _write_json, main
 from treewalk.extremal import best_path_assignment
 from treewalk.graphs import sig12
 from treewalk.homorder import connected_graph_corpus
@@ -95,7 +97,6 @@ def test_every_report(argv, tmp_path, capsys, monkeypatch):
         assert payloads == []
         payloads[:] = [_hitting_payload(argv, capsys, payloads)]
     (payload,) = payloads
-    assert _json_text(payload) == _stdlib(payload)
     assert out == _stdlib(payload) + "\n"
 
 
@@ -199,71 +200,16 @@ def test_path_report_memory(monkeypatch):
     assert sink.sha.hexdigest() == writer_sink.sha.hexdigest() == hashlib.sha256(text).hexdigest()
 
 
-SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308, -1e308, 1e16, 1e-7, 0.1]
-INTS = [0, -1, 7, 2**63, 2**64 + 1, -(2**70), 10**30]
-STRINGS = [
-    "", "plain", 'say "hi"', "back\\slash", "tab\tline\nnul\x00\x1f\x7f", "café ∑ 日本",
-    "lone \ud800 surrogate", "trail \udfff", "emoji \U0001F600", "</script>",
-]
-ODD_KEYS = [
-    [1, -3, 2**65],  # ints: json.dumps writes them as strings
-    [0.5, -1.5, math.inf, math.nan],
-    [True, False],
-    [None, True],  # unsortable: both raise the same TypeError
-    ["a", 1],
-]
+def _written(payload, lists=None):
+    """What ``_write_json`` writes for a payload and its streamed lists."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _write_json(payload, lists)
+    return out.getvalue()
 
 
-def _scalar(rng):
-    kind = rng.randrange(7)
-    if kind == 0:
-        return rng.choice(SPECIAL_FLOATS)
-    if kind == 1:
-        return rng.choice((1, -1)) * 10 ** rng.uniform(-300, 300)
-    if kind == 2:
-        return rng.choice(INTS)
-    if kind == 3:
-        return rng.choice(STRINGS)
-    if kind == 4:
-        return rng.choice((True, False, None))
-    if kind == 5:
-        return np.float64(rng.choice((2.5, -0.0, 1e-310, math.nan)))
-    return rng.choice(({1, 2}, b"bytes", np.int64(3), 1j))  # json.dumps refuses these
-
-
-def _value(rng, depth):
-    if depth == 0 or rng.random() < 0.25:
-        return _scalar(rng)
-    size = rng.choice((0, 0, 1, 2, 5))  # empty containers at every depth
-    kind = rng.randrange(6)
-    if kind == 0:
-        return [_value(rng, depth - 1) for _ in range(size)]
-    if kind == 1:
-        return tuple(_value(rng, depth - 1) for _ in range(size))
-    if kind == 2:  # a flat list of floats, sometimes with one odd item
-        floats = [rng.choice((1, -1)) * 10 ** rng.uniform(-20, 20) for _ in range(size)]
-        if floats and rng.random() < 0.6:
-            odd = (True, False, 3, 2**64, np.float64(0.25), *SPECIAL_FLOATS)
-            floats[rng.randrange(size)] = rng.choice(odd)
-        return floats
-    if kind == 3:
-        return {f"{rng.choice(STRINGS)}{i}": _value(rng, depth - 1) for i in range(size)}
-    if kind == 4:
-        return {k: _value(rng, depth - 1) for k in rng.choice(ODD_KEYS)}
-    return {"k": _value(rng, depth - 1), "j": [_value(rng, depth - 1)]}
-
-
-def test_seeded_fuzz():
-    rng = random.Random(20261019)
-    refused = 0
-    for trial in range(3000):
-        x = _value(rng, rng.randint(0, 5))
-        expected = _outcome(_stdlib, x)
-        assert _outcome(_json_text, x) == expected, (trial, x)
-        refused += isinstance(expected, tuple)
-    assert 100 < refused < 2900
-
-
+# each payload value is json.dumps' own text re-indented: values whose text
+# nests, is empty or is not plain ASCII
 @pytest.mark.parametrize(
     "x",
     [
@@ -274,107 +220,32 @@ def test_seeded_fuzz():
     ],
 )
 def test_edge_values(x):
-    assert _json_text(x) == _stdlib(x)
+    assert _written({"x": x}) == _stdlib({"x": x}) + "\n"
 
 
 @pytest.mark.parametrize("x", [{"a": 1, 2: 3}, {"s": {1, 2}}, [b"raw"], np.int64(1), {"c": [1j]}])
 def test_same_errors(x):
-    expected = _outcome(_stdlib, x)
+    expected = _outcome(_stdlib, {"x": x})
     assert isinstance(expected, tuple)
-    assert _outcome(_json_text, x) == expected
+    assert _outcome(_written, {"x": x}) == expected
 
 
-# -- record lists: lists of dicts with one set of keys ---------------------------
-
-RECORD_KEYS = ["a", "b", "code", "witness", "k%", "%s", "x%sy", "%%d"]
-
-
-class Row(dict):
-    pass
+def test_empty_payload():
+    assert _written({}) == _stdlib({}) + "\n" == "{}\n"
 
 
-class Real(float):
-    pass
+@pytest.mark.parametrize("blocks", [[], [[]], [[], [], []]], ids=["no blocks", "one empty", "three empty"])
+def test_list_without_items(blocks):
+    lists = {"a": iter(blocks), "m": (b for b in blocks), "z": iter(blocks)}
+    assert _written({"k": 1}, lists) == _stdlib({"a": [], "k": 1, "m": [], "z": []}) + "\n"
+    assert _written({}, {"only": iter(blocks)}) == _stdlib({"only": []}) + "\n"
 
 
-# float lists that repeat a few values, as the path search's orders do, and
-# the items a table of texts keyed by value alone would write wrongly: 0.0 and
-# -0.0 are one dict key, and so are 1, True and 1.0
-REPEATED = [2.5, 0.1, 1e16, 7.0, 1.0, 5e-324, 3.25]
-TABLE_TRAPS = [0.0, -0.0, 1, True, 1.0, False, 0, math.nan, math.inf, -math.inf, np.float64(2.5), Real(1.0), Real(0.1)]
-
-
-def _cell(rng, kind, depth):
-    """One value of a column of this kind, sometimes an odd one out."""
-    if rng.random() < 0.05:
-        return _value(rng, 1)
-    if kind == 0:
-        if rng.random() < 0.2:
-            return rng.choice((math.nan, math.inf, -math.inf, -0.0, 0.0))
-        return rng.choice((1, -1)) * 10 ** rng.uniform(-30, 30)
-    if kind == 1:
-        return rng.choice((*STRINGS, "%s", "50%", "%(a)s"))
-    if kind == 2:
-        return rng.choice((0, 3, -12, 7**20)) if rng.random() < 0.8 else rng.choice((True, False, 2**64))
-    if kind == 3:  # a nonempty float list, sometimes empty or with an odd item
-        floats = [rng.uniform(-5, 5) for _ in range(rng.randint(1, 4))]
-        if rng.random() < 0.2:
-            return []
-        if rng.random() < 0.2:
-            floats[rng.randrange(len(floats))] = rng.choice((1, True, "x", None, np.float64(0.5), math.nan))
-        return floats
-    if kind == 4:  # nested dicts or None, like the conjecture report's witnesses
-        if depth == 0 or rng.random() < 0.3:
-            return None
-        return _record(rng, ["graph", "hom_a", "hom_b"], [2, 2, rng.choice((2, 0, 4))], depth - 1)
-    if kind == 5:  # a few values repeated, sometimes with one or two traps among them
-        floats = [rng.choice(REPEATED) for _ in range(rng.randint(1, 5))]
-        for _ in range(rng.choice((0, 0, 1, 2))):
-            floats[rng.randrange(len(floats))] = rng.choice(TABLE_TRAPS)
-        return floats
-    return _value(rng, 2)
-
-
-def _record(rng, keys, kinds, depth):
-    return {k: _cell(rng, kind, depth) for k, kind in zip(keys, kinds)}
-
-
-def _records(rng):
-    """A list of dicts with one set of keys, sometimes broken in one row."""
-    keys = rng.sample(RECORD_KEYS, rng.randint(1, 4))
-    kinds = [rng.randrange(7) for _ in keys]
-    rows = [_record(rng, keys, kinds, 2) for _ in range(rng.choice((1, 2, 3, 8)))]
-    at = rng.randrange(len(rows))
-    twist = rng.randrange(10)
-    if twist == 0:
-        rows[at].pop(rng.choice(keys))
-    elif twist == 1:
-        rows[at]["extra"] = 1.5
-    elif twist == 2:
-        rows[at] = dict(reversed(list(rows[at].items())))
-    elif twist == 3:
-        rows[at] = Row(rows[at])
-    elif twist == 4:
-        rows[at] = {}
-    if rng.random() < 0.2:
-        return tuple(rows)
-    return rows if rng.random() < 0.5 else {"rows": rows, "n": len(rows)}
-
-
-def test_seeded_record_fuzz():
-    rng = random.Random(20261020)
-    refused = 0
-    for trial in range(2000):
-        x = _records(rng)
-        expected = _outcome(_stdlib, x)
-        assert _outcome(_json_text, x) == expected, (trial, x)
-        refused += isinstance(expected, tuple)
-    assert 100 < refused < 1900
-
-
-def test_record_error_is_the_first_rows():
-    # row 0's set is refused before row 1's bytes, in json.dumps' own order
-    x = [{"a": 1, "b": {1, 2}}, {"a": b"raw", "b": 2}]
-    expected = _outcome(_stdlib, x)
-    assert expected == (TypeError, "Object of type set is not JSON serializable")
-    assert _outcome(_json_text, x) == expected
+def test_empty_blocks_between_full_ones():
+    items = [{"k": i, "v": [i / 3, {"w": None}]} for i in range(7)] + [[], "s", math.inf]
+    texts = [_stdlib(v).replace("\n", "\n    ") for v in items]  # indented to sit in a top-level list
+    blocks = [[], texts[:2], [], [], texts[2:3], texts[3:9], [], texts[9:], []]
+    # a NaN scalar and a nested dict; one list sorts first, the other between scalars
+    payload = {"b_nan": math.nan, "d_nested": {"z": {"y": [1, {}]}, "a": -math.inf}, "e_last": 0}
+    got = _written(payload, {"c_items": iter(blocks), "a_first": iter([texts[:1]])})
+    assert got == _stdlib({**payload, "c_items": items, "a_first": items[:1]}) + "\n"
