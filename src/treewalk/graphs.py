@@ -453,9 +453,8 @@ def tree_centers(t: WeightedGraph) -> tuple[int, ...]:
 def _tree_code(n: int, neighbors: Sequence[Sequence[tuple[int, float]]]) -> str:
     """The canonical code of the tree with these neighbour lists (see ``canonical_form``).
 
-    The one tree coder: it codes single trees, the free-tree enumeration
-    and the move results of ``transfers.build_hasse``. The lists need not
-    be sorted. A graph that is not a tree raises ``ConsistencyError``
+    The one string coder: it codes single trees and the free-tree
+    enumeration. The lists need not be sorted. A graph that is not a tree raises ``ConsistencyError``
     (see ``_peel``).
     """
     layers, parent, above = _peel(n, neighbors)

@@ -10,23 +10,33 @@ strictly decreases Kemeny's constant. Iterating moves over a family of
 trees with a fixed weight multiset yields a partial order whose Hasse
 diagram this module constructs and renders as DOT.
 
-One rooted pass per tree gives, for every tree edge xy, the bitmask of
-the vertices on y's side. T1 is v1's side of (v1, v2) and T3 is v3's
-side of (v2, v3), both seen from v2; T2 is the rest. Every move of a
-tree, its legality and its components come from that one pass, and
-each block's volume is summed once per tree. ``build_hasse`` finds a
-move's result by its canonical code, made from the tree's neighbour
-lists with the moved edge swapped, not from a graph.
+One kernel does the work for a whole family of k trees on n vertices,
+as arrays. One batched leaf peeling roots every tree at a centre and
+gives each vertex its parent, subtree size and preorder interval. Every
+ordered pair of adjacent edges is then a candidate move: T1 is v1's side
+of (v1, v2) and T3 is v3's side of (v2, v3), both seen from v2, and T2
+is the rest. Sizes come from subtree sizes; a block's volume sums the
+weights of the edges inside it in edge order. A move's result is the
+tree's edge rows with (v2, v3) replaced by (v1, v3), and ``build_hasse``
+finds it in the family by an integer key: batched AHU relabelling (Aho,
+Hopcroft & Ullman 1974) over the family and the results together.
+Moves go through the kernel in chunks (see ``_CHUNK``), so memory stays
+bounded on large trees. ``legal_moves`` and ``apply_move`` run the same
+kernel on one tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
+from itertools import repeat
+
+import numpy as np
 
 from .errors import ConsistencyError, GraphError
-from .graphs import WeightedGraph, _tree_code, canonical_form, format_weight, rooted_order
+from .extremal import _classes
 from .forests import stats
+from .graphs import WeightedGraph, canonical_form, format_weight
 
 MODE_SIZE = "size"
 MODE_VOLUME = "volume"
@@ -34,6 +44,11 @@ MODE_VOLUME = "volume"
 LEGALITY_RTOL = 1e-12        # strict ">" with a float-tie guard
 MONOTONE_MARGIN_RTOL = 1e-10
 FAMILY_MAX = 50_000
+
+# Moves per chunk on k trees of n vertices: max(_CHUNK // n, min(k, _CHUNK)). The vertex slots of
+# a chunk's results stay near _CHUNK, unless the family is larger: build_hasse keys the family
+# again with every chunk, and this bounds that overhead to about the work of keying the results.
+_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -80,97 +95,248 @@ def _check_mode(mode: str) -> None:
         raise GraphError(f"unknown transfer mode {mode!r}")
 
 
-def _sides(t: WeightedGraph) -> dict[tuple[int, int], int]:
-    """For every ordered tree edge (x, y), the bitmask of the vertices on y's side.
+def _strictly_greater(a, b):
+    """``a > b`` with a float-tie guard, on floats or element-wise on arrays."""
+    return a - b > LEGALITY_RTOL * np.maximum(np.abs(a), np.abs(b))
 
-    One rooted pass: the side below an edge is the child's subtree, the
-    side above it is the rest of the tree.
+
+def _peel_layers(n: int, u: np.ndarray, v: np.ndarray):
+    """Leaf layers of k trees on n vertices at once, as ``graphs._peel`` finds them one tree at a time.
+
+    ``u`` and ``v`` hold each tree's edges as (k, n - 1) rows. Vertex x
+    of tree i is ``i * n + x`` and edge r of it ``i * (n - 1) + r``.
+    Every vertex keeps the XOR of its unpeeled neighbours and of their
+    edges, so a leaf reads its one neighbour and edge from them. Returns
+    ``(layers, centre, mate, central)``: each layer is (leaves, their
+    neighbours, the edges between), peeled while the tree had more than
+    two vertices left; ``centre`` lists the vertices never peeled, one or
+    two per tree, and for two centres ``mate`` is the other one and
+    ``central`` the edge between them (-1 for a lone centre).
     """
-    t.require_tree()
-    order, parent = rooted_order(t)
-    below = [1 << x for x in range(t.n)]
-    for x in reversed(order[1:]):
-        below[parent[x]] |= below[x]
-    full = (1 << t.n) - 1
-    sides = {}
-    for x in order[1:]:
-        sides[parent[x], x] = below[x]
-        sides[x, parent[x]] = full ^ below[x]
-    return sides
+    k = len(u)
+    shift = np.arange(0, k * n, n)[:, None]
+    gu, gv, rows = (u + shift).ravel(), (v + shift).ravel(), np.arange(u.size)
+    degree = np.bincount(gu, minlength=k * n) + np.bincount(gv, minlength=k * n)
+    neighbor = np.zeros(k * n, np.int64)
+    edge = np.zeros(k * n, np.int64)
+    for a, b in ((gu, gv), (gv, gu)):
+        np.bitwise_xor.at(neighbor, a, b)
+        np.bitwise_xor.at(edge, a, rows)
+    del gu, gv, rows  # not needed by the rounds below, which a deep tree makes many of
+    left = np.full(k, n)
+    last = np.empty(k * n, np.int64)  # where a vertex last occurs in the next layer's candidates
+    layer = np.flatnonzero(degree == 1) if n > 2 else np.empty(0, np.int64)
+    layers = []
+    while layer.size:
+        up, e = neighbor[layer], edge[layer]
+        layers.append((layer, up, e))
+        np.subtract.at(left, layer // n, 1)
+        np.bitwise_xor.at(neighbor, up, layer)
+        np.bitwise_xor.at(edge, up, e)
+        np.subtract.at(degree, up, 1)
+        degree[layer] = -1
+        nxt = up[degree[up] == 1]
+        last[nxt] = np.arange(nxt.size)
+        nxt = nxt[last[nxt] == np.arange(nxt.size)]  # once each
+        layer = nxt[left[nxt // n] > 2]
+    centre = np.flatnonzero(degree >= 0)
+    paired = degree[centre] == 1
+    return layers, centre, np.where(paired, neighbor[centre], -1), np.where(paired, edge[centre], -1)
 
 
-def _blocks(
-    t: WeightedGraph, sides: dict[tuple[int, int], int], v1: int, v2: int, v3: int
-) -> tuple[int, int, int]:
-    """Bitmasks of T1, T2, T3 for the move (v1, v2, v3): v1's and v3's sides seen from v2, and the rest."""
-    if v1 == v3 or (v2, v1) not in sides or (v2, v3) not in sides:
-        raise GraphError("move edges not present in tree")
-    b1, b3 = sides[v2, v1], sides[v2, v3]
-    return b1, ((1 << t.n) - 1) ^ b1 ^ b3, b3
+class _Trees:
+    """k trees on n vertices as arrays, each rooted at a centre (the lower of two).
 
-
-def _stats(
-    t: WeightedGraph, sides: dict[tuple[int, int], int], v1: int, v2: int, v3: int, mode: str,
-    volumes: dict[int, float],
-) -> tuple[float, float]:
-    """The compared statistics of T1 and T2: sizes, or volumes as graphs of their own.
-
-    A block's own volume is twice its internal weight. ``volumes`` keeps
-    the volumes computed so far for this tree.
+    ``u``, ``v``, ``w`` hold the edges as (k, n - 1) rows in edge order;
+    ``parent``, ``size`` and ``pre`` are (k, n): the parent (-1 at the
+    root), the subtree size and the preorder number of every vertex, so
+    y lies in x's subtree iff pre[x] <= pre[y] < pre[x] + size[x].
+    ``row`` gives every non-root vertex the edge row to its parent.
     """
-    b1, b2, _ = _blocks(t, sides, v1, v2, v3)
-    if mode == MODE_SIZE:
-        return float(b1.bit_count()), float(b2.bit_count())
-    for b in (b1, b2):
-        if b not in volumes:
-            volumes[b] = 2.0 * sum(w for u, v, w in t.edges if b >> u & 1 and b >> v & 1)
-    return volumes[b1], volumes[b2]
+
+    def __init__(self, trees) -> None:
+        k, n = len(trees), trees[0].n
+        e = np.array([t.edges for t in trees], dtype=float).reshape(k, n - 1, 3)
+        self.n, self.u, self.v, self.w = n, e[..., 0].astype(np.int64), e[..., 1].astype(np.int64), e[..., 2]
+        layers, centre, mate, _ = _peel_layers(n, self.u, self.v)
+        parent = np.full(k * n, -1)
+        size = np.ones(k * n, np.int64)
+        for layer, up, _ in layers:
+            parent[layer] = up
+            np.add.at(size, up, size[layer])
+        high = (mate >= 0) & (mate < centre)
+        below = centre[high]  # the higher of two centres hangs below the lower
+        parent[below] = mate[high]
+        size[parent[below]] += size[below]
+        # a child's preorder number follows its parent's and its earlier siblings' subtrees
+        kids = np.flatnonzero(parent >= 0)
+        kids = kids[np.argsort(parent[kids], kind="stable")]
+        start = np.cumsum(size[kids]) - size[kids]
+        skip = np.zeros(k * n, np.int64)
+        skip[kids] = 1 + start - start[np.searchsorted(parent[kids], parent[kids])]
+        pre = np.zeros(k * n, np.int64)
+        for layer in [below, *(layer for layer, _, _ in reversed(layers))]:
+            pre[layer] = pre[parent[layer]] + skip[layer]
+        shift = np.repeat(np.arange(0, k * n, n), n)
+        self.parent = np.where(parent >= 0, parent - shift, -1).reshape(k, n)
+        self.size, self.pre = size.reshape(k, n), pre.reshape(k, n)
+        lower = np.where(self.parent[np.arange(k)[:, None], self.u] == self.v, self.u, self.v)
+        self.row = np.zeros((k, n), np.int64)
+        np.put_along_axis(self.row, lower, np.arange(n - 1), axis=1)
+
+    def triples(self):
+        """Every move (tree, v1, v2, v3) in chunks (see ``_CHUNK``).
+
+        Ordered by tree, then as ``legal_moves`` lists them: v2, then v1,
+        then v3 ascending. Half-edges (v2, v1) are sorted so; the j-th
+        move of one is its j-th sibling half-edge, skipping itself.
+        """
+        k, n = self.u.shape[0], self.n
+        tree = np.tile(np.repeat(np.arange(k), n - 1), 2)
+        at, to = np.concatenate((self.u.ravel(), self.v.ravel())), np.concatenate((self.v.ravel(), self.u.ravel()))
+        order = np.argsort((tree * n + at) * n + to)
+        tree, at, to = tree[order], at[order], to[order]
+        group = tree * n + at
+        start = np.searchsorted(group, group)  # the first half-edge at the same vertex
+        count = np.bincount(group, minlength=k * n)[group] - 1
+        total = np.cumsum(count)  # moves up to and including each half-edge's
+        moves = int(total[-1]) if total.size else 0
+        step = max(_CHUNK // n, min(k, _CHUNK))
+        for a in range(0, moves, step):
+            q = np.arange(a, min(a + step, moves))
+            h = np.searchsorted(total, q, side="right")
+            j = q - total[h] + count[h]
+            h3 = start[h] + j + (j >= h - start[h])
+            yield tree[h], to[h], at[h], to[h3]
+
+    def blocks(self, t, v1, v2, v3) -> np.ndarray:
+        """Per move, the block (1, 2 or 3 for T1, T2, T3) of every vertex: (moves, n) int8."""
+        pre = self.pre[t]
+
+        def side(a):  # a's side of (v2, a): a's subtree, or all but v2's
+            child = self.parent[t, a] == v2
+            top = np.where(child, a, v2)
+            lo = self.pre[t, top][:, None]
+            return ((pre >= lo) & (pre < lo + self.size[t, top][:, None])) ^ ~child[:, None]
+
+        return np.where(side(v1), 1, np.where(side(v3), 3, 2)).astype(np.int8)
+
+    def stats(self, t, v1, v2, v3, mode: str) -> tuple[np.ndarray, np.ndarray]:
+        """The compared statistics of T1 and T2: sizes, or volumes as graphs of their own.
+
+        A block's own volume is twice the weight of the edges inside it,
+        added one by one in edge order (a ``cumsum``, not a pairwise sum).
+        """
+        if mode == MODE_SIZE:
+            def side(a):
+                return np.where(self.parent[t, a] == v2, self.size[t, a], self.n - self.size[t, v2])
+
+            s1, s3 = side(v1), side(v3)
+            return s1.astype(float), (self.n - s1 - s3).astype(float)
+        block = self.blocks(t, v1, v2, v3)
+        bu = np.take_along_axis(block, self.u[t], axis=1)
+        bv = np.take_along_axis(block, self.v[t], axis=1)
+        w = self.w[t]
+        s1, s2 = (2.0 * np.cumsum(np.where((bu == b) & (bv == b), w, 0.0), axis=1)[:, -1] for b in (1, 2))
+        return s1, s2
+
+    def legal(self, mode: str):
+        """Per chunk of moves, the legal ones as (tree, v1, v2, v3) and their statistics."""
+        for move in self.triples():
+            s1, s2 = self.stats(*move, mode)
+            ok = _strictly_greater(s1, s2)
+            yield tuple(x[ok] for x in move), s1[ok], s2[ok]
+
+    def moved(self, t, v1, v2, v3) -> tuple[np.ndarray, np.ndarray]:
+        """Edge rows of the move results: the tree's, with the row of (v2, v3) now (v1, v3).
+
+        A legal move leaves a tree: v1 lies outside v3's side of (v2, v3).
+        """
+        row = self.row[t, np.where(self.parent[t, v3] == v2, v3, v2)]
+        u, v = self.u[t], self.v[t]  # fancy indexing copies
+        u[np.arange(len(t)), row], v[np.arange(len(t)), row] = v1, v3
+        return u, v
 
 
-def _strictly_greater(a: float, b: float) -> bool:
-    return a - b > LEGALITY_RTOL * max(abs(a), abs(b))
+def _keys(n: int, u: np.ndarray, v: np.ndarray, label: np.ndarray) -> np.ndarray:
+    """Per tree of k on n vertices, an integer equal for two trees iff they
+    are isomorphic with their edge labels.
+
+    ``u``, ``v`` and ``label`` hold (k, n - 1) edge rows. AHU relabelling
+    over the leaf layers of all trees at once: each layer gives every
+    peeled vertex the class of (label of its edge up, sorted classes of
+    its children) in one ``_classes`` call, numbered past the layers
+    before. The centres are classed last, with the central edge's label
+    or -1, and a tree's key is the class of its sorted centre classes.
+    """
+    k = len(u)
+    layers, centre, _, central = _peel_layers(n, u, v)
+    label = np.append(label, -1)  # a lone centre's central edge, -1, reads label -1
+    rounds = [(layer, label[e]) for layer, _, e in layers] + [(centre, label[central])]
+    when, slot = np.empty(k * n, np.int64), np.empty(k * n, np.int64)
+    for r, (xs, _) in enumerate(rounds):
+        when[xs], slot[xs] = r, np.arange(len(xs))
+    # every peeled vertex fills a cell of its parent's row: children grouped by the parent's round
+    kid = np.concatenate([layer for layer, _, _ in layers] or [np.empty(0, np.int64)])
+    parent = np.concatenate([up for _, up, _ in layers] or [np.empty(0, np.int64)])
+    order = np.argsort(when[parent] * (k * n) + parent, kind="stable")
+    kid, parent = kid[order], parent[order]
+    group = when[parent] * (k * n) + parent
+    row, col = slot[parent], 1 + np.arange(len(group)) - np.searchsorted(group, group)
+    bounds = np.searchsorted(group, np.arange(len(rounds) + 1) * (k * n))
+    cls = np.empty(k * n, np.int64)
+    offset = 0
+    for r, (xs, up) in enumerate(rounds):
+        cells = slice(bounds[r], bounds[r + 1])
+        table = np.full((len(xs), 1 + col[cells].max(initial=0)), -1, np.int64)
+        table[:, 0] = up
+        table[row[cells], col[cells]] = cls[kid[cells]]
+        table[:, 1:].sort(axis=1)
+        cls[xs] = _classes(table) + offset
+        offset = int(cls[xs].max()) + 1
+    pair = np.full((k, 2), -1, np.int64)
+    pair[centre // n, np.r_[False, centre[1:] // n == centre[:-1] // n].astype(int)] = cls[centre]
+    return _classes(np.sort(pair, axis=1))
+
+
+def _labels(w: np.ndarray) -> np.ndarray:
+    """The class of every weight's 12-significant-digit text, as ``canonical_form`` reads it."""
+    values = sorted(set(w.ravel().tolist()))
+    texts: dict[str, int] = {}
+    ids = [texts.setdefault(format_weight(x), len(texts)) for x in values]
+    return np.array(ids, np.int64)[np.searchsorted(values, w)]
 
 
 def legal_moves(t: WeightedGraph, mode: str) -> list[TransferMove]:
     """All legal moves, both orientations of every adjacent edge pair."""
     _check_mode(mode)
-    sides = _sides(t)
-    volumes: dict[int, float] = {}
+    t.require_tree()
     moves = []
-    for v2 in range(t.n):
-        nbrs = [v for v, _ in t.neighbors[v2]]
-        for v1 in nbrs:
-            for v3 in nbrs:
-                if v1 == v3:
-                    continue
-                s1, s2 = _stats(t, sides, v1, v2, v3, mode, volumes)
-                if _strictly_greater(s1, s2):
-                    moves.append(TransferMove(v1, v2, v3, mode, s1, s2))
+    for (_, v1, v2, v3), s1, s2 in _Trees([t]).legal(mode):
+        moves += map(TransferMove, v1.tolist(), v2.tolist(), v3.tolist(), repeat(mode), s1.tolist(), s2.tolist())
     return moves
 
 
 def apply_move(t: WeightedGraph, move: TransferMove) -> WeightedGraph:
     """Tree with e2 = (v2, v3) replaced by (v1, v3) at the same weight."""
-    s1, s2 = _stats(t, _sides(t), move.v1, move.v2, move.v3, move.mode, {})
-    if not _strictly_greater(s1, s2):
+    t.require_tree()
+    tree = _Trees([t])
+    v1, v2, v3 = move.v1, move.v2, move.v3
+    parent = tree.parent[0].tolist()
+    if not (
+        v1 != v3
+        and all(0 <= x < t.n for x in (v1, v2, v3))
+        and all(parent[x] == v2 or parent[v2] == x for x in (v1, v3))
+    ):
+        raise GraphError("move edges not present in tree")
+    one = np.zeros(1, np.int64), np.array([v1]), np.array([v2]), np.array([v3])
+    if not _strictly_greater(*tree.stats(*one, move.mode))[0]:
         raise GraphError("illegal move: component statistics not strictly decreasing")
-    neighbors = _moved_neighbors(t, move)
-    out = WeightedGraph(t.n, tuple((u, v, w) for u, a in enumerate(neighbors) for v, w in a if u < v))
+    u, v = tree.moved(*one)
+    out = WeightedGraph(t.n, tuple(zip(u[0].tolist(), v[0].tolist(), tree.w[0].tolist())))
     if not out.is_tree():
         raise ConsistencyError(f"move {move} did not leave a tree")
     return out
-
-
-def _moved_neighbors(t: WeightedGraph, move: TransferMove) -> list[tuple[tuple[int, float], ...]]:
-    """The neighbour lists of ``t`` with e2 = (v2, v3) moved to (v1, v3); only v1, v2 and v3 change.
-    For a move of ``legal_moves(t)`` they form a tree: v1 lies outside v3's side of (v2, v3)."""
-    v1, v2, v3 = move.v1, move.v2, move.v3
-    w2 = t.weight(v2, v3)
-    neighbors = list(t.neighbors)
-    neighbors[v1] = neighbors[v1] + ((v3, w2),)
-    neighbors[v2] = tuple(p for p in neighbors[v2] if p[0] != v3)
-    neighbors[v3] = tuple(p for p in neighbors[v3] if p[0] != v2) + ((v1, w2),)
-    return neighbors
 
 
 def verify_monotonicity(t: WeightedGraph, move: TransferMove) -> tuple[float, float]:
@@ -195,7 +361,10 @@ def build_hasse(trees: list[WeightedGraph], mode: str) -> HasseDiagram:
     """Hasse diagram of transfer reachability over a complete family.
 
     ``trees`` must be pairwise non-isomorphic and share one edge-weight
-    multiset; every move result must land back in the family.
+    multiset; every move result must land back in the family. Each chunk
+    of legal moves is keyed together with the family (family first) and
+    looked up among the family's keys; the first chunk with a result
+    outside the family stops the scan.
     """
     _check_mode(mode)
     if not trees:
@@ -213,18 +382,24 @@ def build_hasse(trees: list[WeightedGraph], mode: str) -> HasseDiagram:
     order = sorted(range(len(trees)), key=codes.__getitem__)
     nodes = tuple(codes[i] for i in order)
     reps = tuple(trees[i] for i in order)
-    index = {c: i for i, c in enumerate(nodes)}
 
-    successors: list[set[int]] = []
-    for i, t in enumerate(reps):
-        succ = set()
-        for move in legal_moves(t, mode):
-            j = index.get(_tree_code(t.n, _moved_neighbors(t, move)))
-            if j is None:
-                raise GraphError("move left the provided family; family is incomplete")
-            if j != i:
-                succ.add(j)
-        successors.append(succ)
+    family = _Trees(reps)
+    k, label = len(reps), _labels(family.w)
+    successors: list[set[int]] = [set() for _ in reps]
+    for move, _, _ in family.legal(mode):
+        if not move[0].size:
+            continue
+        u, v = family.moved(*move)
+        keys = _keys(family.n, np.concatenate((family.u, u)), np.concatenate((family.v, v)),
+                     np.concatenate((label, label[move[0]])))
+        index = np.full(int(keys.max()) + 1, -1)
+        index[keys[:k]] = np.arange(k)
+        found = index[keys[k:]]
+        if (found < 0).any():
+            raise GraphError("move left the provided family; family is incomplete")
+        for i, j in zip(move[0].tolist(), found.tolist()):
+            if i != j:
+                successors[i].add(j)
 
     # bottom-up over the move DAG: a move's result is visited before the tree
     # it came from; i covers the successors that no other successor reaches

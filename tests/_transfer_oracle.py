@@ -4,9 +4,10 @@ The move legality that finds T1, T2, T3 by one depth-first search per
 ordered neighbour pair, the move result rebuilt as a WeightedGraph, the
 Hasse diagram that codes every move result by canonical_form of that
 graph, and the free trees deduplicated by canonical_form of one
-WeightedGraph per rooted level sequence. treewalk.transfers derives all
-of these from one subtree pass per tree and codes results from edited
-neighbour lists; the outputs must be equal, floats bit for bit.
+WeightedGraph per rooted level sequence. treewalk.transfers derives the
+moves for a whole family from one batched rooted pass and keys results
+by batched AHU relabelling of edited edge rows; the outputs must be
+equal, floats bit for bit.
 """
 
 from graphlib import TopologicalSorter
@@ -27,8 +28,16 @@ def components(t, v1, v2, v3):
 
 
 def standalone_volume(t, block):
-    """Volume of a component as a graph of its own: twice its internal weight."""
-    return 2.0 * sum(w for u, v, w in t.edges if u in block and v in block)
+    """Volume of a component as a graph of its own: twice its internal weight.
+
+    Added one by one in edge order, so every Python version gives the
+    same bits (3.12's ``sum`` compensates).
+    """
+    total = 0.0
+    for u, v, w in t.edges:
+        if u in block and v in block:
+            total += w
+    return 2.0 * total
 
 
 def component_stats(t, v1, v2, v3, mode):

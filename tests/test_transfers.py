@@ -2,8 +2,10 @@ import functools
 import hashlib
 import math
 import random
+import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import _transfer_oracle as oracle
@@ -15,7 +17,6 @@ from treewalk.extremal import tree_family
 from treewalk.forests import stats
 from treewalk.graphs import (
     WeightedGraph,
-    _tree_code,
     canonical_form,
     cycle_graph,
     enumerate_free_trees,
@@ -25,9 +26,7 @@ from treewalk.graphs import (
     star_graph,
 )
 from treewalk.transfers import (
-    _blocks,
-    _moved_neighbors,
-    _sides,
+    TransferMove,
     apply_move,
     build_hasse,
     hasse_to_dot,
@@ -36,12 +35,6 @@ from treewalk.transfers import (
 )
 
 P4 = path_graph([1, 1, 1])
-
-
-def transfer_components(t, v1, v2, v3):
-    """Components of T minus {e1, e2} containing v1, v2, v3, from the move bitmasks."""
-    blocks = _blocks(t, _sides(t), v1, v2, v3)
-    return tuple(frozenset(x for x in range(t.n) if b >> x & 1) for b in blocks)
 
 # weight multisets whose families the per-pair oracle checks
 ORACLE_FAMILIES = {
@@ -61,7 +54,7 @@ def oracle_family(name):
 
 class TestMoves:
     def test_p4_components_and_legality(self):
-        b1, b2, b3 = transfer_components(P4, 1, 2, 3)
+        b1, b2, b3 = oracle.components(P4, 1, 2, 3)
         assert (b1, b2, b3) == (frozenset({0, 1}), frozenset({2}), frozenset({3}))
         moves = legal_moves(P4, "size")
         assert {(m.v1, m.v2, m.v3) for m in moves} == {(1, 2, 3), (2, 1, 0)}
@@ -104,6 +97,14 @@ class TestMoves:
         monkeypatch.setattr(transfers, "WeightedGraph", lambda n, edges: real(n, edges[:-1]))
         with pytest.raises(ConsistencyError, match="did not leave a tree"):
             apply_move(P4, legal_moves(P4, "size")[0])
+
+    def test_volumes_add_in_edge_order(self):
+        # vol(T1) of (3, 4, 5) adds 1e16, 1 and 1 one by one and stays 1e16; a compensated sum
+        # (Python 3.12's builtin sum) would give 1e16 + 2
+        t = WeightedGraph(6, ((0, 1, 1e16), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 0.5), (4, 5, 0.25)))
+        (move,) = [m for m in legal_moves(t, "volume") if (m.v1, m.v2, m.v3) == (3, 4, 5)]
+        assert (move.t1_stat, move.t2_stat) == (2e16, 0.0)
+        assert oracle.standalone_volume(t, {0, 1, 2, 3}) == 2e16
 
     def test_mode_validation(self):
         with pytest.raises(GraphError):
@@ -173,7 +174,7 @@ class TestMonotonicity:
         for _ in range(60):
             t = random_weighted_tree(rng, rng.randint(3, 10))
             for move in legal_moves(t, "volume"):
-                b1, b2, b3 = transfer_components(t, move.v1, move.v2, move.v3)
+                b1, b2, b3 = oracle.components(t, move.v1, move.v2, move.v3)
                 w1 = t.weight(move.v1, move.v2)
                 w2 = t.weight(move.v2, move.v3)
                 standalone2 = 2 * sum(w for a, b, w in t.edges if a in b2 and b in b2)
@@ -269,12 +270,21 @@ class TestHasse:
             assert closure == moved
 
     def test_move_cycle_is_a_consistency_error(self, monkeypatch):
-        # a move back to a tree it left would contradict strict monotonicity
-        trees = enumerate_free_trees(5)  # path, spider, star
-        nxt = {canonical_form(t): trees[(k + 1) % 3] for k, t in enumerate(trees)}
+        # a move back to a tree it left would contradict strict monotonicity. The path's moves
+        # lead to the spider and the spider's to the star; swapping the path's and the star's
+        # keys in the family rows (the first rows keyed) makes the spider's results look up as
+        # the path
+        trees = enumerate_free_trees(5)  # sorted by code, as build_hasse sorts them
+        path = next(i for i, t in enumerate(trees) if is_path_graph(t))
+        star = next(i for i, t in enumerate(trees) if is_star_graph(t))
+        keys = transfers._keys
 
-        monkeypatch.setattr(transfers, "legal_moves", lambda t, mode: [None])
-        monkeypatch.setattr(transfers, "_moved_neighbors", lambda t, move: nxt[canonical_form(t)].neighbors)
+        def swapped(*args):
+            out = keys(*args)
+            out[[path, star]] = out[[star, path]]
+            return out
+
+        monkeypatch.setattr(transfers, "_keys", swapped)
         with pytest.raises(ConsistencyError, match="lead back"):
             build_hasse(trees, "size")
 
@@ -283,9 +293,9 @@ class TestHasse:
             build_hasse([cycle_graph(4)], "size")
 
     def test_one_large_tree_keeps_linear_text(self):
-        # the first move result of a 5,000-vertex path leaves the one-tree family. The moves' side
-        # masks take about 10 MB; coding the result adds O(n) text, where keeping the text of every
-        # subtree met would add about 19 MB
+        # the first move result of a 5,000-vertex path leaves the one-tree family. The first chunk
+        # of moves, about 6 results keyed with the family, takes about 8 MB; keeping the text of
+        # every subtree met would add about 19 MB
         t = path_graph([1.0] * 4999)
         assert canonical_form(t) and t.neighbors
         tracemalloc.start()
@@ -296,6 +306,23 @@ class TestHasse:
         finally:
             tracemalloc.stop()
         assert peak < 15e6
+
+    def test_one_large_tree_in_volume_mode(self):
+        # as above in volume mode: the first chunk's block volumes are summed over its own
+        # moves' edge rows, so the scan stops after that chunk, in about 2 s under tracemalloc
+        # on a 2-core Xeon VM; the bound leaves room for a slower runner
+        t = path_graph([1.0] * 4999)
+        assert canonical_form(t) and t.neighbors
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphError, match="left the provided family"):
+                build_hasse([t], "volume")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 15e6
+        assert time.perf_counter() - start < 10.0
 
     def test_mixed_multisets_rejected(self):
         with pytest.raises(GraphError):
@@ -353,7 +380,7 @@ def test_weighted_hasse_frozen(weights, mode):
 
 
 class TestAgainstPerPairOracle:
-    """The subtree-pass moves and neighbour-list codes against one search per pair and one graph per result."""
+    """The kernel's moves, result rows and keys against one search per pair and one graph per result."""
 
     FAMILIES = sorted(ORACLE_FAMILIES) + [f"free-{n}" for n in range(1, 10)]
 
@@ -386,57 +413,110 @@ class TestAgainstPerPairOracle:
     @pytest.mark.parametrize("mode", ["size", "volume"])
     @pytest.mark.parametrize("name", FAMILIES)
     def test_apply_move_and_moved_code(self, name, mode):
+        # apply_move, and the batched result rows that build_hasse keys, against one graph per result
         trees = oracle_family(name)
-        for t in trees:
-            for move in legal_moves(t, mode):
-                moved = apply_move(t, move)
-                assert moved == oracle.apply_move(t, move)
-                assert _tree_code(t.n, _moved_neighbors(t, move)) == canonical_form(moved)
+        want = [oracle.apply_move(t, move) for t in trees for move in oracle.legal_moves(t, mode)]
+        assert [apply_move(t, move) for t in trees for move in legal_moves(t, mode)] == want
+        assert [graph for _, graph in moved_rows(trees, mode)] == want
 
-    @pytest.mark.parametrize("name", FAMILIES)
+    @pytest.mark.parametrize("mode", ["size", "volume"])
+    @pytest.mark.parametrize("name", ["free-9", "tie-12-digits"])
+    def test_one_move_per_chunk(self, monkeypatch, name, mode):
+        # one move per chunk: each result is keyed in a batch of its own with the family
+        trees = oracle_family(name)
+        batches = []
+        keys = transfers._keys
+        monkeypatch.setattr(transfers, "_CHUNK", 1)
+        monkeypatch.setattr(transfers, "_keys", lambda *args: batches.append(len(args[1])) or keys(*args))
+        got, want = build_hasse(trees, mode), oracle.build_hasse(trees, mode)
+        assert got.nodes == want.nodes
+        assert got.covers == want.covers
+        assert batches == [len(trees) + 1] * sum(len(legal_moves(t, mode)) for t in trees)
+
+    @pytest.mark.parametrize("name", FAMILIES + ["free-10"])
     def test_keys_match_codes(self, name):
-        # the family and every move result in both modes, against the recursive reference
+        # the batched keys of the family and of every move result in both modes partition them
+        # exactly as the recursive reference codes do
         trees = oracle_family(name)
         codes = [recursive_canonical_form(t) for t in trees]
         assert codes == [canonical_form(t) for t in trees]
-        for mode in ("size", "volume"):
-            for t in trees:
-                for move in legal_moves(t, mode):
-                    code = _tree_code(t.n, _moved_neighbors(t, move))
-                    assert code == recursive_canonical_form(oracle.apply_move(t, move))
-                    assert code in codes  # every result lands in the family
+        results = [oracle.apply_move(t, m) for mode in ("size", "volume") for t in trees for m in oracle.legal_moves(t, mode)]
+        result_codes = [recursive_canonical_form(g) for g in results]
+        assert set(result_codes) <= set(codes)  # every result lands in the family
+        batch = transfers._Trees([*trees, *results])
+        keys = transfers._keys(batch.n, batch.u, batch.v, transfers._labels(batch.w)).tolist()
+        classes = set(zip(keys, codes + result_codes))
+        assert len(classes) == len(set(keys)) == len(set(codes))
 
     def test_transfer_components(self):
-        for t in oracle_family("free-8"):
-            for v2 in range(t.n):
-                nbrs = [v for v, _ in t.neighbors[v2]]
-                for v1 in nbrs:
-                    for v3 in nbrs:
-                        if v1 != v3:
-                            assert transfer_components(t, v1, v2, v3) == oracle.components(t, v1, v2, v3)
+        # the kernel's T1, T2, T3 and compared statistics of every ordered pair of adjacent
+        # edges, in the order of legal_moves, against one search per pair
+        for name in ("free-8", "spread"):
+            trees = oracle_family(name)
+            family = transfers._Trees(trees)
+            seen = []
+            for move in family.triples():
+                blocks = family.blocks(*move)
+                stats = {mode: family.stats(*move, mode) for mode in ("size", "volume")}
+                for r, (i, v1, v2, v3) in enumerate(zip(*(x.tolist() for x in move))):
+                    seen.append((i, v1, v2, v3))
+                    got = tuple(frozenset(np.flatnonzero(blocks[r] == b).tolist()) for b in (1, 2, 3))
+                    assert got == oracle.components(trees[i], v1, v2, v3)
+                    for mode, (s1, s2) in stats.items():
+                        want = oracle.component_stats(trees[i], v1, v2, v3, mode)
+                        assert (s1[r].hex(), s2[r].hex()) == tuple(x.hex() for x in want)
+            assert seen == [
+                (i, v1, v2, v3)
+                for i, t in enumerate(trees)
+                for v2 in range(t.n)
+                for v1, _ in t.neighbors[v2]
+                for v3, _ in t.neighbors[v2]
+                if v1 != v3
+            ]
 
     def test_missing_move_edges_rejected(self):
-        for v1, v2, v3 in ((0, 1, 0), (0, 2, 3), (0, 1, 3)):
+        for v1, v2, v3 in ((0, 1, 0), (0, 2, 3), (0, 1, 3), (0, 1, 4), (-1, 0, 1)):
             with pytest.raises(GraphError, match="not present"):
-                transfer_components(P4, v1, v2, v3)
+                apply_move(P4, TransferMove(v1, v2, v3, "size", 3.0, 1.0))
+
+
+def moved_rows(trees, mode):
+    """(tree index, result graph) for every legal move, from the kernel's batched result rows."""
+    family = transfers._Trees(trees)
+    out = []
+    for move, _, _ in family.legal(mode):
+        u, v = family.moved(*move)
+        for i, a, b in zip(move[0].tolist(), u.tolist(), v.tolist()):
+            out.append((i, WeightedGraph(family.n, tuple(zip(a, b, family.w[i].tolist())))))
+    return out
 
 
 class TestCodedOnce:
-    """Each tree gets its code once, counted at the coder through both module bindings:
-    ``graphs._tree_code`` codes single trees and the enumeration, and ``transfers._tree_code``
-    (bound at import) the move results of ``build_hasse``."""
+    """Each tree gets its code once, counted at the one coder ``graphs._tree_code``, which codes
+    single trees and the enumeration. ``build_hasse`` codes no tree: it keys each legal move's
+    result once, in batches that start with the family's rows."""
 
     @pytest.fixture
     def coded(self, monkeypatch):
         calls = []
-        for module in (graphs, transfers):
-            tree_code = module._tree_code
-            monkeypatch.setattr(module, "_tree_code", lambda *args, m=module, f=tree_code: calls.append(m) or f(*args))
+        tree_code = graphs._tree_code
+        monkeypatch.setattr(graphs, "_tree_code", lambda *args: calls.append(graphs) or tree_code(*args))
         return calls
+
+    @pytest.fixture
+    def keyed(self, monkeypatch):
+        batches = []
+        keys = transfers._keys
+        monkeypatch.setattr(transfers, "_keys", lambda n, u, v, label: batches.append((u, v)) or keys(n, u, v, label))
+        return batches
+
+    @staticmethod
+    def edge_sets(u, v):
+        return [sorted(zip(np.minimum(u, v).tolist(), np.maximum(u, v).tolist())) for u, v in zip(u, v)]
 
     @pytest.mark.parametrize("mode", ["size", "volume"])
     @pytest.mark.parametrize("weights", [(3, 2, 1, 0.5), (2, 2, 1, 1), (5.5, 3.25, 2.0, 1.75, 0.5)])
-    def test_build_hasse_of_tree_family(self, coded, weights, mode):
+    def test_build_hasse_of_tree_family(self, coded, keyed, weights, mode):
         enumerate_free_trees(len(weights) + 1)
         shapes = len(coded)  # what the enumeration of the family's shapes codes
         coded.clear()
@@ -444,17 +524,22 @@ class TestCodedOnce:
         assert coded == [graphs] * (shapes + len(family))
         coded.clear()
         build_hasse(family, mode)
-        # each legal move's result once, and no family tree
-        assert coded == [transfers] * sum(len(legal_moves(t, mode)) for t in family)
+        assert coded == []  # no family tree and no move result
+        # each legal move's result keyed once, after the family's rows
+        rows = [[(u, v) for u, v, _ in t.edges] for t in family]
+        results = [sorted((u, v) for u, v, _ in oracle.apply_move(t, m).edges) for t in family for m in legal_moves(t, mode)]
+        assert results and all(self.edge_sets(u[: len(family)], v[: len(family)]) == rows for u, v in keyed)
+        assert [e for u, v in keyed for e in self.edge_sets(u[len(family):], v[len(family):])] == results
 
-    def test_hasse_codes_only_the_enumeration(self, coded, capsys):
+    def test_hasse_codes_only_the_enumeration(self, coded, keyed, capsys):
         trees = enumerate_free_trees(8)
         enumerated = len(coded)
         moves = sum(len(legal_moves(t, "size")) for t in trees)
         coded.clear()
         assert main(["hasse", "--n", "8"]) == 0
-        # the enumeration, then each legal move's result once through build_hasse
-        assert coded == [graphs] * enumerated + [transfers] * moves
+        # the enumeration, then each legal move's result keyed once through build_hasse
+        assert coded == [graphs] * enumerated
+        assert sum(len(u) - len(trees) for u, _ in keyed) == moves
         assert capsys.readouterr().out.startswith("digraph hasse {")
 
     def test_code_is_kept(self, coded):
