@@ -56,6 +56,6 @@ from .transfers import (
     legal_moves,
     verify_monotonicity,
 )
-from .walks import hitting_matrix, stack_walk_stats, stationary, transition_matrix, walk_stats
+from .walks import hitting_matrix, stationary, transition_matrix, walk_stats
 
 __all__ = [name for name in dir() if not name.startswith("_")]

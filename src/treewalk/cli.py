@@ -147,10 +147,11 @@ def _write_hitting_report(payload: dict, h: np.ndarray) -> None:
 
 
 def _write_conjecture_report(report: HomDominanceReport) -> None:
-    """``conjecture --json``: ``report.to_json_dict()`` through ``_write_json``,
-    its three record lists made from the verdict arrays, with one text per
-    tree code and one ``%`` template per pair row (another for a pair
-    without witness).
+    """``conjecture --json`` through ``_write_json``: the tree and corpus sizes,
+    then three record lists made from the verdict arrays (``alphas`` at 12
+    significant digits, ``pairs``, and ``violations`` with both alphas
+    unrounded), with one text per tree code and one ``%`` template per pair
+    row (another for a pair without witness).
     """
     code = list(map(encode_basestring_ascii, report.codes))
     verdict = list(map(encode_basestring_ascii, VERDICTS))

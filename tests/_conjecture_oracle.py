@@ -1,18 +1,22 @@
 """The conjecture scan and its reports as they were built before the CLI
 wrote them from the verdict arrays: one (i, j, verdict, witness) per
 ordered pair of trees from the broadcast count matrix, one PairVerdict
-per pair, the payload dict that ``HomDominanceReport.to_json_dict``
-gave, written by ``json.dumps(indent=2, sort_keys=True)``, and the text
-report's lines.
+per pair, the payload dict of ``conjecture --json`` written by
+``json.dumps(indent=2, sort_keys=True)``, and the text report's lines.
+
+The alphas are exact: ``_exact_stats.tree_stats`` in Fraction arithmetic,
+not the Wiener index the scan uses. Violations are decided on those
+Fractions, and each report prints its Fraction correctly rounded.
 """
 
 import json
+from fractions import Fraction
 
 import numpy as np
 
+from _exact_stats import tree_stats
 from treewalk.graphs import _free_tree_classes, sig12
 from treewalk.homorder import (
-    ALPHA_SLACK,
     DOMINATED,
     DOMINATES,
     EQUAL,
@@ -20,7 +24,12 @@ from treewalk.homorder import (
     PairVerdict,
     _hom_matrix,
 )
-from treewalk.walks import stack_walk_stats
+
+
+def exact_alpha(t):
+    """alpha of a tree as a Fraction; one vertex gives 0, where the closed
+    form's kappa would divide 0 by 0."""
+    return tree_stats(t)[0] if t.n > 1 else Fraction(0)
 
 
 def pair_verdicts(counts):
@@ -47,12 +56,13 @@ def pair_verdicts(counts):
 def scan(n, corpus):
     """(pairs, alphas, violations) of the scan of the free trees on n vertices, pair by pair."""
     codes, trees = zip(*_free_tree_classes(n))
-    alphas = stack_walk_stats(trees)[0].tolist()
+    exact = [exact_alpha(t) for t in trees]
+    alphas = [float(a) for a in exact]
     pairs = []
     violations = []
     for i, j, verdict, witness in pair_verdicts(_hom_matrix(trees, corpus)):
         pairs.append(PairVerdict(codes[i], codes[j], verdict, witness))
-        if verdict == DOMINATES and alphas[j] < alphas[i] - ALPHA_SLACK:
+        if verdict == DOMINATES and exact[j] < exact[i]:
             violations.append((codes[i], codes[j], alphas[i], alphas[j]))
     return tuple(pairs), tuple(zip(codes, alphas)), tuple(violations)
 

@@ -1,5 +1,8 @@
+import json
+from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 import _conjecture_oracle
@@ -11,17 +14,21 @@ from _enumeration import (
     scalar_pair_verdicts,
     subset_graph_corpus,
 )
+from treewalk.cli import main
 from treewalk.errors import GraphError
 from treewalk.graphs import (
+    FREE_TREE_MAX,
     WeightedGraph,
     complete_graph,
     cycle_graph,
     enumerate_free_trees,
     path_graph,
+    sig12,
     star_graph,
 )
 from treewalk.homorder import (
-    ALPHA_SLACK,
+    SCAN_TREE_MAX,
+    _wiener_index,
     connected_graph_corpus,
     conjecture_scan,
     corpus_dominates,
@@ -197,15 +204,16 @@ def assert_scan_matches_scalar_loop(n, corpus):
     """Verdicts, witnesses and violations equal the pair-at-a-time loop on scalar counts."""
     report = conjecture_scan(n, corpus=corpus)
     codes = [c for c, _ in report.alphas]
-    alphas = [a for _, a in report.alphas]
-    rows = [[scalar_hom_count(t, g) for g in corpus] for t in enumerate_free_trees(n)]
+    trees = enumerate_free_trees(n)
+    exact = [_conjecture_oracle.exact_alpha(t) for t in trees]
+    rows = [[scalar_hom_count(t, g) for g in corpus] for t in trees]
     want = scalar_pair_verdicts(rows)
     got = [(p.code_a, p.code_b, p.verdict, p.witness) for p in report.pairs]
     assert got == [(codes[i], codes[j], verdict, witness) for i, j, verdict, witness in want]
     assert report.violations == tuple(
-        (codes[i], codes[j], alphas[i], alphas[j])
+        (codes[i], codes[j], float(exact[i]), float(exact[j]))
         for i, j, verdict, _ in want
-        if verdict == "dominates" and alphas[j] < alphas[i] - ALPHA_SLACK
+        if verdict == "dominates" and exact[j] < exact[i]
     )
 
 
@@ -310,12 +318,35 @@ class TestConjectureScan:
                 assert all(type(v) is int for p in report.pairs if p.witness for v in p.witness)
                 assert report.pairs is report.pairs  # built once, on first read
 
-    def test_json_roundtrip(self):
-        import json
-
+    def test_json_roundtrip(self, capsys):
         report = conjecture_scan(4)
-        blob = json.dumps(report.to_json_dict(), sort_keys=True)
-        assert json.loads(blob)["tree_size"] == 4
+        assert main(["conjecture", "--n", "4", "--json"]) == 0
+        blob = json.loads(capsys.readouterr().out)
+        assert blob["tree_size"] == 4 and blob["corpus_size"] == report.corpus_size
+        assert [(r["code"], r["alpha"]) for r in blob["alphas"]] == [(c, sig12(a)) for c, a in report.alphas]
+
+    @pytest.mark.parametrize("n", range(1, FREE_TREE_MAX + 1))
+    def test_wiener_identity_is_the_exact_alpha(self, n):
+        """alpha = 2 (n - 1) W / n^2 on every free tree, in Fractions, and
+        within 1e-12 of the exact route's float alpha."""
+        for t in enumerate_free_trees(n):
+            exact = _conjecture_oracle.exact_alpha(t)
+            assert Fraction(2 * (n - 1) * _wiener_index(t), n * n) == exact
+            assert walk_stats(t)[0] == pytest.approx(float(exact), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n", range(1, SCAN_TREE_MAX + 1))
+    def test_scan_alphas_are_correctly_rounded(self, n):
+        report = conjecture_scan(n, corpus=[])
+        want = [float(_conjecture_oracle.exact_alpha(t)) for t in enumerate_free_trees(n)]
+        assert report.alpha.tolist() == want  # bit for bit
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_scan_inverts_nothing(self, monkeypatch, n):
+        calls = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a.shape) or inv(a))
+        conjecture_scan(n, corpus=[])
+        assert calls == []
 
     def test_guard(self):
         with pytest.raises(GraphError):

@@ -6,7 +6,7 @@ import pytest
 import _dense_oracle as oracle
 from _enumeration import random_weighted_tree
 from treewalk import walks
-from treewalk.errors import ConsistencyError, DisconnectedError, GraphError
+from treewalk.errors import ConsistencyError, DisconnectedError
 from treewalk.graphs import (
     WeightedGraph,
     complete_graph,
@@ -15,12 +15,10 @@ from treewalk.graphs import (
     path_graph,
     star_graph,
 )
-from treewalk.homorder import conjecture_scan
 from treewalk.walks import (
     adjacency_matrix,
     hitting_matrix,
     laplacian,
-    stack_walk_stats,
     stationary,
     transition_matrix,
     walk_stats,
@@ -185,67 +183,46 @@ def _random_graph(rng, n):
     return WeightedGraph(n, tuple((u, v, 10 ** rng.uniform(-2, 2)) for u, v in sorted(pairs)))
 
 
-def _hitting_stack(graphs):
-    return walks._hitting(graphs, (len(graphs),))[0]
-
-
 class TestStack:
-    """``stack_walk_stats`` runs the exact route on many graphs of one size at
-    once; each graph must get the bits it gets alone, and the bits of the
-    per-graph route in ``_dense_oracle``."""
+    """Graphs of every size up to 12, two large ones and one vertex: the exact
+    route gives the bits of the per-graph route in ``_dense_oracle``."""
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_matches_each_graph_alone(self, n):
         rng = random.Random(100 + n)
         for _ in range(4):
-            graphs = [_random_graph(rng, n) if n > 1 else WeightedGraph(1, ()) for _ in range(rng.randint(1, 7))]
-            alphas, kappas = stack_walk_stats(graphs)
-            hs = _hitting_stack(graphs)
-            assert alphas.shape == kappas.shape == (len(graphs),) and hs.shape == (len(graphs), n, n)
-            for g, alpha, kappa, h in zip(graphs, alphas.tolist(), kappas.tolist(), hs):
-                assert (alpha, kappa) == walk_stats(g) == oracle.walk_stats(g)
-                assert np.array_equal(h, hitting_matrix(g)) and np.array_equal(h, oracle.hitting_matrix(g))
+            for g in [_random_graph(rng, n) if n > 1 else WeightedGraph(1, ()) for _ in range(rng.randint(1, 7))]:
+                assert walk_stats(g) == oracle.walk_stats(g)
+                assert np.array_equal(hitting_matrix(g), oracle.hitting_matrix(g))
 
     @pytest.mark.parametrize(
         "g", [complete_graph(150), random_weighted_tree(random.Random(31), 300)], ids=["K150", "tree300"]
     )
     def test_large_stacks_of_one(self, g):
-        alphas, kappas = stack_walk_stats([g])
-        assert (alphas[0], kappas[0]) == walk_stats(g) == oracle.walk_stats(g)
-        assert np.array_equal(_hitting_stack([g])[0], oracle.hitting_matrix(g))
-        assert np.array_equal(hitting_matrix(g), oracle.hitting_matrix(g))
+        h = hitting_matrix(g)
+        assert np.array_equal(h, oracle.hitting_matrix(g))
+        assert walk_stats(g) == walk_stats(g, h) == oracle.walk_stats(g)
 
     def test_one_vertex(self):
-        alphas, kappas = stack_walk_stats([WeightedGraph(1, ())] * 3)
-        assert alphas.tolist() == kappas.tolist() == [0.0, 0.0, 0.0]
         assert walk_stats(WeightedGraph(1, ())) == (0.0, 0.0)
         assert hitting_matrix(WeightedGraph(1, ())).tolist() == [[0.0]]
 
-    def test_refuses_mixed_sizes_and_disconnected_members(self):
-        with pytest.raises(GraphError, match="one vertex count"):
-            stack_walk_stats([P3, P4])
-        with pytest.raises(GraphError, match="one vertex count"):
-            stack_walk_stats([])
-        with pytest.raises(DisconnectedError):
-            stack_walk_stats([P3, WeightedGraph(3, ((0, 1, 1.0),))])
+    def test_refuses_disconnected_graphs(self):
+        for g in (WeightedGraph(3, ((0, 1, 1.0),)), WeightedGraph(2, ())):
+            for route in (walk_stats, hitting_matrix, stationary, transition_matrix):
+                with pytest.raises(DisconnectedError):
+                    route(g)
+        for route in (stationary, transition_matrix):  # one vertex has no walk to take
+            with pytest.raises(DisconnectedError, match="walk needs at least 2 vertices"):
+                route(WeightedGraph(1, ()))
 
     def test_single_graph_path_has_no_stack_axis(self, monkeypatch):
         shapes = []
         inv = np.linalg.inv
         monkeypatch.setattr(np.linalg, "inv", lambda a: shapes.append(a.shape) or inv(a))
         walk_stats(P4)
-        hitting_matrix(P4)
-        stack_walk_stats([P4, STAR4])
-        assert shapes == [(4, 4), (4, 4), (2, 4, 4)]
-
-    @pytest.mark.parametrize("n", [1, 2, 5, 8])
-    def test_conjecture_scan_inverts_once(self, monkeypatch, n):
-        shapes = []
-        inv = np.linalg.inv
-        monkeypatch.setattr(np.linalg, "inv", lambda a: shapes.append(a.shape) or inv(a))
-        report = conjecture_scan(n, corpus=[])
-        trees = len(report.alphas)
-        assert shapes == ([] if n == 1 else [(trees, n, n)])
+        hitting_matrix(STAR4)
+        assert shapes == [(4, 4), (4, 4)]
 
 
 # one graph of each kind that the exact route refuses, and what it says
@@ -256,9 +233,10 @@ ILL = [path_graph([1.0, 1.0, 1.0, 10.0 ** -e, 1.0]) for e in (7, 8)]
 
 
 class TestStackChecks:
-    """In a stack, every check runs on every graph and the first graph that
-    fails raises, with its own values in the message: the message it raises
-    alone."""
+    """Each check of the exact route refuses a graph with that graph's own
+    values in the message: the message of the reference route in
+    ``_dense_oracle``, through ``walk_stats`` and, for every check but
+    Kemeny's, through ``hitting_matrix`` too."""
 
     @staticmethod
     def _message(g):
@@ -266,33 +244,37 @@ class TestStackChecks:
             oracle.walk_stats(g)
         return str(alone.value)
 
-    def _refused(self, graphs, culprit):
-        with pytest.raises(ConsistencyError) as stacked:
-            stack_walk_stats(graphs)
-        assert str(stacked.value) == self._message(culprit)
-        with pytest.raises(ConsistencyError, match=str(stacked.value).split(":")[0]):
-            walk_stats(culprit)
-        return str(stacked.value)
+    def _refused(self, g, in_hitting=True):
+        message = self._message(g)
+        routes = (walk_stats, hitting_matrix) if in_hitting else (walk_stats,)
+        for route in routes:
+            with pytest.raises(ConsistencyError) as refused:
+                route(g)
+            assert str(refused.value) == message
+        return message
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_stationary_residual(self):
-        assert self._refused([P3, HUGE, P3], HUGE) == "stationary fixed-point residual nan"
+        assert self._refused(HUGE) == "stationary fixed-point residual nan"
 
     def test_error_bound_names_the_first_failing_graph(self):
-        message = self._refused([path_graph([1.0] * 5), *ILL, star_graph([1.0] * 5)], ILL[0])
-        assert message.startswith("hitting times: a-priori error bound")
-        assert message != self._message(ILL[1])
+        messages = [self._refused(g) for g in ILL]
+        assert all(m.startswith("hitting times: a-priori error bound") for m in messages)
+        assert messages[0] != messages[1]  # each names its own bound
+        for g in (path_graph([1.0] * 5), star_graph([1.0] * 5)):
+            assert walk_stats(g) == oracle.walk_stats(g)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_not_finite(self):
-        assert self._refused([P3, WIDE], WIDE) == "hitting times: not finite, the arithmetic left the float range"
+        assert self._refused(WIDE) == "hitting times: not finite, the arithmetic left the float range"
 
     def test_singular(self, monkeypatch):
         def singular(a):
             raise np.linalg.LinAlgError("Singular matrix")
 
         monkeypatch.setattr(np.linalg, "inv", singular)
-        assert self._refused([P3, W21], P3) == "fundamental matrix is singular: Singular matrix"
+        for g in (P3, W21):
+            assert self._refused(g) == "fundamental matrix is singular: Singular matrix"
 
     @pytest.mark.parametrize(
         "rtol,what",
@@ -304,7 +286,7 @@ class TestStackChecks:
     )
     def test_residual_checks_name_the_first_failing_graph(self, monkeypatch, rtol, what):
         """At some tolerance one random graph passes and two fail this check,
-        each with its own residual: the first of them names the stack's."""
+        each with its own residual in its message."""
         rng = random.Random(7)
         graphs = [_random_graph(rng, 4) for _ in range(30)]
         for tol in [0.0, *np.logspace(-17, -13, 41).tolist()]:
@@ -322,4 +304,6 @@ class TestStackChecks:
         else:
             pytest.fail(f"no tolerance splits the graphs for {rtol}")
         good, bad = verdicts["pass"], verdicts["fail"]
-        assert self._refused([good, good, *bad[:2], good], bad[0]).startswith(what)
+        assert walk_stats(good) == oracle.walk_stats(good)
+        for g in bad[:2]:
+            assert self._refused(g, in_hitting=rtol != "KEMENY_INDEPENDENCE_RTOL").startswith(what)
