@@ -7,21 +7,25 @@ import pytest
 import _exact_stats
 from _enumeration import random_labeled_tree, random_weighted_tree
 from treewalk import forests, spectral
+from treewalk.cli import main
 from treewalk.errors import ConsistencyError
 from treewalk.graphs import (
     WeightedGraph,
     complete_graph,
     cycle_graph,
     enumerate_free_trees,
+    format_twg,
     path_graph,
+    rooted_order,
     star_graph,
 )
 from treewalk.spectral import laplacian_matrices, laplacian_spectra, stats
-from treewalk.walks import ERROR_BOUND_RTOL, walk_stats
+from treewalk.walks import EPS, ERROR_BOUND_RTOL, walk_stats
 
 P3 = path_graph([1, 1])
 K2 = path_graph([1])
 STAR4 = star_graph([1, 1, 1])
+P4 = path_graph([1, 1, 1])
 
 
 class TestSpectra:
@@ -124,18 +128,73 @@ def _accuracy_corpus():
     return [make(rng) for make in makers for _ in range(10)]
 
 
+def _sides(t):
+    """Vertex counts of a tree's even-depth and odd-depth sides, rooted at 0."""
+    order, parent = rooted_order(t)
+    depth = [0] * t.n
+    for x in order[1:]:
+        depth[x] = depth[parent[x]] + 1
+    odd = sum(d % 2 for d in depth)
+    return t.n - odd, odd
+
+
+@pytest.fixture
+def bounds(monkeypatch):
+    """The a-posteriori bounds the spectral route checks, in call order."""
+    seen = []
+    check = spectral.check_error_bound
+    monkeypatch.setattr(
+        spectral, "check_error_bound", lambda b, what, kind: seen.append(float(b)) or check(b, what, kind)
+    )
+    return seen
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """(name, shape) of every SVD and eigh numpy runs, in call order."""
+    seen = []
+    svd, eigh = np.linalg.svd, np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "svd", lambda a: seen.append(("svd", a.shape)) or svd(a))
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: seen.append(("eigh", a.shape)) or eigh(a))
+    return seen
+
+
+def _refuse_first_bound(monkeypatch):
+    """The next bound the spectral route checks reads 1.0, over the gate: the tree path refuses."""
+    check = spectral.check_error_bound
+    forced = iter([1.0])
+    monkeypatch.setattr(spectral, "check_error_bound", lambda b, what, kind: check(next(forced, b), what, kind))
+
+
+def _eigh_path(monkeypatch, g):
+    """stats(g) through the eigh path, as a graph with a cycle takes it."""
+    with monkeypatch.context() as m:
+        m.setattr(WeightedGraph, "is_tree", lambda self: False)
+        return stats(g)
+
+
 class TestOneEigendecomposition:
-    def test_stats_calls_eigh_once_per_graph(self, monkeypatch):
-        shapes = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
-        graphs = [K2, STAR4, cycle_graph(5), complete_graph(6), random_weighted_tree(random.Random(3), 9)]
-        for g in graphs:
+    def test_stats_factors_once_per_graph(self, monkeypatch, factorizations):
+        """A tree: one SVD of its (n1, n2) block and no eigh. A graph with a
+        cycle: one eigh of N. A tree whose SVD the checks refuse: one SVD,
+        then one eigh."""
+        trees = [K2, STAR4, P4, random_weighted_tree(random.Random(3), 9)]
+        for t in trees:
+            factorizations.clear()
+            stats(t)
+            assert factorizations == [("svd", _sides(t))]
+        for g in (cycle_graph(5), complete_graph(6)):
+            factorizations.clear()
             stats(g)
-        assert shapes == [(g.n, g.n) for g in graphs]
-        shapes.clear()
+            assert factorizations == [("eigh", (g.n, g.n))]
+        t = trees[-1]
+        factorizations.clear()
+        _refuse_first_bound(monkeypatch)
+        stats(t)
+        assert factorizations == [("svd", _sides(t)), ("eigh", (t.n, t.n))]
+        factorizations.clear()
         laplacian_spectra(STAR4)  # one per Laplacian
-        assert shapes == [(4, 4), (4, 4)]
+        assert factorizations == [("eigh", (4, 4)), ("eigh", (4, 4))]
 
     def test_laplacian_spectra_returns_both_spectra(self):
         g = random_weighted_tree(random.Random(5), 12)
@@ -144,16 +203,11 @@ class TestOneEigendecomposition:
         assert s.combinatorial == tuple(np.linalg.eigh(lap)[0].tolist())
         assert s.normalized == tuple(np.linalg.eigh(norm)[0].tolist())
 
-    def test_answers_within_the_residual_bound(self, monkeypatch):
+    def test_answers_within_the_residual_bound(self, bounds):
         """Light-edge trees, wide general graphs, weighted paths and 60-vertex
         trees against exact rational values: every answer lies within the bound
         the route checked, and the route refuses only where that bound is above
         ERROR_BOUND_RTOL."""
-        bounds = []
-        check = spectral.check_error_bound
-        monkeypatch.setattr(
-            spectral, "check_error_bound", lambda b, what, kind: bounds.append(float(b)) or check(b, what, kind)
-        )
         answered = 0
         for g in _accuracy_corpus():
             try:
@@ -166,4 +220,101 @@ class TestOneEigendecomposition:
             for value, want in zip(got, exact):
                 assert abs(Fraction(value) - want) <= Fraction(bounds[-1]) * want
             answered += 1
-        assert answered >= 30  # only light-edge trees may be refused
+        assert answered >= 32  # as with eigh alone: only light-edge trees are refused
+
+
+def _broom(rng):
+    """A 100-vertex path with 200 leaves at its end vertex 99: sides of 250 and 50."""
+    spokes = [(99, 100 + i, 10.0 ** rng.uniform(-1, 1)) for i in range(200)]
+    return WeightedGraph(300, tuple((i, i + 1, 10.0 ** rng.uniform(-1, 1)) for i in range(99)) + tuple(spokes))
+
+
+def _double_star(rng):
+    """Centres 0 and 1 with 200 and 98 leaves: sides of 99 and 201."""
+    leaves = [(0, 2 + i, 10.0 ** rng.uniform(-1, 1)) for i in range(200)]
+    leaves += [(1, 202 + i, 10.0 ** rng.uniform(-1, 1)) for i in range(98)]
+    return WeightedGraph(300, ((0, 1, 10.0 ** rng.uniform(-1, 1)),) + tuple(leaves))
+
+
+class TestTreePath:
+    """The SVD of the bipartite block C against hand values, exact rational
+    values and the eigh path."""
+
+    @pytest.mark.parametrize(
+        "t, want",
+        [(K2, (1 / 2, 1 / 2)), (P3, (16 / 9, 3 / 2)), (STAR4, (27 / 8, 5 / 2)), (P4, (15 / 4, 19 / 6))],
+        ids=["K2", "P3", "STAR4", "P4"],
+    )
+    def test_hand_values(self, factorizations, t, want):
+        assert stats(t) == pytest.approx(want, rel=1e-12)
+        assert [name for name, _ in factorizations] == ["svd"]
+
+    @pytest.mark.parametrize("make", [_broom, _double_star], ids=["broom", "double-star"])
+    def test_unbalanced_sides(self, monkeypatch, bounds, factorizations, make):
+        """|n1 - n2| eigenvalues 1 come from the unpaired columns of U or V."""
+        t = make(random.Random(7))
+        n1, n2 = _sides(t)
+        assert abs(n1 - n2) >= 100
+        got = stats(t)
+        assert factorizations == [("svd", (n1, n2))] and len(bounds) == 1
+        for value, want in zip(got, _exact_stats.tree_stats(t)):
+            assert abs(Fraction(value) - want) <= Fraction(bounds[-1] + t.n * EPS) * want
+        assert got == pytest.approx(_eigh_path(monkeypatch, t), rel=1e-10)
+
+    def test_star_kappa_is_m_minus_half(self, factorizations):
+        """N of a star has eigenvalues 0, 2 and n - 2 ones, whatever the weights."""
+        rng = random.Random(8)
+        t = star_graph([10.0 ** rng.uniform(-3, 3) for _ in range(299)])
+        alpha, kappa = stats(t)
+        assert factorizations == [("svd", (1, 299))]
+        assert kappa == pytest.approx(298.5, rel=1e-12)
+        assert alpha == pytest.approx(float(_exact_stats.tree_stats(t)[0]), rel=1e-10)
+
+    def test_seeded_trees_within_checked_bound(self, monkeypatch, bounds):
+        """50 weighted trees, n = 2..150: each answer from the SVD alone, within
+        the bound it checked plus n * eps for the rounding of the sums (the
+        bound covers the eigenpairs only: K2's is exactly 0), and within 1e-10
+        of the eigh path."""
+        rng = random.Random(28)
+        for i in range(50):
+            t = random_weighted_tree(rng, 2 + i * 148 // 49)
+            bounds.clear()
+            got = stats(t)
+            assert len(bounds) == 1  # the SVD answered
+            for value, want in zip(got, _exact_stats.tree_stats(t)):
+                assert abs(Fraction(value) - want) <= Fraction(bounds[0] + t.n * EPS) * want
+            assert got == pytest.approx(_eigh_path(monkeypatch, t), rel=1e-10)
+
+    def test_refused_svd_falls_back_to_eigh_bit_for_bit(self, monkeypatch):
+        t = random_weighted_tree(random.Random(9), 40)
+        want = _eigh_path(monkeypatch, t)
+        _refuse_first_bound(monkeypatch)
+        assert stats(t) == want
+
+    @pytest.mark.parametrize("column", ["paired", "unpaired"])
+    def test_residual_gate_sees_a_wrong_column(self, monkeypatch, column):
+        """A singular triple that is off by 1e-6, or an unpaired column of U
+        that C^T does not annihilate, fails the residual gate: eigh decides."""
+        t = _broom(random.Random(7))  # 250 x 50 block: U has unpaired columns
+        want = _eigh_path(monkeypatch, t)
+        svd = np.linalg.svd
+
+        def corrupted(a):
+            u, s, vt = svd(a)
+            if column == "paired":
+                s[1] *= 1 + 1e-6
+            else:
+                u[:, -1] = u[:, 0]
+            return u, s, vt
+
+        monkeypatch.setattr(np.linalg, "svd", corrupted)
+        assert stats(t) == want
+
+    def test_wide_weight_tree_still_exits_4(self, tmp_path, capsys, bounds):
+        """Weights 1e-6..1e6 on 60 vertices: the bounds of both the SVD and eigh are over the gate."""
+        t = random_weighted_tree(random.Random(60), 60, 1e-6, 1e6)
+        path = tmp_path / "wide.twg"
+        path.write_text(format_twg(t))
+        assert main(["compute", "--input", str(path), "--method", "spectral"]) == 4
+        assert "normalized spectrum: a-posteriori error bound" in capsys.readouterr().err
+        assert len(bounds) == 2 and min(bounds) > ERROR_BOUND_RTOL
