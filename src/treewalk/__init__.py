@@ -46,7 +46,7 @@ from .homorder import (
     hom_counts,
 )
 from .simulate import WalkEstimate, Xorshift64Star, estimate_hitting, mix64
-from .spectral import SpectrumResult, laplacian_spectra
+from . import spectral  # the eigenvalue route: spectral.stats
 from .transfers import (
     HasseDiagram,
     TransferMove,

@@ -36,9 +36,9 @@ from .forests import check_weight_products, tree_stats
 from .graphs import (
     WeightedGraph,
     _peel,
+    _weight_classes,
     canonical_form,
     enumerate_free_trees,
-    format_weight,
     is_path_graph,
     path_graph,
     sig12,
@@ -251,7 +251,7 @@ def _family_rows(ws: tuple[float, ...]) -> Iterator[tuple[WeightedGraph, np.ndar
     if len(ws) > FAMILY_WEIGHT_MAX:
         raise GraphError(f"family enumeration guarded to {FAMILY_WEIGHT_MAX} weights, got m={len(ws)}")
     values, perms = _distinct_orders(ws)
-    labels = np.unique([format_weight(w) for w in values], return_inverse=True)[1][perms]
+    labels = _weight_classes(np.array(values))[perms]
     weights = np.array(values)[perms]
     for shape in enumerate_free_trees(len(ws) + 1):
         _, first = np.unique(_shape_keys(shape, labels), return_index=True)

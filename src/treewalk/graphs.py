@@ -43,6 +43,14 @@ def format_weight(w: float) -> str:
 _weight_label = lru_cache(maxsize=4096)(format_weight)
 
 
+def _weight_classes(w: np.ndarray) -> np.ndarray:
+    """The class of every weight's 12-significant-digit text, as ``canonical_form`` reads it."""
+    values = sorted(set(w.ravel().tolist()))
+    texts: dict[str, int] = {}
+    ids = [texts.setdefault(format_weight(x), len(texts)) for x in values]
+    return np.array(ids, np.int64)[np.searchsorted(values, w)]
+
+
 def sig12(x: float) -> float:
     """x rounded to the 12 significant digits that reports carry."""
     return float(format(x, WEIGHT_FORMAT))

@@ -24,8 +24,8 @@ implied by true dominance but does not certify it. The conjecture scan
 checks that corpus-dominant trees never have a larger average hitting
 time, and reports violations as data rather than failing, since a
 violation may be a corpus false positive. Its report holds the verdicts
-as arrays, one entry per ordered pair of trees; the per-pair tuples are
-built only when read.
+as arrays, one entry per ordered pair of trees; only the violations are
+also built as tuples, on first read.
 
 The scan orders the trees by alpha without a walk. On a simple tree,
 alpha = 2 (n - 1) W / n^2 with W the Wiener index, the sum over the
@@ -59,15 +59,6 @@ INCOMPARABLE = "incomparable-on-corpus"
 VERDICTS = (EQUAL, DOMINATES, DOMINATED, INCOMPARABLE)  # verdict kinds, in index order
 
 
-@dataclass(frozen=True)
-class PairVerdict:
-    code_a: str
-    code_b: str
-    verdict: str
-    # corpus index and both hom counts at the first strict difference
-    witness: tuple[int, int, int] | None
-
-
 @dataclass(frozen=True, eq=False)
 class HomDominanceReport:
     """A conjecture scan as arrays: each tree's code and alpha, then per
@@ -88,19 +79,6 @@ class HomDominanceReport:
     hom_a: np.ndarray
     hom_b: np.ndarray
     violating: np.ndarray
-
-    @cached_property
-    def pairs(self) -> tuple[PairVerdict, ...]:
-        codes = self.codes
-        cells = zip(*(x.tolist() for x in (self.a, self.b, self.kind, self.graph, self.hom_a, self.hom_b)))
-        return tuple(
-            PairVerdict(codes[i], codes[j], VERDICTS[k], (g, x, y) if k else None)
-            for i, j, k, g, x, y in cells
-        )
-
-    @cached_property
-    def alphas(self) -> tuple[tuple[str, float], ...]:
-        return tuple(zip(self.codes, self.alpha.tolist()))
 
     @cached_property
     def violations(self) -> tuple[tuple[str, str, float, float], ...]:

@@ -1,4 +1,4 @@
-"""Laplacian spectra and the eigenvalue route to alpha and kappa.
+"""The eigenvalue route to alpha and kappa.
 
 The route needs one factorization, giving the eigenpairs of the
 normalized Laplacian N = D^{-1/2} L D^{-1/2}, L = D - A. With its
@@ -23,19 +23,17 @@ eigenpair of N (Chung, "Spectral Graph Theory", 1997, ch. 1): mu = 1 - s
 and 1 + s, with phi = [u; v] / sqrt(2) and [u; -v] / sqrt(2), and
 |n1 - n2| eigenvalues 1, on the columns of U or V that no singular value
 pairs. When the SVD's checks refuse a tree, ``eigh`` decides it instead,
-so the tree path refuses nothing that ``eigh`` answers.
+so the tree path refuses nothing that ``eigh`` answers. Both sources'
+eigenpairs pass the same checks: residual, spectrum and a-posteriori bound.
 
 The single zero eigenvalue is excluded by index after sorting, never by
 thresholding, so near-disconnected weighted trees cannot drop a second
 eigenvalue by accident. A near-disconnected graph still loses digits in
 its smallest nonzero eigenvalue; the route refuses such a graph instead
-of returning them. ``laplacian_spectra`` gives both spectra, the
-combinatorial Laplacian's included, for callers that want them.
+of returning them.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,72 +46,27 @@ RESIDUAL_RTOL = 1e-9
 NORMALIZED_RANGE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class SpectrumResult:
-    """Ascending eigenvalues of both Laplacians."""
-
-    combinatorial: tuple[float, ...]
-    normalized: tuple[float, ...]
-
-
-def laplacian_matrices(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
+def _normalized_laplacian(g: WeightedGraph) -> np.ndarray:
     lap = laplacian(g)
     dinv_sqrt = 1.0 / np.sqrt(np.array(g.degrees))
     norm = dinv_sqrt[:, None] * lap * dinv_sqrt[None, :]
-    norm = (norm + norm.T) / 2.0  # kill rounding asymmetry before eigh
-    return lap, norm
+    return (norm + norm.T) / 2.0  # kill rounding asymmetry before eigh
 
 
-def _checked_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Ascending eigenvalues, eigenvectors and the largest eigenpair residual norm."""
-    try:
-        vals, vecs = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise ConsistencyError(f"eigensolver failed to converge: {exc}") from exc
-    residual = np.linalg.norm(m @ vecs - vecs * vals, axis=0)
-    worst = float(residual.max()) if residual.size else 0.0
-    _check_residual(worst, np.linalg.norm(m))
-    return vals, vecs, worst
-
-
-def _check_residual(worst: float, scale: float) -> None:
-    """The largest eigenpair residual norm is within RESIDUAL_RTOL of the matrix's Frobenius norm."""
+def _check_pairs(mu: np.ndarray, worst: float, scale: float) -> None:
+    """Checks on N's ascending eigenvalues mu, with worst the largest eigenpair
+    residual norm and scale N's Frobenius norm, in order: worst is within
+    RESIDUAL_RTOL of scale; mu starts at 0 (within ZERO_EIGENVALUE_ATOL), then
+    is positive, and lies in [0, 2]; and the a-posteriori bound
+    max_i ||N phi_i - mu_i phi_i|| / mu_2 is within ERROR_BOUND_RTOL."""
     if not worst <= RESIDUAL_RTOL * max(scale, 1e-30):
         raise ConsistencyError(f"eigenpair residual {worst:.3e} exceeds tolerance")
-
-
-def _check_spectrum(vals: np.ndarray, scale: float = 1.0) -> None:
-    """A connected graph's Laplacian spectrum, ascending: 0 first (within
-    ZERO_EIGENVALUE_ATOL * scale), then positive."""
-    if abs(vals[0]) > ZERO_EIGENVALUE_ATOL * scale:
+    if abs(mu[0]) > ZERO_EIGENVALUE_ATOL:
         raise ConsistencyError("smallest Laplacian eigenvalue is not numerically zero")
-    if vals.size >= 2 and vals[1] <= 0.0:
+    if mu[1] <= 0.0:
         raise ConsistencyError("second eigenvalue not positive on a connected graph")
-
-
-def _check_normalized(nrm: np.ndarray) -> None:
-    """The normalized spectrum of a connected graph: as ``_check_spectrum``, and within [0, 2]."""
-    _check_spectrum(nrm)
-    if nrm[-1] > 2.0 + NORMALIZED_RANGE_TOL or nrm[0] < -NORMALIZED_RANGE_TOL:
+    if mu[-1] > 2.0 + NORMALIZED_RANGE_TOL or mu[0] < -NORMALIZED_RANGE_TOL:
         raise ConsistencyError("normalized spectrum outside [0, 2]")
-
-
-def laplacian_spectra(g: WeightedGraph) -> SpectrumResult:
-    """Both spectra, sorted ascending, with residual and range checks."""
-    g.require_connected()
-    lap, norm = laplacian_matrices(g)
-    comb = _checked_eigh(lap)[0]
-    nrm = _checked_eigh(norm)[0]
-    _check_spectrum(comb, scale=max(float(np.abs(comb).max()), 1.0))
-    _check_normalized(nrm)
-    return SpectrumResult(combinatorial=tuple(map(float, comb)), normalized=tuple(map(float, nrm)))
-
-
-def _check_pairs(mu: np.ndarray, worst: float) -> None:
-    """Ascending eigenvalues of N pass ``_check_normalized``, and the
-    a-posteriori bound max_i ||N phi_i - mu_i phi_i|| / mu_2 is within
-    ERROR_BOUND_RTOL."""
-    _check_normalized(mu)
     check_error_bound(worst / mu[1], "normalized spectrum", kind="a-posteriori")
 
 
@@ -153,9 +106,8 @@ def _tree_eigenpairs(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarr
     pair = np.hypot(np.linalg.norm(c @ vk - uk * s, axis=0), np.linalg.norm(c.T @ uk - vk * s, axis=0))
     free = np.linalg.norm(c.T @ u[:, k:], axis=0) if n1 > k else np.linalg.norm(c @ v[:, k:], axis=0)
     worst = float(max(pair.max() / np.sqrt(2.0), free.max(initial=0.0)))
-    _check_residual(worst, np.sqrt(n + 2.0 * np.einsum("ij,ij->", c, c)))
     mu = np.concatenate((1.0 - s, np.ones(n - 2 * k), 1.0 + s[::-1]))
-    _check_pairs(mu, worst)
+    _check_pairs(mu, worst, np.sqrt(n + 2.0 * np.einsum("ij,ij->", c, c)))
     phi = np.zeros((n, n))
     h = np.sqrt(0.5)
     phi[:n1, :k] = uk * h
@@ -178,8 +130,13 @@ def _eigenpairs(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             return _tree_eigenpairs(g)
         except ConsistencyError:
             pass  # eigh's residuals can be smaller on wide weights: it decides
-    mu, phi, worst = _checked_eigh(laplacian_matrices(g)[1])
-    _check_pairs(mu, worst)
+    norm = _normalized_laplacian(g)
+    try:
+        mu, phi = np.linalg.eigh(norm)
+    except np.linalg.LinAlgError as exc:
+        raise ConsistencyError(f"eigensolver failed to converge: {exc}") from exc
+    worst = float(np.linalg.norm(norm @ phi - phi * mu, axis=0).max())
+    _check_pairs(mu, worst, np.linalg.norm(norm))
     return mu, phi, np.array(g.degrees)
 
 
@@ -187,10 +144,11 @@ def stats(g: WeightedGraph) -> tuple[float, float]:
     """(alpha, kappa) from the normalized Laplacian's eigenpairs: one SVD
     of the bipartite block on a tree, one eigendecomposition otherwise.
 
-    Refused when max_i ||N phi_i - mu_i phi_i|| / mu_2, an a-posteriori
-    bound on the relative error to expect in the smallest nonzero
-    eigenvalue and in both sums, exceeds ERROR_BOUND_RTOL, on both the
-    SVD and the eigendecomposition where a tree tries both.
+    Refused when max_i ||N phi_i - mu_i phi_i|| / mu_2 exceeds
+    ERROR_BOUND_RTOL, on both the SVD and the eigendecomposition where a
+    tree tries both. That a-posteriori bound covers the eigenpairs only:
+    the sums add rounding of about n * eps on top of it (K2's bound is
+    exactly 0, and its alpha is 0.5000000000000002).
     """
     g.require_connected()
     if g.n == 1:

@@ -36,7 +36,7 @@ import numpy as np
 from .errors import ConsistencyError, GraphError
 from .extremal import _classes
 from .forests import stats
-from .graphs import WeightedGraph, canonical_form, format_weight
+from .graphs import WeightedGraph, _weight_classes, canonical_form, format_weight
 
 MODE_SIZE = "size"
 MODE_VOLUME = "volume"
@@ -299,14 +299,6 @@ def _keys(n: int, u: np.ndarray, v: np.ndarray, label: np.ndarray) -> np.ndarray
     return _classes(np.sort(pair, axis=1))
 
 
-def _labels(w: np.ndarray) -> np.ndarray:
-    """The class of every weight's 12-significant-digit text, as ``canonical_form`` reads it."""
-    values = sorted(set(w.ravel().tolist()))
-    texts: dict[str, int] = {}
-    ids = [texts.setdefault(format_weight(x), len(texts)) for x in values]
-    return np.array(ids, np.int64)[np.searchsorted(values, w)]
-
-
 def legal_moves(t: WeightedGraph, mode: str) -> list[TransferMove]:
     """All legal moves, both orientations of every adjacent edge pair."""
     _check_mode(mode)
@@ -384,7 +376,7 @@ def build_hasse(trees: list[WeightedGraph], mode: str) -> HasseDiagram:
     reps = tuple(trees[i] for i in order)
 
     family = _Trees(reps)
-    k, label = len(reps), _labels(family.w)
+    k, label = len(reps), _weight_classes(family.w)
     successors: list[set[int]] = [set() for _ in reps]
     for move, _, _ in family.legal(mode):
         if not move[0].size:

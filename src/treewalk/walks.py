@@ -51,15 +51,12 @@ def condition_bound(a: np.ndarray, a_inv: np.ndarray) -> float:
 
 
 def _adjacency_and_degrees(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Adjacency matrix and weighted degrees, filled from the edge columns. The
-    degrees are one ``bincount`` over ``hi``, then ``lo``: ``g.degrees``, bit
-    for bit."""
+    """Adjacency matrix, filled from the edge columns, and weighted degrees."""
     lo, hi, w = g.columns
-    d = np.bincount(np.concatenate((hi, lo)), np.concatenate((w, w)), g.n)
     a = np.zeros((g.n, g.n))
     a[lo, hi] = w
     a[hi, lo] = w
-    return a, d.astype(float, copy=False)
+    return a, np.array(g.degrees)
 
 
 def adjacency_matrix(g: WeightedGraph) -> np.ndarray:

@@ -1,8 +1,10 @@
 """The conjecture scan and its reports as they were built before the CLI
 wrote them from the verdict arrays: one (i, j, verdict, witness) per
-ordered pair of trees from the broadcast count matrix, one PairVerdict
-per pair, the payload dict of ``conjecture --json`` written by
-``json.dumps(indent=2, sort_keys=True)``, and the text report's lines.
+ordered pair of trees from the broadcast count matrix, one (code_a,
+code_b, verdict, witness) tuple per pair, the payload dict of
+``conjecture --json`` written by ``json.dumps(indent=2, sort_keys=True)``,
+and the text report's lines. ``report_pairs`` and ``report_alphas`` read
+the same tuples off a scan report's arrays.
 
 The alphas are exact: ``_exact_stats.tree_stats`` in Fraction arithmetic,
 not the Wiener index the scan uses. Violations are decided on those
@@ -21,7 +23,7 @@ from treewalk.homorder import (
     DOMINATES,
     EQUAL,
     INCOMPARABLE,
-    PairVerdict,
+    VERDICTS,
     _hom_matrix,
 )
 
@@ -53,6 +55,22 @@ def pair_verdicts(counts):
             yield i, j, names[k], None if k == 0 else (f, row[f], other[f])
 
 
+def report_pairs(report):
+    """(code_a, code_b, verdict, witness) per ordered pair of a scan report's
+    verdict arrays, row by row; the witness is (graph, hom_a, hom_b), or None
+    on an equal-on-corpus pair."""
+    codes = report.codes
+    cells = zip(*(x.tolist() for x in (report.a, report.b, report.kind, report.graph, report.hom_a, report.hom_b)))
+    return tuple(
+        (codes[i], codes[j], VERDICTS[k], (g, x, y) if k else None) for i, j, k, g, x, y in cells
+    )
+
+
+def report_alphas(report):
+    """(code, alpha) per tree of a scan report, in code order."""
+    return tuple(zip(report.codes, report.alpha.tolist()))
+
+
 def scan(n, corpus):
     """(pairs, alphas, violations) of the scan of the free trees on n vertices, pair by pair."""
     codes, trees = zip(*_free_tree_classes(n))
@@ -61,7 +79,7 @@ def scan(n, corpus):
     pairs = []
     violations = []
     for i, j, verdict, witness in pair_verdicts(_hom_matrix(trees, corpus)):
-        pairs.append(PairVerdict(codes[i], codes[j], verdict, witness))
+        pairs.append((codes[i], codes[j], verdict, witness))
         if verdict == DOMINATES and exact[j] < exact[i]:
             violations.append((codes[i], codes[j], alphas[i], alphas[j]))
     return tuple(pairs), tuple(zip(codes, alphas)), tuple(violations)
@@ -76,14 +94,14 @@ def payload(n, corpus):
         "alphas": [{"code": c, "alpha": sig12(a)} for c, a in alphas],
         "pairs": [
             {
-                "a": p.code_a,
-                "b": p.code_b,
-                "verdict": p.verdict,
+                "a": a,
+                "b": b,
+                "verdict": verdict,
                 "witness": None
-                if p.witness is None
-                else {"graph": p.witness[0], "hom_a": p.witness[1], "hom_b": p.witness[2]},
+                if witness is None
+                else {"graph": witness[0], "hom_a": witness[1], "hom_b": witness[2]},
             }
-            for p in pairs
+            for a, b, verdict, witness in pairs
         ],
         "violations": [{"a": a, "b": b, "alpha_a": aa, "alpha_b": ab} for a, b, aa, ab in violations],
     }
@@ -97,7 +115,7 @@ def json_report(n, corpus):
 def text_report(n, corpus):
     """The ``conjecture`` text stdout."""
     pairs, alphas, violations = scan(n, corpus)
-    dominant = sum(1 for p in pairs if p.verdict == "dominates")
+    dominant = sum(1 for _, _, verdict, _ in pairs if verdict == "dominates")
     lines = [
         f"trees of size {n}: {len(alphas)}; corpus graphs: {len(corpus)}",
         f"ordered pairs: {len(pairs)}; corpus-dominant: {dominant}",

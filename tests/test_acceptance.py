@@ -21,6 +21,7 @@ from treewalk.extremal import (
     star_of,
 )
 from treewalk.graphs import (
+    WeightedGraph,
     canonical_form,
     enumerate_free_trees,
     is_path_graph,
@@ -29,7 +30,7 @@ from treewalk.graphs import (
 )
 from treewalk.homorder import conjecture_scan, connected_graph_corpus
 from treewalk.simulate import estimate_hitting
-from treewalk.spectral import laplacian_spectra
+from treewalk.spectral import _eigenpairs
 from treewalk.transfers import apply_move, build_hasse, legal_moves
 from treewalk.walks import hitting_matrix, walk_stats
 
@@ -194,13 +195,17 @@ def test_criterion_7_path_search_instance():
                "reversal, not polarized; objective and kappa rankings agree on all 60 orders")
 
 
-def test_criterion_8_spectral_trace_identities(agreement_corpus):
+def test_criterion_8_spectral_trace_identities(agreement_corpus, monkeypatch):
+    """sum mu_i = n = trace N, on the eigenvalues the spectral route checks:
+    from the SVD of each tree's bipartite block, then from eigh of N."""
     for g in agreement_corpus:
-        spectrum = laplacian_spectra(g)
-        assert sum(spectrum.combinatorial) == pytest.approx(g.vol, rel=IDENTITY_RTOL)
-        assert sum(spectrum.normalized) == pytest.approx(g.n, rel=IDENTITY_RTOL)
-    _report(8, f"trace identities hold to 1e-9 on all {len(agreement_corpus)} "
-               f"criterion-1 graphs")
+        assert sum(_eigenpairs(g)[0].tolist()) == pytest.approx(g.n, rel=IDENTITY_RTOL)
+    with monkeypatch.context() as m:
+        m.setattr(WeightedGraph, "is_tree", lambda self: False)
+        for g in agreement_corpus:
+            assert sum(_eigenpairs(g)[0].tolist()) == pytest.approx(g.n, rel=IDENTITY_RTOL)
+    _report(8, f"sum of normalized eigenvalues = n to 1e-9 on all {len(agreement_corpus)} "
+               f"criterion-1 graphs, from the SVD and from eigh")
 
 
 def test_criterion_9_hasse_reproduction():

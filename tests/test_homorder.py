@@ -203,13 +203,13 @@ class TestDominance:
 def assert_scan_matches_scalar_loop(n, corpus):
     """Verdicts, witnesses and violations equal the pair-at-a-time loop on scalar counts."""
     report = conjecture_scan(n, corpus=corpus)
-    codes = [c for c, _ in report.alphas]
+    codes = list(report.codes)
     trees = enumerate_free_trees(n)
     exact = [_conjecture_oracle.exact_alpha(t) for t in trees]
     rows = [[scalar_hom_count(t, g) for g in corpus] for t in trees]
     want = scalar_pair_verdicts(rows)
-    got = [(p.code_a, p.code_b, p.verdict, p.witness) for p in report.pairs]
-    assert got == [(codes[i], codes[j], verdict, witness) for i, j, verdict, witness in want]
+    got = _conjecture_oracle.report_pairs(report)
+    assert list(got) == [(codes[i], codes[j], verdict, witness) for i, j, verdict, witness in want]
     assert report.violations == tuple(
         (codes[i], codes[j], float(exact[i]), float(exact[j]))
         for i, j, verdict, _ in want
@@ -241,17 +241,17 @@ class TestConjectureScan:
 
     def test_n3_trivial(self):
         report = conjecture_scan(3)
-        assert report.pairs == ()
+        assert _conjecture_oracle.report_pairs(report) == ()
         assert report.violations == ()
 
     def test_n4_path_vs_star(self):
         report = conjecture_scan(4)
         assert report.violations == ()
-        verdicts = {(p.code_a, p.code_b): p.verdict for p in report.pairs}
+        verdicts = {(a, b): verdict for a, b, verdict, _ in _conjecture_oracle.report_pairs(report)}
         assert len(verdicts) == 2
-        alphas = dict(report.alphas)
-        path_code = [c for c, a in report.alphas if a == pytest.approx(15 / 4)][0]
-        star_code = [c for c, a in report.alphas if a == pytest.approx(27 / 8)][0]
+        alphas = dict(_conjecture_oracle.report_alphas(report))
+        path_code = [c for c, a in alphas.items() if a == pytest.approx(15 / 4)][0]
+        star_code = [c for c, a in alphas.items() if a == pytest.approx(27 / 8)][0]
         assert verdicts[(star_code, path_code)] == "dominates"
         assert verdicts[(path_code, star_code)] == "dominated"
         assert alphas[path_code] > alphas[star_code]
@@ -259,16 +259,17 @@ class TestConjectureScan:
     def test_empty_corpus_decides_nothing(self):
         report = conjecture_scan(4, corpus=[])
         assert report.corpus_size == 0
-        assert len(report.pairs) == 2
-        assert {p.verdict for p in report.pairs} == {"equal-on-corpus"}
+        pairs = _conjecture_oracle.report_pairs(report)
+        assert len(pairs) == 2
+        assert {verdict for _, _, verdict, _ in pairs} == {"equal-on-corpus"}
         assert report.violations == ()
 
     def test_dominant_pairs_have_witnesses(self):
         report = conjecture_scan(5)
-        for p in report.pairs:
-            if p.verdict in ("dominates", "dominated"):
-                assert p.witness is not None
-                graph_idx, hom_a, hom_b = p.witness
+        for _, _, verdict, witness in _conjecture_oracle.report_pairs(report):
+            if verdict in ("dominates", "dominated"):
+                assert witness is not None
+                graph_idx, hom_a, hom_b = witness
                 assert hom_a != hom_b
 
     def test_size6_corpus_violation_is_real_and_bruteforce_verified(self):
@@ -313,17 +314,21 @@ class TestConjectureScan:
             for n in range(1, 9):
                 report = conjecture_scan(n, corpus=corpus)
                 want = _conjecture_oracle.scan(n, corpus)
-                assert (report.pairs, report.alphas, report.violations) == want
-                assert all(type(a) is float for _, a in report.alphas)
-                assert all(type(v) is int for p in report.pairs if p.witness for v in p.witness)
-                assert report.pairs is report.pairs  # built once, on first read
+                pairs = _conjecture_oracle.report_pairs(report)
+                alphas = _conjecture_oracle.report_alphas(report)
+                assert (pairs, alphas, report.violations) == want
+                assert all(type(a) is float for _, a in alphas)
+                assert all(type(v) is int for _, _, _, witness in pairs if witness for v in witness)
+                assert report.violations is report.violations  # built once, on first read
 
     def test_json_roundtrip(self, capsys):
         report = conjecture_scan(4)
         assert main(["conjecture", "--n", "4", "--json"]) == 0
         blob = json.loads(capsys.readouterr().out)
         assert blob["tree_size"] == 4 and blob["corpus_size"] == report.corpus_size
-        assert [(r["code"], r["alpha"]) for r in blob["alphas"]] == [(c, sig12(a)) for c, a in report.alphas]
+        assert [(r["code"], r["alpha"]) for r in blob["alphas"]] == [
+            (c, sig12(a)) for c, a in _conjecture_oracle.report_alphas(report)
+        ]
 
     @pytest.mark.parametrize("n", range(1, FREE_TREE_MAX + 1))
     def test_wiener_identity_is_the_exact_alpha(self, n):

@@ -19,7 +19,7 @@ from treewalk.graphs import (
     rooted_order,
     star_graph,
 )
-from treewalk.spectral import laplacian_matrices, laplacian_spectra, stats
+from treewalk.spectral import _eigenpairs, _normalized_laplacian, stats
 from treewalk.walks import EPS, ERROR_BOUND_RTOL, walk_stats
 
 P3 = path_graph([1, 1])
@@ -28,36 +28,41 @@ STAR4 = star_graph([1, 1, 1])
 P4 = path_graph([1, 1, 1])
 
 
+def _spectra(monkeypatch, g):
+    """N's ascending eigenvalues from both sources: the route's own (the SVD
+    on a tree), then the eigh path's."""
+    return _eigenpairs(g)[0].tolist(), _eigh_path(monkeypatch, g, _eigenpairs)[0].tolist()
+
+
 class TestSpectra:
-    def test_unit_path_spectra(self):
-        s = laplacian_spectra(P3)
-        assert s.combinatorial == pytest.approx((0.0, 1.0, 3.0), abs=1e-9)
-        assert s.normalized == pytest.approx((0.0, 1.0, 2.0), abs=1e-9)
+    """N's spectrum as the spectral route checks it, from the SVD and from eigh."""
 
-    def test_k2(self):
-        s = laplacian_spectra(K2)
-        assert s.combinatorial == pytest.approx((0.0, 2.0), abs=1e-12)
-        assert s.normalized == pytest.approx((0.0, 2.0), abs=1e-12)
+    def test_unit_path_spectra(self, monkeypatch):
+        for mu in _spectra(monkeypatch, P3):
+            assert mu == pytest.approx((0.0, 1.0, 2.0), abs=1e-9)
 
-    def test_unit_star(self):
-        s = laplacian_spectra(STAR4)
-        assert s.combinatorial == pytest.approx((0.0, 1.0, 1.0, 4.0), abs=1e-9)
+    def test_k2(self, monkeypatch):
+        for mu in _spectra(monkeypatch, K2):
+            assert mu == pytest.approx((0.0, 2.0), abs=1e-12)
 
-    def test_trace_identities(self):
+    def test_unit_star(self, monkeypatch):
+        for mu in _spectra(monkeypatch, STAR4):
+            assert mu == pytest.approx((0.0, 1.0, 1.0, 2.0), abs=1e-9)
+
+    def test_trace_identities(self, monkeypatch):
         rng = random.Random(43)
         for _ in range(15):
             g = random_weighted_tree(rng, rng.randint(2, 10))
-            s = laplacian_spectra(g)
-            assert sum(s.combinatorial) == pytest.approx(g.vol, rel=1e-9)
-            assert sum(s.normalized) == pytest.approx(g.n, rel=1e-9)
+            for mu in _spectra(monkeypatch, g):
+                assert sum(mu) == pytest.approx(g.n, rel=1e-9)
 
-    def test_normalized_range(self):
+    def test_normalized_range(self, monkeypatch):
         rng = random.Random(47)
         for _ in range(10):
             g = random_weighted_tree(rng, rng.randint(2, 10))
-            s = laplacian_spectra(g)
-            assert s.normalized[0] >= -1e-9
-            assert s.normalized[-1] <= 2.0 + 1e-9
+            for mu in _spectra(monkeypatch, g):
+                assert mu[0] >= -1e-9
+                assert mu[-1] <= 2.0 + 1e-9
 
 
 class TestScalars:
@@ -166,11 +171,11 @@ def _refuse_first_bound(monkeypatch):
     monkeypatch.setattr(spectral, "check_error_bound", lambda b, what, kind: check(next(forced, b), what, kind))
 
 
-def _eigh_path(monkeypatch, g):
-    """stats(g) through the eigh path, as a graph with a cycle takes it."""
+def _eigh_path(monkeypatch, g, route=stats):
+    """route(g), stats by default, through the eigh path, as a graph with a cycle takes it."""
     with monkeypatch.context() as m:
         m.setattr(WeightedGraph, "is_tree", lambda self: False)
-        return stats(g)
+        return route(g)
 
 
 class TestOneEigendecomposition:
@@ -192,16 +197,14 @@ class TestOneEigendecomposition:
         _refuse_first_bound(monkeypatch)
         stats(t)
         assert factorizations == [("svd", _sides(t)), ("eigh", (t.n, t.n))]
-        factorizations.clear()
-        laplacian_spectra(STAR4)  # one per Laplacian
-        assert factorizations == [("eigh", (4, 4)), ("eigh", (4, 4))]
 
-    def test_laplacian_spectra_returns_both_spectra(self):
-        g = random_weighted_tree(random.Random(5), 12)
-        lap, norm = laplacian_matrices(g)
-        s = laplacian_spectra(g)
-        assert s.combinatorial == tuple(np.linalg.eigh(lap)[0].tolist())
-        assert s.normalized == tuple(np.linalg.eigh(norm)[0].tolist())
+    def test_eigh_path_returns_eigh_of_normalized_laplacian(self):
+        g = complete_graph(6)
+        g = WeightedGraph(6, tuple((u, v, 1.0 + u + 2.0 * v) for u, v, _ in g.edges))
+        mu, phi, d = _eigenpairs(g)
+        want_mu, want_phi = np.linalg.eigh(_normalized_laplacian(g))
+        assert mu.tolist() == want_mu.tolist() and phi.tolist() == want_phi.tolist()
+        assert d.tolist() == list(g.degrees)
 
     def test_answers_within_the_residual_bound(self, bounds):
         """Light-edge trees, wide general graphs, weighted paths and 60-vertex

@@ -444,7 +444,7 @@ class TestAgainstPerPairOracle:
         result_codes = [recursive_canonical_form(g) for g in results]
         assert set(result_codes) <= set(codes)  # every result lands in the family
         batch = transfers._Trees([*trees, *results])
-        keys = transfers._keys(batch.n, batch.u, batch.v, transfers._labels(batch.w)).tolist()
+        keys = transfers._keys(batch.n, batch.u, batch.v, graphs._weight_classes(batch.w)).tolist()
         classes = set(zip(keys, codes + result_codes))
         assert len(classes) == len(set(keys)) == len(set(codes))
 
