@@ -11,10 +11,10 @@ edge weights equal W. Known extremes inside the family:
   and minimized uniquely by the star.
 
 ``extremal_scan`` verifies those statements exhaustively for a given W
-and raises ConsistencyError on any violation. The scans work on arrays,
-one tree shape at a time: integer AHU keys deduplicate the weight
-permutations, ``tree_stats`` on weight columns gives every value, and
-only the extreme trees become WeightedGraphs with canonical codes.
+and raises ConsistencyError on any violation. The scans work on arrays:
+integer AHU keys (``graphs._keys``, a group of shapes at a time) dedup
+the weight permutations, ``tree_stats`` on weight columns gives every
+value, and only the extreme trees become WeightedGraphs with codes.
 ``best_path_assignment`` solves the path-ordering optimization for
 Kemeny's constant via the equivalent triple-sum objective
 sum_{j<i<k} w_j w_k / w_i.
@@ -34,8 +34,9 @@ import numpy as np
 from .errors import ConsistencyError, GraphError
 from .forests import check_weight_products, tree_stats
 from .graphs import (
+    _CHUNK,
     WeightedGraph,
-    _peel,
+    _keys,
     _weight_classes,
     canonical_form,
     enumerate_free_trees,
@@ -189,73 +190,30 @@ def _distinct_orders(items: Sequence[float]) -> tuple[list[float], np.ndarray]:
     return values, rows
 
 
-def _shape_keys(shape: WeightedGraph, ids: np.ndarray) -> np.ndarray:
-    """Per row of edge-weight labels on one tree shape, an integer that is
-    equal for two rows iff their weighted trees are isomorphic.
-
-    ``ids`` holds one row per weight assignment, one column per edge of
-    ``shape`` in edge order. AHU relabelling (Aho, Hopcroft & Ullman
-    1974) over the leaf layers that find the centre: each layer labels
-    every vertex of every row at once by the class of (label of the edge
-    above, sorted labels of its children). Siblings can sit in different
-    layers, so each layer's classes are numbered past the layers before.
-    """
-    rows = len(ids)
-    neighbors: list[list[tuple[int, int]]] = [[] for _ in range(shape.n)]
-    for i, (u, v, _) in enumerate(shape.edges):
-        neighbors[u].append((v, i))
-        neighbors[v].append((u, i))
-    layers, parent, up_edge = _peel(shape.n, neighbors)
-    children: list[list[int]] = [[] for _ in range(shape.n)]
-    for layer in layers[:-1]:
-        for x in layer:
-            children[parent[x]].append(x)
-    label = np.empty((shape.n, rows), dtype=np.int64)
-    offset = 0
-    for layer in layers:
-        width = 1 + max(len(children[x]) for x in layer)
-        table = np.full((len(layer), rows, width), -1, dtype=np.int64)
-        for j, x in enumerate(layer):
-            if up_edge[x] is not None:
-                table[j, :, 0] = ids[:, up_edge[x]]
-            if children[x]:
-                table[j, :, width - len(children[x]):] = np.sort(label[children[x]].T, axis=1)
-        classes = _classes(table.reshape(-1, width))
-        label[layer] = classes.reshape(len(layer), rows) + offset
-        offset += int(classes.max()) + 1
-    centres = layers[-1]
-    if len(centres) == 1:
-        return label[centres[0]]
-    return _classes(np.sort(label[centres].T, axis=1))
-
-
-def _classes(table: np.ndarray) -> np.ndarray:
-    """Dense class number of every row of a 2-D integer table, equal rows equal."""
-    order = np.lexsort(table.T)
-    ranked = table[order]
-    new = np.ones(len(table), dtype=np.int64)
-    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    classes = np.empty(len(table), dtype=np.int64)
-    classes[order] = np.cumsum(new) - 1
-    return classes
-
-
 def _family_rows(ws: tuple[float, ...]) -> Iterator[tuple[WeightedGraph, np.ndarray]]:
     """Per tree shape, the edge weights of one row per isomorphism class.
 
     Every shape on |W|+1 vertices is crossed with every distinct
     permutation of W on its edges; each class keeps its first row in
     the lexicographic order of the permutations. Weights equal to 12
-    significant digits share one label, as in ``canonical_form``.
+    significant digits share one label, as in ``canonical_form``. The
+    shapes go through ``graphs._keys`` in groups: as many shapes, with
+    all their rows, as fit in ``_CHUNK`` vertex slots, and at least one.
     """
     if len(ws) > FAMILY_WEIGHT_MAX:
         raise GraphError(f"family enumeration guarded to {FAMILY_WEIGHT_MAX} weights, got m={len(ws)}")
     values, perms = _distinct_orders(ws)
-    labels = _weight_classes(np.array(values))[perms]
+    labels = _weight_classes(np.array(values))[perms.T]  # (edges, rows)
     weights = np.array(values)[perms]
-    for shape in enumerate_free_trees(len(ws) + 1):
-        _, first = np.unique(_shape_keys(shape, labels), return_index=True)
-        yield shape, weights[np.sort(first)]
+    n, shapes = len(ws) + 1, enumerate_free_trees(len(ws) + 1)
+    step = max(1, _CHUNK // (n * len(perms)))
+    for a in range(0, len(shapes), step):
+        group = shapes[a : a + step]
+        u, v = (np.array([shape.columns[i] for shape in group]) for i in (0, 1))
+        keys = _keys(n, u, v, np.broadcast_to(labels, (len(group), *labels.shape)))
+        for shape, key in zip(group, keys):
+            _, first = np.unique(key, return_index=True)
+            yield shape, weights[np.sort(first)]
 
 
 def _weighted(shape: WeightedGraph, row: Sequence[float]) -> WeightedGraph:

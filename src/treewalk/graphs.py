@@ -1,5 +1,9 @@
 """Weighted-graph representation, TWG text format, tree utilities, and enumeration.
 
+Tree identity lives here: ``canonical_form``, the string code of one
+tree, and ``_keys``, the integer AHU key of a batch of trees under many
+rows of edge labels, which the family scans and Hasse diagrams use.
+
 Vertices are dense indices ``0..n-1``. Edges are undirected and loop-free,
 carry positive real weights, and appear at most once per unordered pair.
 Everything here is an immutable value; all operations are pure.
@@ -452,12 +456,6 @@ def _peel(n: int, neighbors: Sequence[Sequence[tuple]]) -> tuple[list[list[int]]
     return layers, parent, above
 
 
-def tree_centers(t: WeightedGraph) -> tuple[int, ...]:
-    """The 1 or 2 central vertices of a tree (weight-agnostic)."""
-    t.require_tree()
-    return tuple(sorted(_peel(t.n, t.neighbors)[0][-1]))
-
-
 def _tree_code(n: int, neighbors: Sequence[Sequence[tuple[int, float]]]) -> str:
     """The canonical code of the tree with these neighbour lists (see ``canonical_form``).
 
@@ -496,6 +494,115 @@ def canonical_form(t: WeightedGraph) -> str:
     code: it is immutable, so the code cannot go stale.
     """
     return t._code
+
+
+# -- integer keys ------------------------------------------------------------
+
+# Vertex slots (trees x vertices x label rows) per call of the integer keyer: the family scans
+# group their shapes by it, and the transfer kernel its moves (see ``transfers._Trees.triples``).
+_CHUNK = 1 << 15
+
+
+def _classes(table: np.ndarray) -> np.ndarray:
+    """Dense class number of every row of a 2-D integer table, equal rows equal."""
+    order = np.lexsort(table.T)
+    ranked = table[order]
+    new = np.ones(len(table), dtype=np.int64)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    classes = np.empty(len(table), dtype=np.int64)
+    classes[order] = np.cumsum(new) - 1
+    return classes
+
+
+def _peel_layers(n: int, u: np.ndarray, v: np.ndarray):
+    """Leaf layers of k trees on n vertices at once, as ``_peel`` finds them one tree at a time.
+
+    ``u`` and ``v`` hold each tree's edges as (k, n - 1) rows. Vertex x
+    of tree i is ``i * n + x`` and edge r of it ``i * (n - 1) + r``.
+    Every vertex keeps the XOR of its unpeeled neighbours and of their
+    edges, so a leaf reads its one neighbour and edge from them. Returns
+    ``(layers, centre, mate, central)``: each layer is (leaves, their
+    neighbours, the edges between), peeled while the tree had more than
+    two vertices left; ``centre`` lists the vertices never peeled, one or
+    two per tree, and for two centres ``mate`` is the other one and
+    ``central`` the edge between them (-1 for a lone centre).
+    """
+    k = len(u)
+    shift = np.arange(0, k * n, n)[:, None]
+    gu, gv, rows = (u + shift).ravel(), (v + shift).ravel(), np.arange(u.size)
+    degree = np.bincount(gu, minlength=k * n) + np.bincount(gv, minlength=k * n)
+    neighbor = np.zeros(k * n, np.int64)
+    edge = np.zeros(k * n, np.int64)
+    for a, b in ((gu, gv), (gv, gu)):
+        np.bitwise_xor.at(neighbor, a, b)
+        np.bitwise_xor.at(edge, a, rows)
+    del gu, gv, rows  # not needed by the rounds below, which a deep tree makes many of
+    left = np.full(k, n)
+    last = np.empty(k * n, np.int64)  # where a vertex last occurs in the next layer's candidates
+    layer = np.flatnonzero(degree == 1) if n > 2 else np.empty(0, np.int64)
+    layers = []
+    while layer.size:
+        up, e = neighbor[layer], edge[layer]
+        layers.append((layer, up, e))
+        np.subtract.at(left, layer // n, 1)
+        np.bitwise_xor.at(neighbor, up, layer)
+        np.bitwise_xor.at(edge, up, e)
+        np.subtract.at(degree, up, 1)
+        degree[layer] = -1
+        nxt = up[degree[up] == 1]
+        last[nxt] = np.arange(nxt.size)
+        nxt = nxt[last[nxt] == np.arange(nxt.size)]  # once each
+        layer = nxt[left[nxt // n] > 2]
+    centre = np.flatnonzero(degree >= 0)
+    paired = degree[centre] == 1
+    return layers, centre, np.where(paired, neighbor[centre], -1), np.where(paired, edge[centre], -1)
+
+
+def _keys(n: int, u: np.ndarray, v: np.ndarray, label: np.ndarray) -> np.ndarray:
+    """Per tree of k on n vertices and per row of r edge labels, an integer
+    equal for two (tree, row) pairs iff the trees are isomorphic with those labels.
+
+    ``u`` and ``v`` hold (k, n - 1) edge rows; ``label``, (k, n - 1, r), puts
+    ``label[i, e, j]`` on edge e of tree i in row j. AHU relabelling (Aho,
+    Hopcroft & Ullman 1974) over the leaf layers of all trees at once: each
+    layer gives every peeled vertex, in every row, the class of (label of its
+    edge up, sorted classes of its children) in one ``_classes`` call, numbered
+    past the classes before. The centres are classed last, with the central
+    edge's label or -1. With one centre per tree its class is the key, else a
+    tree's key is the class of its sorted centre classes.
+    """
+    k, r = len(u), label.shape[-1]
+    label = label.reshape(-1, r)
+    layers, centre, _, central = _peel_layers(n, u, v)
+    rounds = [(layer, e) for layer, _, e in layers] + [(centre, central)]
+    when, slot = np.empty(k * n, np.int64), np.empty(k * n, np.int64)
+    for t, (xs, _) in enumerate(rounds):
+        when[xs], slot[xs] = t, np.arange(len(xs))
+    # every peeled vertex fills a cell of its parent's row: children grouped by the parent's round
+    kid = np.concatenate([layer for layer, _, _ in layers] or [np.empty(0, np.int64)])
+    parent = np.concatenate([up for _, up, _ in layers] or [np.empty(0, np.int64)])
+    order = np.argsort(when[parent] * (k * n) + parent, kind="stable")
+    kid, parent = kid[order], parent[order]
+    group = when[parent] * (k * n) + parent
+    row, col = slot[parent], 1 + np.arange(len(group)) - np.searchsorted(group, group)
+    bounds = np.searchsorted(group, np.arange(len(rounds) + 1) * (k * n))
+    cls = np.empty((k * n, r), np.int64)
+    offset = 0
+    for t, (xs, e) in enumerate(rounds):
+        cells = slice(bounds[t], bounds[t + 1])
+        table = np.full((len(xs), r, 1 + col[cells].max(initial=0)), -1, np.int64)
+        table[e >= 0, :, 0] = label[e[e >= 0]]  # a lone centre has no central edge: -1
+        table[row[cells], :, col[cells]] = cls[kid[cells]]
+        table[:, :, 1:].sort(axis=2)
+        new = _classes(table.reshape(len(xs) * r, -1))
+        cls[xs] = new.reshape(len(xs), r) + offset
+        offset += int(new.max()) + 1
+    if len(centre) == k:  # no tree has two centres
+        return cls[centre]
+    pair = np.full((k, 2, r), -1, np.int64)
+    pair[centre // n, np.r_[False, centre[1:] // n == centre[:-1] // n].astype(int)] = cls[centre]
+    pair.sort(axis=1)
+    return _classes(pair.transpose(0, 2, 1).reshape(k * r, 2)).reshape(k, r)
 
 
 # -- enumeration -------------------------------------------------------------

@@ -18,10 +18,11 @@ of (v1, v2) and T3 is v3's side of (v2, v3), both seen from v2, and T2
 is the rest. Sizes come from subtree sizes; a block's volume sums the
 weights of the edges inside it in edge order. A move's result is the
 tree's edge rows with (v2, v3) replaced by (v1, v3), and ``build_hasse``
-finds it in the family by an integer key: batched AHU relabelling (Aho,
-Hopcroft & Ullman 1974) over the family and the results together.
-Moves go through the kernel in chunks (see ``_CHUNK``), so memory stays
-bounded on large trees. ``legal_moves`` and ``apply_move`` run the same
+finds it in the family by an integer key: the family and the results
+go together, with one row of labels, through ``graphs._keys``, the
+batched AHU keyer that the family scans use too. Moves go through the
+kernel in chunks (see ``_Trees.triples``), so memory stays bounded on
+large trees. ``legal_moves`` and ``apply_move`` run the same
 kernel on one tree.
 """
 
@@ -34,9 +35,8 @@ from itertools import repeat
 import numpy as np
 
 from .errors import ConsistencyError, GraphError
-from .extremal import _classes
 from .forests import stats
-from .graphs import WeightedGraph, _weight_classes, canonical_form, format_weight
+from .graphs import _CHUNK, WeightedGraph, _keys, _peel_layers, _weight_classes, canonical_form, format_weight
 
 MODE_SIZE = "size"
 MODE_VOLUME = "volume"
@@ -44,11 +44,6 @@ MODE_VOLUME = "volume"
 LEGALITY_RTOL = 1e-12        # strict ">" with a float-tie guard
 MONOTONE_MARGIN_RTOL = 1e-10
 FAMILY_MAX = 50_000
-
-# Moves per chunk on k trees of n vertices: max(_CHUNK // n, min(k, _CHUNK)). The vertex slots of
-# a chunk's results stay near _CHUNK, unless the family is larger: build_hasse keys the family
-# again with every chunk, and this bounds that overhead to about the work of keying the results.
-_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -100,50 +95,6 @@ def _strictly_greater(a, b):
     return a - b > LEGALITY_RTOL * np.maximum(np.abs(a), np.abs(b))
 
 
-def _peel_layers(n: int, u: np.ndarray, v: np.ndarray):
-    """Leaf layers of k trees on n vertices at once, as ``graphs._peel`` finds them one tree at a time.
-
-    ``u`` and ``v`` hold each tree's edges as (k, n - 1) rows. Vertex x
-    of tree i is ``i * n + x`` and edge r of it ``i * (n - 1) + r``.
-    Every vertex keeps the XOR of its unpeeled neighbours and of their
-    edges, so a leaf reads its one neighbour and edge from them. Returns
-    ``(layers, centre, mate, central)``: each layer is (leaves, their
-    neighbours, the edges between), peeled while the tree had more than
-    two vertices left; ``centre`` lists the vertices never peeled, one or
-    two per tree, and for two centres ``mate`` is the other one and
-    ``central`` the edge between them (-1 for a lone centre).
-    """
-    k = len(u)
-    shift = np.arange(0, k * n, n)[:, None]
-    gu, gv, rows = (u + shift).ravel(), (v + shift).ravel(), np.arange(u.size)
-    degree = np.bincount(gu, minlength=k * n) + np.bincount(gv, minlength=k * n)
-    neighbor = np.zeros(k * n, np.int64)
-    edge = np.zeros(k * n, np.int64)
-    for a, b in ((gu, gv), (gv, gu)):
-        np.bitwise_xor.at(neighbor, a, b)
-        np.bitwise_xor.at(edge, a, rows)
-    del gu, gv, rows  # not needed by the rounds below, which a deep tree makes many of
-    left = np.full(k, n)
-    last = np.empty(k * n, np.int64)  # where a vertex last occurs in the next layer's candidates
-    layer = np.flatnonzero(degree == 1) if n > 2 else np.empty(0, np.int64)
-    layers = []
-    while layer.size:
-        up, e = neighbor[layer], edge[layer]
-        layers.append((layer, up, e))
-        np.subtract.at(left, layer // n, 1)
-        np.bitwise_xor.at(neighbor, up, layer)
-        np.bitwise_xor.at(edge, up, e)
-        np.subtract.at(degree, up, 1)
-        degree[layer] = -1
-        nxt = up[degree[up] == 1]
-        last[nxt] = np.arange(nxt.size)
-        nxt = nxt[last[nxt] == np.arange(nxt.size)]  # once each
-        layer = nxt[left[nxt // n] > 2]
-    centre = np.flatnonzero(degree >= 0)
-    paired = degree[centre] == 1
-    return layers, centre, np.where(paired, neighbor[centre], -1), np.where(paired, edge[centre], -1)
-
-
 class _Trees:
     """k trees on n vertices as arrays, each rooted at a centre (the lower of two).
 
@@ -185,7 +136,12 @@ class _Trees:
         np.put_along_axis(self.row, lower, np.arange(n - 1), axis=1)
 
     def triples(self):
-        """Every move (tree, v1, v2, v3) in chunks (see ``_CHUNK``).
+        """Every move (tree, v1, v2, v3) in chunks of max(_CHUNK // n, min(k, _CHUNK)).
+
+        The vertex slots of a chunk's results stay near ``_CHUNK``, unless
+        the family is larger: ``build_hasse`` keys the family again with
+        every chunk, and this bounds that overhead to about the work of
+        keying the results.
 
         Ordered by tree, then as ``legal_moves`` lists them: v2, then v1,
         then v3 ascending. Half-edges (v2, v1) are sorted so; the j-th
@@ -256,47 +212,6 @@ class _Trees:
         u, v = self.u[t], self.v[t]  # fancy indexing copies
         u[np.arange(len(t)), row], v[np.arange(len(t)), row] = v1, v3
         return u, v
-
-
-def _keys(n: int, u: np.ndarray, v: np.ndarray, label: np.ndarray) -> np.ndarray:
-    """Per tree of k on n vertices, an integer equal for two trees iff they
-    are isomorphic with their edge labels.
-
-    ``u``, ``v`` and ``label`` hold (k, n - 1) edge rows. AHU relabelling
-    over the leaf layers of all trees at once: each layer gives every
-    peeled vertex the class of (label of its edge up, sorted classes of
-    its children) in one ``_classes`` call, numbered past the layers
-    before. The centres are classed last, with the central edge's label
-    or -1, and a tree's key is the class of its sorted centre classes.
-    """
-    k = len(u)
-    layers, centre, _, central = _peel_layers(n, u, v)
-    label = np.append(label, -1)  # a lone centre's central edge, -1, reads label -1
-    rounds = [(layer, label[e]) for layer, _, e in layers] + [(centre, label[central])]
-    when, slot = np.empty(k * n, np.int64), np.empty(k * n, np.int64)
-    for r, (xs, _) in enumerate(rounds):
-        when[xs], slot[xs] = r, np.arange(len(xs))
-    # every peeled vertex fills a cell of its parent's row: children grouped by the parent's round
-    kid = np.concatenate([layer for layer, _, _ in layers] or [np.empty(0, np.int64)])
-    parent = np.concatenate([up for _, up, _ in layers] or [np.empty(0, np.int64)])
-    order = np.argsort(when[parent] * (k * n) + parent, kind="stable")
-    kid, parent = kid[order], parent[order]
-    group = when[parent] * (k * n) + parent
-    row, col = slot[parent], 1 + np.arange(len(group)) - np.searchsorted(group, group)
-    bounds = np.searchsorted(group, np.arange(len(rounds) + 1) * (k * n))
-    cls = np.empty(k * n, np.int64)
-    offset = 0
-    for r, (xs, up) in enumerate(rounds):
-        cells = slice(bounds[r], bounds[r + 1])
-        table = np.full((len(xs), 1 + col[cells].max(initial=0)), -1, np.int64)
-        table[:, 0] = up
-        table[row[cells], col[cells]] = cls[kid[cells]]
-        table[:, 1:].sort(axis=1)
-        cls[xs] = _classes(table) + offset
-        offset = int(cls[xs].max()) + 1
-    pair = np.full((k, 2), -1, np.int64)
-    pair[centre // n, np.r_[False, centre[1:] // n == centre[:-1] // n].astype(int)] = cls[centre]
-    return _classes(np.sort(pair, axis=1))
 
 
 def legal_moves(t: WeightedGraph, mode: str) -> list[TransferMove]:
@@ -383,7 +298,7 @@ def build_hasse(trees: list[WeightedGraph], mode: str) -> HasseDiagram:
             continue
         u, v = family.moved(*move)
         keys = _keys(family.n, np.concatenate((family.u, u)), np.concatenate((family.v, v)),
-                     np.concatenate((label, label[move[0]])))
+                     np.concatenate((label, label[move[0]]))[..., None])[:, 0]
         index = np.full(int(keys.max()) + 1, -1)
         index[keys[:k]] = np.arange(k)
         found = index[keys[k:]]

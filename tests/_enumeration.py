@@ -24,7 +24,7 @@ import random
 from itertools import combinations, permutations, product
 
 from treewalk.errors import ConsistencyError, GraphError
-from treewalk.graphs import WeightedGraph, format_weight, rooted_order, tree_centers
+from treewalk.graphs import WeightedGraph, format_weight, rooted_order
 from treewalk.homorder import DOMINATED, DOMINATES, EQUAL, INCOMPARABLE
 
 ENUM_EDGE_MAX = 20
@@ -121,7 +121,11 @@ def peeled_centres(n, neighbors):
 
 
 def recursive_canonical_form(t):
-    """canonical_form by recursion from each centre: the reference for the bottom-up coder."""
+    """canonical_form by recursion from each centre: the reference for the bottom-up coder.
+
+    The centres come from ``peeled_centres``, so no step of it runs the package's peeling.
+    """
+    t.require_tree()
     adj = t.neighbors
 
     def code(v, parent, w_in):
@@ -129,7 +133,7 @@ def recursive_canonical_form(t):
         label = "" if w_in is None else format_weight(w_in)
         return "(" + label + "|" + "".join(kids) + ")"
 
-    return min(code(c, -1, None) for c in tree_centers(t))
+    return min(code(c, -1, None) for c in peeled_centres(t.n, adj))
 
 
 def components(g, removed=()):

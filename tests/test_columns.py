@@ -118,7 +118,7 @@ def test_matrices_match_the_fromiter_builder(graphs):
 def _use_reference_builders(monkeypatch):
     """The oracles in place of the column builders, and a fresh parser per call."""
     monkeypatch.setattr(WeightedGraph, "degrees", property(loop_degrees))
-    monkeypatch.setattr(walks, "adjacency_matrix", fromiter_adjacency)
+    monkeypatch.setattr(walks, "_adjacency_and_degrees", lambda g: (fromiter_adjacency(g), np.array(loop_degrees(g))))
     for mod in (walks, forests, spectral):
         monkeypatch.setattr(mod, "laplacian", reference_laplacian)
     monkeypatch.setattr(cli, "_parser", cli.build_parser)

@@ -9,6 +9,7 @@ import pytest
 
 import _family_oracle as oracle
 from _enumeration import enumerate_labeled_trees, is_star_graph
+from treewalk import extremal
 from treewalk.errors import ConsistencyError, GraphError
 from treewalk.extremal import (
     EXTREME_GROUP_RTOL,
@@ -422,6 +423,35 @@ class TestArrayScan:
                 want = oracle.tree_sums(_weighted(shape, row))
                 assert tree_stats(shape, row) == want
                 assert (a, k) == want
+
+    @pytest.mark.parametrize("ws", SCAN_CASES, ids=lambda ws: f"m{len(ws)}-{ws[0]:.3g}")
+    def test_one_shape_per_group(self, monkeypatch, ws):
+        # every shape keyed in a group of its own: the same family, reports and refusals
+        def outcomes():
+            out = [tree_family(ws)]
+            for stat in ("alpha", "kappa"):
+                try:
+                    out.append(extremal_scan(ws, stat))
+                except ConsistencyError as exc:
+                    out.append(str(exc))
+            return out
+
+        groups = []
+        keys = extremal._keys
+        monkeypatch.setattr(extremal, "_keys", lambda *args: groups.append(len(args[1])) or keys(*args))
+        want, grouped = outcomes(), groups[:]
+        groups.clear()
+        monkeypatch.setattr(extremal, "_CHUNK", 1)
+        assert outcomes() == want
+        assert groups == [1] * sum(grouped)
+
+    def test_shapes_keyed_in_groups_of_chunk_slots(self, monkeypatch):
+        # 23 shapes of 210 rows on 8 vertices: 19 shapes fit in 2^15 vertex slots
+        groups = []
+        keys = extremal._keys
+        monkeypatch.setattr(extremal, "_keys", lambda *args: groups.append(args[3].shape) or keys(*args))
+        assert sum(len(rows) for _, rows in _family_rows(weight_multiset([9.5, 9.5, 9.5, 3.25, 3.25, 1, 1]))) == 1701
+        assert groups == [(19, 7, 210), (4, 7, 210)]
 
     @pytest.mark.parametrize("m", range(2, 8))
     def test_distinct_weights_count_n_to_the_n_minus_3(self, m):

@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import itertools
 import math
 import random
 import time
@@ -10,7 +11,7 @@ import pytest
 
 import _transfer_oracle as oracle
 from _enumeration import edge_cut, is_star_graph, random_weighted_tree, recursive_canonical_form
-from treewalk import graphs, transfers
+from treewalk import extremal, graphs, transfers
 from treewalk.cli import main
 from treewalk.errors import ConsistencyError, GraphError, NotATreeError
 from treewalk.extremal import tree_family
@@ -444,9 +445,20 @@ class TestAgainstPerPairOracle:
         result_codes = [recursive_canonical_form(g) for g in results]
         assert set(result_codes) <= set(codes)  # every result lands in the family
         batch = transfers._Trees([*trees, *results])
-        keys = transfers._keys(batch.n, batch.u, batch.v, graphs._weight_classes(batch.w)).tolist()
+        keys = graphs._keys(batch.n, batch.u, batch.v, graphs._weight_classes(batch.w)[..., None]).ravel().tolist()
         classes = set(zip(keys, codes + result_codes))
         assert len(classes) == len(set(keys)) == len(set(codes))
+        # every shape of the family, with one centre or two, under every order of its weights
+        # as label rows, keyed in one call: each (shape, row) pair lands in its tree's class
+        n = trees[0].n
+        shapes = enumerate_free_trees(n)
+        rows = sorted(set(itertools.permutations(trees[0].weight_multiset())))
+        u, v = (np.array([[e[i] for e in s.edges] for s in shapes], np.int64).reshape(len(shapes), n - 1) for i in (0, 1))
+        labels = graphs._weight_classes(np.array(rows).reshape(len(rows), n - 1)).T
+        keys = graphs._keys(n, u, v, np.broadcast_to(labels, (len(shapes), *labels.shape))).ravel().tolist()
+        codes = [recursive_canonical_form(extremal._weighted(s, row)) for s in shapes for row in rows]
+        classes = set(zip(keys, codes))
+        assert len(classes) == len(set(keys)) == len(set(codes)) == len(trees)
 
     def test_transfer_components(self):
         # the kernel's T1, T2, T3 and compared statistics of every ordered pair of adjacent
