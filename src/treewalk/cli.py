@@ -181,7 +181,7 @@ def cmd_compute(args) -> int:
     g, digest = _read_graph(args.input)
     selected = list(METHODS) if args.method == "all" else [args.method]
     # with --hitting, the exact route (always the first to run) takes the
-    # matrix it prints: one inverse serves both
+    # matrix it prints: one inverse serves both. A tree's O(n) sums read none.
     h = hitting_matrix(g) if args.hitting and "exact" in selected else None
     routes = METHODS if h is None else {**METHODS, "exact": lambda g: walk_stats(g, h)}
     raw = {name: routes[name](g) for name in selected}

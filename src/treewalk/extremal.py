@@ -248,13 +248,12 @@ def extremal_scan(weights: Sequence[float], stat: str) -> FamilyReport:
         raise GraphError(f"unknown statistic {stat!r}")
     ws = weight_multiset(weights)
     which = 0 if stat == STAT_ALPHA else 1
-    shapes: list[WeightedGraph] = []
-    rows, parts = [], []
+    shapes, rows, parts = [], [], []  # per shape: its rows of weights and their values
     for shape, reps in _family_rows(ws):
-        shapes += [shape] * len(reps)
+        shapes.append(shape)
         rows.append(reps)
         parts.append(tree_stats(shape, reps.T)[which])
-    weight_rows = np.concatenate(rows)
+    starts = np.cumsum([0] + [len(reps) for reps in rows])  # each shape's first row in values
     values = np.concatenate(parts)
     check_finite(values, f"{stat} values of the family")
     if stat == STAT_KAPPA:
@@ -262,7 +261,8 @@ def extremal_scan(weights: Sequence[float], stat: str) -> FamilyReport:
 
     def trees(mask: np.ndarray) -> Iterator[WeightedGraph]:
         for i in np.flatnonzero(mask).tolist():
-            yield _weighted(shapes[i], weight_rows[i].tolist())
+            k = int(np.searchsorted(starts, i, side="right")) - 1
+            yield _weighted(shapes[k], rows[k][i - starts[k]].tolist())
 
     family_size = len(values)
     max_value = float(values.max())

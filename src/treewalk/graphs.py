@@ -90,8 +90,8 @@ class WeightedGraph:
     ``edges`` is normalized at construction to a sorted tuple of
     ``(u, v, w)`` with ``u < v``. Connectivity is deliberately not an
     invariant; operations that need it call :meth:`require_connected`.
-    It is computed at most once per graph, like the neighbour lists and
-    a tree's canonical code.
+    It is computed at most once per graph, like the neighbour lists, a
+    tree's rooting and its canonical code.
     """
 
     n: int
@@ -141,6 +141,21 @@ class WeightedGraph:
             adj[u].append((v, w))
             adj[v].append((u, w))
         return tuple(tuple(sorted(a)) for a in adj)
+
+    @cached_property
+    def _rooting(self) -> tuple[list[int], list[int]]:
+        """``rooted_order(self)``: the breadth-first order from vertex 0, and parents."""
+        parent = [-1] * self.n
+        order = [0]
+        seen = [False] * self.n
+        seen[0] = True
+        for x in order:
+            for y, _ in self.neighbors[x]:
+                if not seen[y]:
+                    seen[y] = True
+                    parent[y] = x
+                    order.append(y)
+        return order, parent
 
     @cached_property
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -284,19 +299,10 @@ def rooted_order(t: WeightedGraph) -> tuple[list[int], list[int]]:
     """Breadth-first order of a tree from vertex 0, with parents.
 
     The root's parent is -1. Reversing the order visits every child
-    before its parent.
+    before its parent. Computed once per graph and shared by every
+    caller, so callers read the lists and never change them.
     """
-    parent = [-1] * t.n
-    order = [0]
-    seen = [False] * t.n
-    seen[0] = True
-    for x in order:
-        for y, _ in t.neighbors[x]:
-            if not seen[y]:
-                seen[y] = True
-                parent[y] = x
-                order.append(y)
-    return order, parent
+    return t._rooting
 
 
 # -- builders --------------------------------------------------------------

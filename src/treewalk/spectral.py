@@ -94,6 +94,9 @@ def _tree_eigenpairs(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarr
     lo, hi, w = g.columns
     a = np.where(odd[lo], hi, lo)  # each edge's even-side end
     b = lo + hi - a
+    # the n x n eigenvectors first: a tree whose arrays cannot be had is
+    # refused before the SVD has reserved (and started to fill) its own
+    phi = np.zeros((n, n))
     c = np.zeros((n1, n2))
     c[rank[a], rank[b] - n1] = dinv_sqrt[a] * w * dinv_sqrt[b]
     try:
@@ -108,7 +111,6 @@ def _tree_eigenpairs(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarr
     worst = float(max(pair.max() / np.sqrt(2.0), free.max(initial=0.0)))
     mu = np.concatenate((1.0 - s, np.ones(n - 2 * k), 1.0 + s[::-1]))
     _check_pairs(mu, worst, np.sqrt(n + 2.0 * np.einsum("ij,ij->", c, c)))
-    phi = np.zeros((n, n))
     h = np.sqrt(0.5)
     phi[:n1, :k] = uk * h
     phi[n1:, :k] = vk * h

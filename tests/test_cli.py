@@ -15,6 +15,7 @@ PATH3 = "3\n0 1 1\n1 2 1\n"
 W21 = "3\n0 1 2\n1 2 1\n"
 DISCONNECTED = "4\n0 1 1\n2 3 1\n"
 CYCLE4 = "4\n0 1 1\n1 2 2\n2 3 1.5\n0 3 0.5\n"
+TREE5 = "5\n0 1 2\n1 2 0.5\n1 3 3\n3 4 1.25\n"
 
 
 @pytest.fixture
@@ -135,6 +136,21 @@ class TestCompute:
             again = capsys.readouterr()
             assert untimed(again.out) == untimed(out) and again.err == err == ""
         assert len(shapes) == 6
+
+    def test_tree_is_rooted_once(self, twg, capsys, monkeypatch):
+        """The exact, forest and spectral routes read one rooting of a tree."""
+        from functools import cached_property
+
+        from treewalk.graphs import WeightedGraph
+
+        rooted = []
+        rooting = WeightedGraph._rooting.func
+        counted = cached_property(lambda g: rooted.append(g.n) or rooting(g))
+        counted.__set_name__(WeightedGraph, "_rooting")
+        monkeypatch.setattr(WeightedGraph, "_rooting", counted)
+        assert main(["compute", "--method", "all", "--input", twg(TREE5)]) == 0
+        assert rooted == [5]
+        assert "max relative delta" in capsys.readouterr().out
 
     def test_memory_error_exit_4_in_one_line(self, twg, capsys, monkeypatch):
         from treewalk import cli
